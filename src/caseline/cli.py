@@ -87,13 +87,14 @@ def save_index(path: str | Path, store: EmbeddingStore,
     into one retrieval-ready artifact."""
     meta = dict(provenance)
     meta.update({"format_version": 1, "kind": "index"})
-    np.savez(path,
-             matrix=store.matrix,
-             case_ids=np.array(store.case_ids),
-             labels=labels.astype(np.uint8),
-             label_names=np.array(list(catalog.names)),
-             meta=np.frombuffer(
-                 _canonical_json(meta).encode(), dtype=np.uint8).copy())
+    with open(path, "wb") as fh:  # a file keeps ".npz" off the path
+        np.savez(fh,
+                 matrix=store.matrix,
+                 case_ids=np.array(store.case_ids),
+                 labels=labels.astype(np.uint8),
+                 label_names=np.array(list(catalog.names)),
+                 meta=np.frombuffer(
+                     _canonical_json(meta).encode(), dtype=np.uint8).copy())
 
 
 def load_index(path: str | Path

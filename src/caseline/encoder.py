@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -26,8 +27,13 @@ from .errors import (
     IoFailureError,
     NonPositiveTemperatureError,
 )
-from .features import DEFAULT_HASH_DIM, SparseFeatures, featurize
-from .optim import AdamW
+from .features import (  # noqa: F401  featurize is re-exported
+    DEFAULT_HASH_DIM,
+    SparseFeatures,
+    featurize,
+    featurize_batch,
+)
+from .optim import AdamW, RowGrad
 from .store import EmbeddingStore
 
 log = logging.getLogger(__name__)
@@ -137,8 +143,15 @@ def _forward(feats: SparseFeatures, params: EncoderParams,
 
 
 def _backward(dz2: np.ndarray, cache, params: EncoderParams,
-              grads: dict[str, np.ndarray]) -> None:
-    """Accumulate parameter gradients for one example into grads."""
+              grads: dict[str, np.ndarray], w1_rows: np.ndarray,
+              positions: np.ndarray) -> None:
+    """Accumulate parameter gradients for one example into grads.
+
+    The w1 gradient is row-sparse: w1_rows holds the rows of the batch's
+    union of feature buckets, and positions maps this example's buckets
+    into it.  Adding onto zeros in example order gives the same bits as
+    the dense accumulation.
+    """
     feats, z1, hd, mask = cache
     grads["b2"] += dz2
     grads["w2"] += np.outer(hd, dz2)
@@ -146,7 +159,7 @@ def _backward(dz2: np.ndarray, cache, params: EncoderParams,
     dh = dhd if mask is None else dhd * mask
     dz1 = np.where(z1 > 0.0, dh, 0.0)
     grads["b1"] += dz1
-    kernels.add_outer(grads["w1"], feats.indices, feats.weights, dz1)
+    kernels.add_outer(w1_rows, positions, feats.weights, dz1)
 
 
 def encode(feats: SparseFeatures, params: EncoderParams, mode: str = "infer",
@@ -224,7 +237,8 @@ def _fit(feats: list[SparseFeatures],
     params = init_encoder_params(cfg)
     opt = AdamW(params.arrays(), lr=cfg.learning_rate,
                 weight_decay=cfg.weight_decay)
-    grads = {k: np.zeros_like(v) for k, v in params.arrays().items()}
+    grads = {k: np.zeros_like(v) for k, v in params.arrays().items()
+             if k != "w1"}
     order_rng = np.random.default_rng(cfg.seed + 1)
     n = len(feats)
     epoch_losses = []
@@ -247,10 +261,16 @@ def _fit(feats: list[SparseFeatures],
             loss, d0, d1 = info_nce_loss(e0, e1, cfg.temperature)
             for g in grads.values():
                 g.fill(0.0)
-            for j in range(len(batch)):
-                _backward(d0[j], caches0[j], params, grads)
-                _backward(d1[j], caches1[j], params, grads)
-            opt.step(grads)
+            rows = np.unique(np.concatenate(
+                [feats[i].indices for i in batch]))
+            w1_rows = np.zeros((len(rows), cfg.hidden_dim))
+            for j, i in enumerate(batch):
+                positions = np.searchsorted(rows, feats[i].indices)
+                _backward(d0[j], caches0[j], params, grads, w1_rows,
+                          positions)
+                _backward(d1[j], caches1[j], params, grads, w1_rows,
+                          positions)
+            opt.step({**grads, "w1": RowGrad(rows, w1_rows)})
             total += loss
             count += 1
             log.debug("contrastive epoch %d batch %d loss %.6f",
@@ -271,7 +291,7 @@ def train_encoder(train_cases: Sequence[CaseRecord],
     """
     if not train_cases:
         raise ValueError("train_cases must be non-empty")
-    feats = [featurize(c.text, cfg.hash_dim) for c in train_cases]
+    feats = featurize_batch([c.text for c in train_cases], cfg.hash_dim)
     params, _ = _fit(feats, cfg)
     return params
 
@@ -281,17 +301,25 @@ def contrastive_epoch_losses(train_cases: Sequence[CaseRecord],
     """Mean training loss per epoch, for loss-trend diagnostics."""
     if not train_cases:
         raise ValueError("train_cases must be non-empty")
-    feats = [featurize(c.text, cfg.hash_dim) for c in train_cases]
+    feats = featurize_batch([c.text for c in train_cases], cfg.hash_dim)
     _, losses = _fit(feats, cfg)
     return losses
+
+
+# Texts featurized per call in embed_corpus; bounds the features held
+# at once on large corpora.
+_EMBED_CHUNK = 64
 
 
 def embed_corpus(corpus: Corpus, params: EncoderParams) -> EmbeddingStore:
     """One infer-mode embedding per case, unit rows, in rank order."""
     matrix = np.empty((len(corpus), params.out_dim))
-    for rank, case in enumerate(corpus):
-        feats = featurize(case.text, params.hash_dim)
-        matrix[rank] = encode(feats, params, mode="infer").vector
+    texts = [case.text for case in corpus]
+    for start in range(0, len(texts), _EMBED_CHUNK):
+        chunk = featurize_batch(texts[start:start + _EMBED_CHUNK],
+                                params.hash_dim)
+        for rank, feats in enumerate(chunk, start=start):
+            matrix[rank] = encode(feats, params, mode="infer").vector
     return EmbeddingStore(corpus.case_ids(), matrix)
 
 
@@ -310,9 +338,11 @@ def save_encoder(params: EncoderParams, path: str | Path,
         "config": config_echo or {},
     }
     try:
-        np.savez(path, meta=np.frombuffer(
-            json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8),
-            **params.arrays())
+        # an open file keeps np.savez from appending ".npz" to the path
+        with open(path, "wb") as fh:
+            np.savez(fh, meta=np.frombuffer(
+                json.dumps(meta, sort_keys=True).encode("utf-8"),
+                dtype=np.uint8), **params.arrays())
     except OSError as exc:
         raise IoFailureError(f"cannot write encoder checkpoint: {exc}") from exc
 
@@ -334,6 +364,10 @@ def load_encoder(path: str | Path) -> tuple[EncoderParams, dict]:
                 b2=np.ascontiguousarray(data["b2"], dtype=np.float64),
                 dropout=float(meta["dropout"]),
             )
-    except OSError as exc:
-        raise IoFailureError(f"cannot read encoder checkpoint: {exc}") from exc
+    except (OSError, EOFError, KeyError, ValueError, NotImplementedError,
+            zipfile.BadZipFile) as exc:
+        # a truncated or corrupt file fails inside np.load or the zip
+        # reader (a flipped header bit can name an unknown compression)
+        raise IoFailureError(
+            f"cannot read encoder checkpoint {path}: {exc}") from exc
     return params, meta.get("config", {})

@@ -630,7 +630,8 @@ def save_model(params: ModelParams, path: str | Path) -> None:
     arrays = dict(params.all_arrays())
     arrays["meta"] = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8).copy()
-    np.savez(path, **arrays)
+    with open(path, "wb") as fh:  # a file keeps ".npz" off the path
+        np.savez(fh, **arrays)
 
 
 def load_model(path: str | Path) -> ModelParams:

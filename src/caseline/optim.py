@@ -3,13 +3,45 @@
 Parameters are updated in place; moment buffers live in the optimizer.
 The per-element update runs through the kernel backend (fused loop
 when the extension is compiled).
+
+A gradient is either a dense array shaped like its parameter or a
+RowGrad: sorted unique row ids and one value row per id, every other
+row being zero.  The optimizer keeps, per parameter, a mask of the rows
+that have ever had a gradient.  A row never touched has m = v = 0 and
+a zero gradient, so with eps > 0 the dense update reduces exactly to
+the decay p -= lr * (0.0 + weight_decay * p).  A row-gradient step takes one of
+two branches, chosen by the touched share alone:
+
+* fewer than half the rows touched: run the kernel on the gathered
+  touched rows, apply the decay to all rows in cache-sized blocks, and
+  scatter the touched rows back.  Cost follows the touched rows plus
+  one streaming pass over the parameter;
+* at least half touched: scatter the rows into one reused dense
+  gradient buffer, run the dense kernel, and clear the written rows.
+
+Both branches produce the same bits as the dense update fed the
+scattered gradient, so the switch only picks the cheaper one.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from . import kernels
+
+# Elements per block of the update and of the decay: 256 KiB of float64
+# stays in a core's cache across the passes of the elementwise
+# expressions, and bounds their temporaries.
+_BLOCK = 1 << 15
+
+
+class RowGrad(NamedTuple):
+    """Gradient that is zero outside the given rows of its parameter."""
+
+    rows: np.ndarray    # int64, strictly increasing, < len(param)
+    values: np.ndarray  # (len(rows), *param.shape[1:])
 
 
 class AdamW:
@@ -17,26 +49,93 @@ class AdamW:
                  beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8, weight_decay: float = 0.01):
         for name, arr in params.items():
-            if arr.dtype != np.float64 or not arr.flags["C_CONTIGUOUS"]:
-                raise ValueError(f"parameter {name!r} must be contiguous float64")
+            if arr.dtype != np.float64 or not arr.flags["C_CONTIGUOUS"] \
+                    or arr.ndim == 0:
+                raise ValueError(
+                    f"parameter {name!r} must be contiguous float64 "
+                    "with at least one dimension")
+        if eps <= 0.0:
+            raise ValueError("eps must be > 0")
         self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        self.m = {k: np.zeros_like(p) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p) for k, p in params.items()}
+        self.m = {k: np.zeros(p.shape) for k, p in params.items()}
+        self.v = {k: np.zeros(p.shape) for k, p in params.items()}
         self.t = 0
+        self._touched = {k: np.zeros(len(p), dtype=bool)
+                         for k, p in params.items()}
+        self._dense_grad: dict[str, np.ndarray] = {}
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
-        """Apply one update from the given gradients (same keys as params)."""
+    def step(self, grads: dict[str, np.ndarray | RowGrad]) -> None:
+        """Apply one update from the given gradients (same keys as
+        params); each is a dense array or a RowGrad."""
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         for name, p in self.params.items():
+            grad = grads[name]
+            if isinstance(grad, RowGrad):
+                self._row_step(name, grad, bc1, bc2)
+            else:
+                self._touched[name].fill(True)
+                self._kernel(p, np.ascontiguousarray(grad), self.m[name],
+                             self.v[name], bc1, bc2)
+
+    def _kernel(self, p, grad, m, v, bc1, bc2) -> None:
+        """The dense update, block by block.  The kernel is elementwise,
+        so blocks give the same bits as one call."""
+        p, grad, m, v = p.ravel(), grad.ravel(), m.ravel(), v.ravel()
+        for start in range(0, p.size, _BLOCK):
+            end = start + _BLOCK
             kernels.adamw_step(
-                p.ravel(), np.ascontiguousarray(grads[name]).ravel(),
-                self.m[name].ravel(), self.v[name].ravel(),
+                p[start:end], grad[start:end], m[start:end], v[start:end],
                 self.lr, self.beta1, self.beta2, self.eps,
                 self.weight_decay, bc1, bc2)
+
+    def _row_step(self, name: str, grad: RowGrad, bc1: float,
+                  bc2: float) -> None:
+        p, m, v = self.params[name], self.m[name], self.v[name]
+        rows = np.asarray(grad.rows, dtype=np.int64)
+        values = np.asarray(grad.values, dtype=np.float64)
+        if values.shape != (len(rows),) + p.shape[1:]:
+            raise ValueError(
+                f"row gradient for {name!r}: values {values.shape} do not "
+                f"fit {len(rows)} rows of {p.shape}")
+        if len(rows) and (rows[0] < 0 or rows[-1] >= len(p)
+                          or np.any(np.diff(rows) <= 0)):
+            raise ValueError(f"row gradient for {name!r}: rows must be "
+                             f"strictly increasing within [0, {len(p)})")
+        touched = self._touched[name]
+        touched[rows] = True
+        if 2 * np.count_nonzero(touched) >= len(touched):
+            dense = self._dense_grad.get(name)
+            if dense is None:
+                dense = self._dense_grad[name] = np.zeros(p.shape)
+            dense[rows] = values
+            self._kernel(p, dense, m, v, bc1, bc2)
+            dense[rows] = 0.0
+            return
+        live = np.flatnonzero(touched)
+        g = np.zeros((len(live),) + p.shape[1:])
+        g[np.searchsorted(live, rows)] = values
+        p_live, m_live, v_live = p[live], m[live], v[live]
+        self._kernel(p_live, g, m_live, v_live, bc1, bc2)
+        self._decay(p)
+        p[live], m[live], v[live] = p_live, m_live, v_live
+
+    def _decay(self, p: np.ndarray) -> None:
+        """p -= lr * (0.0 + weight_decay * p), block by block: the dense
+        update of a row with m = v = 0 and zero gradient.  The 0.0 term
+        is kept because it turns a -0.0 product into +0.0."""
+        flat = p.reshape(-1)
+        buf = np.empty(min(_BLOCK, flat.size))
+        for start in range(0, flat.size, _BLOCK):
+            block = flat[start:start + _BLOCK]
+            tmp = buf[:block.size]
+            np.multiply(block, self.weight_decay, out=tmp)
+            np.add(tmp, 0.0, out=tmp)
+            np.multiply(tmp, self.lr, out=tmp)
+            np.subtract(block, tmp, out=block)

@@ -102,22 +102,37 @@ class EmbeddingStore:
             raise IoFailureError(f"cannot read store {path}: {exc}") from exc
         if raw[:8] != _MAGIC:
             raise IoFailureError(f"{path} is not an embedding store")
+        offset = 8 + struct.calcsize("<IIQQ")
+        if len(raw) < offset:
+            raise IoFailureError(f"{path}: truncated store header")
         version, code, n, d = struct.unpack_from("<IIQQ", raw, 8)
         if version != _VERSION:
             raise IoFailureError(f"unsupported store version {version}")
         if code not in _DTYPES:
             raise IoFailureError(f"unknown dtype code {code}")
         dt = _DTYPES[code]
-        offset = 8 + struct.calcsize("<IIQQ")
         nbytes = n * d * dt.itemsize
+        # every id entry takes at least its 4-byte length prefix
+        if len(raw) - offset < nbytes + 4 * n:
+            raise IoFailureError(
+                f"{path}: truncated store: {len(raw)} bytes cannot hold "
+                f"{n} x {d} vectors and their ids")
         matrix = np.frombuffer(raw, dtype=dt, count=n * d,
                                offset=offset).reshape(n, d)
         offset += nbytes
         case_ids = []
         for _ in range(n):
+            if offset + 4 > len(raw):
+                raise IoFailureError(f"{path}: truncated store id table")
             (ln,) = struct.unpack_from("<I", raw, offset)
             offset += 4
-            case_ids.append(raw[offset:offset + ln].decode("utf-8"))
+            if offset + ln > len(raw):
+                raise IoFailureError(f"{path}: truncated store id table")
+            try:
+                case_ids.append(raw[offset:offset + ln].decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise IoFailureError(
+                    f"{path}: corrupt case id: {exc}") from exc
             offset += ln
         return cls(case_ids, matrix.astype(np.float64))
 

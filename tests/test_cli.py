@@ -2,6 +2,8 @@
 determinism, exit codes, and error formatting."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ import sys
 
 import numpy as np
 import pytest
+
+from caseline import cli
 
 # small-profile overrides so the whole pipeline stays in seconds
 SETS = [
@@ -232,3 +236,75 @@ class TestErrors:
     def test_version_flag(self):
         proc = run_cli("--version")
         assert proc.stdout.startswith("caseline ")
+
+
+def main_quiet(*argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main([*argv, *SETS])
+
+
+@pytest.fixture(scope="module")
+def suffixless(tmp_path_factory):
+    """In-process run whose artifact paths have no file suffix."""
+    d = tmp_path_factory.mktemp("suffixless")
+    p = {name: str(d / name) for name in (
+        "raw", "labels", "corpus", "enc", "emb", "idx", "model")}
+    lab = ["--labels-file", p["labels"]]
+    assert main_quiet("gen-drift", "--output", p["raw"], "--labels-output",
+                      p["labels"], "--n", "160", "--vocab-size", "400") == 0
+    assert main_quiet("ingest", "--input", p["raw"], "--output",
+                      p["corpus"], *lab) == 0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["train-encoder", "--corpus", p["corpus"],
+                         "--output", p["enc"], *lab, *SETS]) == 0
+    p["train_encoder_stdout"] = out.getvalue()
+    assert main_quiet("embed", "--corpus", p["corpus"], "--encoder",
+                      p["enc"], "--output", p["emb"], *lab) == 0
+    assert main_quiet("index", "--corpus", p["corpus"], "--embeddings",
+                      p["emb"], "--output", p["idx"], *lab) == 0
+    assert main_quiet("train", "--corpus", p["corpus"], "--index",
+                      p["idx"], "--output", p["model"]) == 0
+    assert main_quiet("evaluate", "--corpus", p["corpus"], "--index",
+                      p["idx"], "--model", p["model"]) == 0
+    return d, p
+
+
+class TestArtifactFiles:
+    def test_outputs_land_on_the_exact_paths(self, suffixless):
+        d, p = suffixless
+        assert sorted(f.name for f in d.iterdir()
+                      if not f.name.endswith(".meta.json")) \
+            == ["corpus", "emb", "enc", "idx", "labels", "model", "raw"]
+        assert p["train_encoder_stdout"].strip().endswith(f"-> {p['enc']}")
+
+    @pytest.mark.parametrize("artifact, damage", [
+        ("enc", "truncate"), ("enc", "zero-middle"),
+        ("emb", "truncate"), ("emb", "inflate-count"),
+    ])
+    def test_damaged_artifact_exits_1_with_one_json_line(
+            self, suffixless, tmp_path, capsys, artifact, damage):
+        _, p = suffixless
+        raw = bytearray(open(p[artifact], "rb").read())
+        if damage == "truncate":
+            raw = raw[:len(raw) // 2]
+        elif damage == "zero-middle":
+            mid = len(raw) // 2
+            raw[mid:mid + 64] = bytes(64)
+        else:  # the store's row count, a u64 after magic, version, dtype
+            raw[16:24] = (10 ** 9).to_bytes(8, "little")
+        bad = tmp_path / "damaged"
+        bad.write_bytes(bytes(raw))
+        capsys.readouterr()
+        if artifact == "enc":
+            argv = ["embed", "--corpus", p["corpus"], "--encoder", str(bad),
+                    "--output", str(tmp_path / "out")]
+        else:
+            argv = ["index", "--corpus", p["corpus"], "--embeddings",
+                    str(bad), "--output", str(tmp_path / "out")]
+        code = cli.main([*argv, "--labels-file", p["labels"], *SETS])
+        lines = [ln for ln in capsys.readouterr().err.splitlines()
+                 if ln.strip()]
+        assert code == 1
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "IoFailureError"

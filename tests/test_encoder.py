@@ -7,8 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from caseline import _kernels_py
 from caseline.encoder import (
     ContrastiveConfig,
+    _dropout_mask,
+    _forward,
     contrastive_epoch_losses,
     embed_corpus,
     encode,
@@ -22,7 +25,7 @@ from caseline.errors import (
     DimensionMismatchError,
     NonPositiveTemperatureError,
 )
-from caseline.features import featurize
+from caseline.features import SparseFeatures, featurize, tokenize
 from caseline.synthetic import generate_cluster_corpus
 
 SMALL_CFG = ContrastiveConfig(hash_dim=1024, hidden_dim=16, out_dim=8,
@@ -196,6 +199,85 @@ class TestTraining:
         intra = sims[same & off_diag].mean()
         inter = sims[~same].mean()
         assert intra > inter
+
+
+def _reference_features(text: str, hash_dim: int) -> SparseFeatures:
+    buckets = _kernels_py.hash_ngrams(tokenize(text), hash_dim)
+    indices, counts = np.unique(buckets, return_counts=True)
+    weights = counts.astype(np.float64)
+    weights /= np.linalg.norm(weights)
+    return SparseFeatures(indices, weights, hash_dim)
+
+
+def _reference_backward(dz2, cache, params, grads):
+    feats, z1, hd, mask = cache
+    grads["b2"] += dz2
+    grads["w2"] += np.outer(hd, dz2)
+    dz1 = np.where(z1 > 0.0, (params.w2 @ dz2) * mask, 0.0)
+    grads["b1"] += dz1
+    _kernels_py.add_outer(grads["w1"], feats.indices, feats.weights, dz1)
+
+
+def _dense_reference_train(cases, cfg: ContrastiveConfig):
+    """The contrastive loop with a dense hash_dim x hidden w1 gradient
+    accumulated by _kernels_py.add_outer and a dense AdamW update of
+    every parameter (AdamW defaults: beta 0.9/0.999, eps 1e-8)."""
+    feats = [_reference_features(c.text, cfg.hash_dim) for c in cases]
+    params = init_encoder_params(cfg)
+    arrays = params.arrays()
+    m = {k: np.zeros_like(a) for k, a in arrays.items()}
+    v = {k: np.zeros_like(a) for k, a in arrays.items()}
+    order_rng = np.random.default_rng(cfg.seed + 1)
+    t = 0
+    for epoch in range(cfg.epochs):
+        order = order_rng.permutation(len(feats))
+        for start in range(0, len(feats), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            views = ([], [])
+            for i in batch:
+                base = ((cfg.seed * 1000003 + epoch * 9973 + start) * 131
+                        + int(i)) * 2
+                for view, out in enumerate(views):
+                    out.append(_forward(feats[i], params,
+                                        _dropout_mask(params, base + view)))
+            _, d0, d1 = info_nce_loss(np.array([z for z, _ in views[0]]),
+                                      np.array([z for z, _ in views[1]]),
+                                      cfg.temperature)
+            grads = {k: np.zeros_like(a) for k, a in arrays.items()}
+            for j in range(len(batch)):
+                _reference_backward(d0[j], views[0][j][1], params, grads)
+                _reference_backward(d1[j], views[1][j][1], params, grads)
+            t += 1
+            for k, a in arrays.items():
+                _kernels_py.adamw_step(
+                    a.ravel(), grads[k].ravel(), m[k].ravel(), v[k].ravel(),
+                    cfg.learning_rate, 0.9, 0.999, 1e-8, cfg.weight_decay,
+                    1.0 - 0.9 ** t, 1.0 - 0.999 ** t)
+    return params
+
+
+class TestDenseReference:
+    """Row-sparse training gives the dense trainer's weights bit for bit,
+    whether the touched w1 rows stay under half or pass it."""
+
+    @pytest.mark.parametrize("hash_dim, n_docs, crosses", [
+        (1 << 14, 24, False),
+        (256, 60, True),
+    ])
+    def test_weights_bitwise_equal(self, cluster_corpus, hash_dim, n_docs,
+                                   crosses):
+        corpus, _ = cluster_corpus
+        cases = corpus.cases[:n_docs]
+        cfg = ContrastiveConfig(hash_dim=hash_dim, hidden_dim=16, out_dim=8,
+                                epochs=2, learning_rate=1e-3, batch_size=4,
+                                dropout=0.2, weight_decay=0.05, seed=3)
+        union = np.unique(np.concatenate(
+            [_reference_features(c.text, hash_dim).indices for c in cases]))
+        assert (2 * len(union) >= hash_dim) == crosses
+        got = train_encoder(cases, cfg)
+        want = _dense_reference_train(cases, cfg)
+        for key, arr in want.arrays().items():
+            assert got.arrays()[key].tobytes() == arr.tobytes(), key
 
 
 class TestEmbedCorpus:

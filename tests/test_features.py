@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from caseline import _kernels_py
 from caseline.errors import EmptyTextError
 from caseline.features import (
+    _PASS_TOKENS,
     DEFAULT_HASH_DIM,
     featurize,
+    featurize_batch,
     ngram_strings,
     tokenize,
 )
@@ -124,3 +127,57 @@ def test_featurize_total_property(text):
     assert (f.weights > 0).all()
     assert np.isclose(np.linalg.norm(f.weights), 1.0, atol=1e-9)
     assert f.indices.max() < 512
+
+
+_TOKEN = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789",
+                 min_size=1, max_size=14)
+
+
+def _reference_features(tokens, hash_dim):
+    """Indices and weights from the per-token FNV-1a reference."""
+    buckets = _kernels_py.hash_ngrams(tokens, hash_dim)
+    indices, counts = np.unique(buckets, return_counts=True)
+    weights = counts.astype(np.float64)
+    weights /= np.linalg.norm(weights)
+    return indices, weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(_TOKEN, min_size=1, max_size=30), min_size=1,
+                max_size=6),
+       st.sampled_from([1, 7, 512, 1 << 18, (1 << 61) + 5]))
+def test_featurize_batch_matches_reference_hash(token_lists, hash_dim):
+    """The vectorized batch hash gives the per-token FNV-1a reference's
+    buckets, hence bitwise the same indices and weights."""
+    texts = [" ".join(tokens) for tokens in token_lists]
+    batch = featurize_batch(texts, hash_dim)
+    assert len(batch) == len(texts)
+    for tokens, text, got in zip(token_lists, texts, batch):
+        indices, weights = _reference_features(tokens, hash_dim)
+        assert got.indices.dtype == np.int64 and got.hash_dim == hash_dim
+        assert got.indices.tobytes() == indices.tobytes()
+        assert got.weights.tobytes() == weights.tobytes()
+        single = featurize(text, hash_dim)
+        assert single.indices.tobytes() == indices.tobytes()
+        assert single.weights.tobytes() == weights.tobytes()
+
+
+def test_featurize_batch_spans_several_passes():
+    """A batch larger than one hashing pass splits at text boundaries
+    without changing any text's features."""
+    rng = np.random.default_rng(1)
+    vocab = [f"w{i}" for i in range(300)]
+    texts = [" ".join(vocab[j] for j in rng.integers(0, 300, size=n))
+             for n in rng.integers(1, 80, size=3 * _PASS_TOKENS // 40)]
+    batch = featurize_batch(texts, 1 << 12)
+    assert len(batch) == len(texts)
+    for text, got in zip(texts, batch):
+        indices, weights = _reference_features(tokenize(text), 1 << 12)
+        assert got.indices.tobytes() == indices.tobytes()
+        assert got.weights.tobytes() == weights.tobytes()
+
+
+def test_featurize_batch_empty_text_raises():
+    assert featurize_batch([], 64) == []
+    with pytest.raises(EmptyTextError):
+        featurize_batch(["fine words", " ?! "], 64)
