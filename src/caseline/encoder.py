@@ -261,8 +261,10 @@ def _fit(feats: list[SparseFeatures],
             loss, d0, d1 = info_nce_loss(e0, e1, cfg.temperature)
             for g in grads.values():
                 g.fill(0.0)
-            rows = np.unique(np.concatenate(
-                [feats[i].indices for i in batch]))
+            # the batch's union of w1 rows; plain np.unique would import
+            # numpy.ma, about 3 MB resident
+            rows = np.sort(np.concatenate([feats[i].indices for i in batch]))
+            rows = rows[np.concatenate(([True], rows[1:] != rows[:-1]))]
             w1_rows = np.zeros((len(rows), cfg.hidden_dim))
             for j, i in enumerate(batch):
                 positions = np.searchsorted(rows, feats[i].indices)

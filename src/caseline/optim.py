@@ -80,9 +80,13 @@ class AdamW:
             if isinstance(grad, RowGrad):
                 self._row_step(name, grad, bc1, bc2)
             else:
+                grad = np.ascontiguousarray(grad)
+                if grad.size != p.size:
+                    raise ValueError(
+                        f"gradient for {name!r} has {grad.size} elements, "
+                        f"parameter has {p.size}")
                 self._touched[name].fill(True)
-                self._kernel(p, np.ascontiguousarray(grad), self.m[name],
-                             self.v[name], bc1, bc2)
+                self._kernel(p, grad, self.m[name], self.v[name], bc1, bc2)
 
     def _kernel(self, p, grad, m, v, bc1, bc2) -> None:
         """The dense update, block by block.  The kernel is elementwise,

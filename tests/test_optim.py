@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caseline import _kernels_py
-from caseline.optim import AdamW, RowGrad
+from caseline.optim import _BLOCK, AdamW, RowGrad
 
 HYPER = dict(lr=3e-2, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.05)
 
@@ -93,6 +93,29 @@ def test_crossing_the_switch_and_dense_gradients_mix(rng):
             assert _same_bits(opt.v[name], v_ref), (name, t)
 
 
+def test_parameters_spanning_several_blocks(rng):
+    """Decay and update run block by block; a parameter of several
+    blocks, through the sparse branch, the switch and a dense step."""
+    shape = (3 * _BLOCK // 40 + 7, 40)
+    p = rng.standard_normal(shape)
+    p_ref, m_ref, v_ref = p.copy(), np.zeros(shape), np.zeros(shape)
+    opt = AdamW({"w": p}, **HYPER)
+    for t, share in enumerate([0.1, 0.3, 0.6, 0.2, None], start=1):
+        if share is None:
+            dense = rng.standard_normal(shape)
+            grad = dense
+        else:
+            rows = np.flatnonzero(rng.random(shape[0]) < share)
+            grad = RowGrad(rows, rng.standard_normal((len(rows), 40)))
+            dense = np.zeros(shape)
+            dense[rows] = grad.values
+        opt.step({"w": grad})
+        _dense_reference(p_ref, m_ref, v_ref, dense, t)
+        assert _same_bits(p, p_ref), f"param differs at step {t}"
+        assert _same_bits(opt.m["w"], m_ref), f"m differs at step {t}"
+        assert _same_bits(opt.v["w"], v_ref), f"v differs at step {t}"
+
+
 @pytest.mark.parametrize("rows, values", [
     ([3, 1], np.zeros((2, 2))),      # not increasing
     ([1, 1], np.zeros((2, 2))),      # repeated
@@ -103,6 +126,12 @@ def test_malformed_row_gradient_rejected(rows, values):
     opt = AdamW({"w": np.zeros((8, 2))}, **HYPER)
     with pytest.raises(ValueError):
         opt.step({"w": RowGrad(np.array(rows), values)})
+
+
+def test_dense_gradient_of_wrong_size_rejected():
+    opt = AdamW({"w": np.zeros((8, 2))}, **HYPER)
+    with pytest.raises(ValueError):
+        opt.step({"w": np.zeros(17)})
 
 
 def test_nonpositive_eps_rejected():
