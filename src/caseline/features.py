@@ -24,11 +24,19 @@ DEFAULT_HASH_DIM = 1 << 18
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
-# Tokens hashed per vectorized pass: enough to amortize the per-pass
-# numpy calls, few enough that the pass's token strings and index
-# arrays (about 150 bytes a token) stay near 300 KB.  Hashing a whole
-# 4,800-text training split in one pass raised peak RSS by 30 MB.
-_PASS_TOKENS = 1 << 11
+# Text bytes hashed per vectorized pass: enough to amortize the
+# per-pass numpy calls, few enough that the pass's arrays (about 30
+# bytes per text byte) stay near 500 KB.  Hashing a whole 4,800-text
+# training split in one pass raised peak RSS by 30 MB.
+_PASS_BYTES = 1 << 14
+
+# The bytes a token is made of: tokenize's [a-z0-9] applied to the
+# UTF-8 encoding of the lowercased text.  Every byte of a non-ASCII
+# character (lone surrogates included, encoded with "surrogatepass")
+# is >= 0x80, so runs of these bytes are exactly tokenize's tokens.
+_TOKEN_BYTE = np.zeros(256, dtype=bool)
+_TOKEN_BYTE[np.frombuffer(b"abcdefghijklmnopqrstuvwxyz0123456789",
+                          dtype=np.uint8)] = True
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -77,20 +85,24 @@ def _fnv1a(h: np.ndarray, data: np.ndarray, starts: np.ndarray,
     return out
 
 
-def _hash_ngrams(token_lists: Sequence[list[str]],
+def _hash_ngrams(texts: Sequence[bytes],
                  hash_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bucket ids of every unigram and bigram of the token lists, as
-    _kernels_py.hash_ngrams computes them, and the index of the list
-    each came from.  Tokens are ASCII (the tokenizer matches [a-z0-9]
-    only), so a token's UTF-8 bytes are its characters."""
-    tokens = [t for toks in token_lists for t in toks]
-    lengths = np.array([len(t) for t in tokens], dtype=np.int64)
-    data = np.frombuffer("".join(tokens).encode("ascii"), dtype=np.uint8)
-    starts = np.cumsum(lengths) - lengths
-    heads = _fnv1a(np.full(len(tokens), _FNV_OFFSET), data, starts, lengths)
-    owner = np.repeat(np.arange(len(token_lists)),
-                      [len(toks) for toks in token_lists])
-    # a bigram is a token and its successor in the same list
+    """Bucket ids of every unigram and bigram of the lowercased UTF-8
+    texts, as _kernels_py.hash_ngrams computes them for tokenize's
+    tokens, and the index of the text each came from.  Raises
+    EmptyTextError when a text has no token."""
+    data = np.frombuffer(b" ".join(texts), dtype=np.uint8)
+    inside = _TOKEN_BYTE[data]
+    edges = np.diff(inside.astype(np.int8), prepend=0, append=0)
+    starts = np.flatnonzero(edges == 1)
+    lengths = np.flatnonzero(edges == -1) - starts
+    text_starts = np.cumsum([0] + [len(t) + 1 for t in texts[:-1]])
+    owner = np.searchsorted(text_starts, starts, side="right") - 1
+    if np.count_nonzero(np.bincount(owner, minlength=len(texts))) \
+            < len(texts):
+        raise EmptyTextError("no tokens in text")
+    heads = _fnv1a(np.full(len(starts), _FNV_OFFSET), data, starts, lengths)
+    # a bigram is a token and its successor in the same text
     first = np.flatnonzero(owner[:-1] == owner[1:])
     pairs = _fnv1a((heads[first] ^ _SEP) * _FNV_PRIME, data,
                    starts[first + 1], lengths[first + 1])
@@ -102,39 +114,35 @@ def featurize_batch(texts: Sequence[str],
                     hash_dim: int = DEFAULT_HASH_DIM) -> list[SparseFeatures]:
     """Hash each text into normalized sparse features.
 
-    Texts are hashed together in vectorized passes of about
-    _PASS_TOKENS tokens each.  Raises EmptyTextError when a text
+    Texts are tokenized and hashed together in vectorized passes of
+    about _PASS_BYTES bytes each.  Raises EmptyTextError when a text
     contains no tokens.
     """
     out: list[SparseFeatures] = []
-    pending: list[list[str]] = []
+    pending: list[bytes] = []
     n_pending = 0
     for text in texts:
-        tokens = tokenize(text)
-        if not tokens:
-            raise EmptyTextError("no tokens in text")
-        pending.append(tokens)
-        n_pending += len(tokens)
-        if n_pending >= _PASS_TOKENS:
-            out += _featurize_tokens(pending, hash_dim)
+        pending.append(text.lower().encode("utf-8", "surrogatepass"))
+        n_pending += len(pending[-1])
+        if n_pending >= _PASS_BYTES:
+            out += _featurize_pass(pending, hash_dim)
             pending, n_pending = [], 0
-    out += _featurize_tokens(pending, hash_dim)
+    out += _featurize_pass(pending, hash_dim)
     return out
 
 
-def _featurize_tokens(token_lists: Sequence[list[str]],
-                      hash_dim: int) -> list[SparseFeatures]:
-    """One pass: hash, then count each list's distinct buckets with one
-    sort by (list, bucket).  Each text's arrays are fresh copies, so
-    the pass's temporaries do not stay interleaved with them."""
-    buckets, owner = _hash_ngrams(token_lists, hash_dim)
+def _featurize_pass(texts: Sequence[bytes],
+                    hash_dim: int) -> list[SparseFeatures]:
+    """One pass: hash, then count each text's distinct buckets with one
+    sort by (text, bucket)."""
+    buckets, owner = _hash_ngrams(texts, hash_dim)
     order = np.lexsort((buckets, owner))
     buckets, owner = buckets[order], owner[order]
     new = np.ones(len(buckets), dtype=bool)
     new[1:] = (buckets[1:] != buckets[:-1]) | (owner[1:] != owner[:-1])
     starts = np.flatnonzero(new)
     counts = np.diff(starts, append=len(buckets))
-    bounds = np.searchsorted(owner[starts], np.arange(len(token_lists) + 1))
+    bounds = np.searchsorted(owner[starts], np.arange(len(texts) + 1))
     out = []
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         weights = counts[lo:hi].astype(np.float64)

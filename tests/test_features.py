@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from caseline import _kernels_py
 from caseline.errors import EmptyTextError
 from caseline.features import (
-    _PASS_TOKENS,
+    _PASS_BYTES,
     DEFAULT_HASH_DIM,
     featurize,
     featurize_batch,
@@ -168,13 +168,44 @@ def test_featurize_batch_spans_several_passes():
     rng = np.random.default_rng(1)
     vocab = [f"w{i}" for i in range(300)]
     texts = [" ".join(vocab[j] for j in rng.integers(0, 300, size=n))
-             for n in rng.integers(1, 80, size=3 * _PASS_TOKENS // 40)]
+             for n in rng.integers(1, 80, size=3 * _PASS_BYTES // 100)]
     batch = featurize_batch(texts, 1 << 12)
     assert len(batch) == len(texts)
     for text, got in zip(texts, batch):
         indices, weights = _reference_features(tokenize(text), 1 << 12)
         assert got.indices.tobytes() == indices.tobytes()
         assert got.weights.tobytes() == weights.tobytes()
+
+
+def _check_against_reference(texts, hash_dim):
+    token_lists = [tokenize(text) for text in texts]
+    if not all(token_lists):
+        with pytest.raises(EmptyTextError):
+            featurize_batch(texts, hash_dim)
+        return
+    for tokens, got in zip(token_lists, featurize_batch(texts, hash_dim)):
+        indices, weights = _reference_features(tokens, hash_dim)
+        assert got.indices.tobytes() == indices.tobytes()
+        assert got.weights.tobytes() == weights.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.text(max_size=80), min_size=1, max_size=5))
+def test_featurize_batch_tokenizes_any_text_like_tokenize(texts):
+    """Byte-level tokenizing inside the batch finds tokenize's tokens
+    in any text, non-ASCII and case-mapped characters included."""
+    _check_against_reference(texts, 1 << 10)
+
+
+@pytest.mark.parametrize("text", [
+    "\u0130stanbul",         # lowercases to "i" plus a combining dot
+    "\u212a\u00e9lvin 42",  # Kelvin sign lowercases to ASCII "k"
+    "stra\u00dfe \u03a3\u03a3 \u0663\u0664 ok",
+    "lone \ud800 surrogate",
+    "tab\tand\x00nul\x7fdel",
+])
+def test_featurize_batch_tricky_characters(text):
+    _check_against_reference([text, "plain words"], 1 << 10)
 
 
 def test_featurize_batch_empty_text_raises():
