@@ -5,9 +5,10 @@ bigrams into a fixed number of buckets (64-bit FNV-1a mod hash_dim)
 and L2-normalizes the bucket counts.  Deterministic for fixed text and
 hash_dim on any machine; no vocabulary is stored.
 
-Texts are hashed in batches: the tokens and bigrams of many texts go
-through one vectorized uint64 FNV-1a pass, bit-for-bit equal to the
-per-token reference in caseline._kernels_py.
+featurize_batch tokenizes and hashes many texts per vectorized numpy
+pass (runs of token bytes, then uint64 FNV-1a one byte position at a
+time), bit-for-bit equal to tokenize followed by the per-token
+reference in caseline._kernels_py.
 """
 
 from __future__ import annotations

@@ -31,10 +31,12 @@ import numpy as np
 
 from . import kernels
 
-# Elements per block of the update and of the decay: 256 KiB of float64
-# stays in a core's cache across the passes of the elementwise
-# expressions, and bounds their temporaries.
-_BLOCK = 1 << 15
+# Elements per block of the update kernel: its temporaries (64 KiB of
+# float64 each) stay in cache and under glibc's default 128 KiB mmap
+# threshold, so they are reused heap chunks rather than fresh mappings.
+_BLOCK = 1 << 13
+# Elements per block of the decay, which reuses one buffer per step.
+_DECAY_BLOCK = 1 << 15
 
 
 class RowGrad(NamedTuple):
@@ -135,9 +137,9 @@ class AdamW:
         update of a row with m = v = 0 and zero gradient.  The 0.0 term
         is kept because it turns a -0.0 product into +0.0."""
         flat = p.reshape(-1)
-        buf = np.empty(min(_BLOCK, flat.size))
-        for start in range(0, flat.size, _BLOCK):
-            block = flat[start:start + _BLOCK]
+        buf = np.empty(min(_DECAY_BLOCK, flat.size))
+        for start in range(0, flat.size, _DECAY_BLOCK):
+            block = flat[start:start + _DECAY_BLOCK]
             tmp = buf[:block.size]
             np.multiply(block, self.weight_decay, out=tmp)
             np.add(tmp, 0.0, out=tmp)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caseline import _kernels_py
-from caseline.optim import _BLOCK, AdamW, RowGrad
+from caseline.optim import _BLOCK, _DECAY_BLOCK, AdamW, RowGrad
 
 HYPER = dict(lr=3e-2, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.05)
 
@@ -96,7 +96,7 @@ def test_crossing_the_switch_and_dense_gradients_mix(rng):
 def test_parameters_spanning_several_blocks(rng):
     """Decay and update run block by block; a parameter of several
     blocks, through the sparse branch, the switch and a dense step."""
-    shape = (3 * _BLOCK // 40 + 7, 40)
+    shape = (3 * max(_BLOCK, _DECAY_BLOCK) // 40 + 7, 40)
     p = rng.standard_normal(shape)
     p_ref, m_ref, v_ref = p.copy(), np.zeros(shape), np.zeros(shape)
     opt = AdamW({"w": p}, **HYPER)
