@@ -35,23 +35,6 @@ def _best_of(fn, repeats: int = REPEATS) -> float:
     return best
 
 
-def bench_hash_ngrams():
-    rng = np.random.default_rng(0)
-    vocab = [f"w{i:05d}" for i in range(5000)]
-    docs = [[vocab[j] for j in rng.integers(0, len(vocab), size=150)]
-            for _ in range(200)]
-    hash_dim = 262_144
-
-    def run(impl):
-        return [impl.hash_ngrams(doc, hash_dim) for doc in docs]
-
-    got_c, got_py = run(_speedups), run(_kernels_py)
-    equal = all(np.array_equal(a, b) for a, b in zip(got_c, got_py))
-    t_c = _best_of(lambda: run(_speedups))
-    t_py = _best_of(lambda: run(_kernels_py))
-    return "hash_ngrams", "200 docs x 150 tokens", t_c, t_py, equal
-
-
 def bench_adamw_step():
     rng = np.random.default_rng(1)
     n = 1_000_000
@@ -100,7 +83,7 @@ def main() -> int:
     print(f"{'kernel':<14} {'workload':<28} {'compiled':>10} "
           f"{'python':>10} {'speedup':>8}  result")
     failures = 0
-    for bench in (bench_hash_ngrams, bench_adamw_step,
+    for bench in (bench_adamw_step,
                   bench_add_outer):
         name, workload, t_c, t_py, equal = bench()
         verdict = "bitwise-equal" if equal else "MISMATCH"

@@ -1,7 +1,7 @@
 """Build script: compiles the optional speedup extension.
 
-The package is pure Python plus one Cython module with the hot kernels
-(n-gram hashing, fused optimizer step, sparse row updates).  If the
+The package is pure Python plus one Cython module with two hot kernels
+(fused optimizer step, sparse row updates).  If the
 extension cannot be built the install still succeeds and the package
 falls back to the numpy implementations in caseline._kernels_py.
 """

@@ -35,7 +35,7 @@ from .encoder import (
     train_encoder,
 )
 from .errors import CaselineError
-from .features import SparseFeatures, featurize, featurize_batch, tokenize
+from .features import SparseFeatures, featurize, tokenize
 from .metrics import (
     MetricsReport,
     compute_report,
@@ -80,7 +80,7 @@ __all__ = [
     "encode", "info_nce_loss", "load_encoder", "save_encoder",
     "train_encoder",
     "CaselineError",
-    "SparseFeatures", "featurize", "featurize_batch", "tokenize",
+    "SparseFeatures", "featurize", "tokenize",
     "MetricsReport", "compute_report", "micro_confusion", "micro_f1",
     "micro_jaccard", "micro_pr_auc", "micro_roc_auc",
     "ModelParams", "Prediction", "TrainConfig", "drift_input",

@@ -1,5 +1,5 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
-"""Compiled hot kernels: n-gram hashing, fused AdamW step, row scatter-add.
+"""Compiled hot kernels: fused AdamW step, row scatter-add.
 
 Must stay behaviourally identical to caseline._kernels_py; the build
 uses -ffp-contract=off so the float kernels round exactly like the
@@ -7,48 +7,12 @@ numpy fallbacks.
 """
 
 from libc.math cimport sqrt
-from libc.stdint cimport uint64_t, int64_t
+from libc.stdint cimport int64_t
 
 import numpy as np
 cimport numpy as cnp
 
 cnp.import_array()
-
-cdef uint64_t _FNV_OFFSET = 0xCBF29CE484222325ULL
-cdef uint64_t _FNV_PRIME = 0x100000001B3ULL
-
-
-cdef inline uint64_t _fnv_bytes(uint64_t h, const unsigned char* data,
-                                Py_ssize_t n) nogil:
-    cdef Py_ssize_t i
-    for i in range(n):
-        h = (h ^ data[i]) * _FNV_PRIME
-    return h
-
-
-def hash_ngrams(list tokens, hash_dim):
-    """Bucket ids for all unigrams then all bigrams of a token sequence."""
-    cdef Py_ssize_t n = len(tokens)
-    cdef uint64_t dim = <uint64_t> hash_dim
-    cdef cnp.ndarray[cnp.int64_t, ndim=1] out = np.empty(
-        n + (n - 1 if n > 1 else 0), dtype=np.int64)
-    cdef cnp.ndarray[cnp.uint64_t, ndim=1] heads = np.empty(
-        max(n, 1), dtype=np.uint64)
-    cdef list enc = [t.encode("utf-8") for t in tokens]
-    cdef bytes tb
-    cdef uint64_t h
-    cdef Py_ssize_t i
-    for i in range(n):
-        tb = enc[i]
-        h = _fnv_bytes(_FNV_OFFSET, <const unsigned char*> tb, len(tb))
-        heads[i] = h
-        out[i] = <int64_t> (h % dim)
-    for i in range(n - 1):
-        h = (heads[i] ^ 0x1FULL) * _FNV_PRIME
-        tb = enc[i + 1]
-        h = _fnv_bytes(h, <const unsigned char*> tb, len(tb))
-        out[n + i] = <int64_t> (h % dim)
-    return out
 
 
 def adamw_step(cnp.ndarray[cnp.float64_t, ndim=1] param,

@@ -258,8 +258,8 @@ def plain_probabilities(x: np.ndarray, w: np.ndarray,
 
 def _dense_features(corpus, hash_dim: int) -> np.ndarray:
     x = np.zeros((len(corpus), hash_dim))
-    for i, case in enumerate(corpus):
-        f = featurize(case.text, hash_dim)
+    for i, f in enumerate(featurize([case.text for case in corpus],
+                                    hash_dim)):
         x[i, f.indices] = f.weights
     return x
 

@@ -5,17 +5,17 @@ bigrams into a fixed number of buckets (64-bit FNV-1a mod hash_dim)
 and L2-normalizes the bucket counts.  Deterministic for fixed text and
 hash_dim on any machine; no vocabulary is stored.
 
-featurize_batch tokenizes and hashes many texts per vectorized numpy
-pass (runs of token bytes, then uint64 FNV-1a one byte position at a
-time), bit-for-bit equal to tokenize followed by the per-token
-reference in caseline._kernels_py.
+featurize takes one text or a sequence of them and tokenizes and
+hashes many texts per vectorized numpy pass (runs of token bytes, then
+uint64 FNV-1a one byte position at a time), bit-for-bit equal to
+tokenize followed by the per-token reference in caseline._kernels_py.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, overload
 
 import numpy as np
 
@@ -92,12 +92,14 @@ def _hash_ngrams(texts: Sequence[bytes],
     texts, as _kernels_py.hash_ngrams computes them for tokenize's
     tokens, and the index of the text each came from.  Raises
     EmptyTextError when a text has no token."""
-    data = np.frombuffer(b" ".join(texts), dtype=np.uint8)
+    # " t0 t1 ... ": a non-token byte before and after every text, so
+    # token bounds alternate start, end
+    data = np.frombuffer(b" ".join([b"", *texts, b""]), dtype=np.uint8)
     inside = _TOKEN_BYTE[data]
-    edges = np.diff(inside.astype(np.int8), prepend=0, append=0)
-    starts = np.flatnonzero(edges == 1)
-    lengths = np.flatnonzero(edges == -1) - starts
-    text_starts = np.cumsum([0] + [len(t) + 1 for t in texts[:-1]])
+    bounds = np.flatnonzero(inside[1:] != inside[:-1]) + 1
+    starts = bounds[0::2]
+    lengths = bounds[1::2] - starts
+    text_starts = np.cumsum([1] + [len(t) + 1 for t in texts[:-1]])
     owner = np.searchsorted(text_starts, starts, side="right") - 1
     if np.count_nonzero(np.bincount(owner, minlength=len(texts))) \
             < len(texts):
@@ -111,19 +113,30 @@ def _hash_ngrams(texts: Sequence[bytes],
     return buckets.astype(np.int64), np.concatenate((owner, owner[first]))
 
 
-def featurize_batch(texts: Sequence[str],
-                    hash_dim: int = DEFAULT_HASH_DIM) -> list[SparseFeatures]:
-    """Hash each text into normalized sparse features.
+@overload
+def featurize(text: str, hash_dim: int = ...) -> SparseFeatures: ...
 
-    Texts are tokenized and hashed together in vectorized passes of
-    about _PASS_BYTES bytes each.  Raises EmptyTextError when a text
-    contains no tokens.
+
+@overload
+def featurize(text: Sequence[str],
+              hash_dim: int = ...) -> list[SparseFeatures]: ...
+
+
+def featurize(text, hash_dim=DEFAULT_HASH_DIM):
+    """Hash a text into normalized sparse features, or each text of a
+    sequence into a list of them.
+
+    A sequence is tokenized and hashed together in vectorized passes of
+    about _PASS_BYTES bytes each; a single text is a pass of its own.
+    Raises EmptyTextError when a text contains no tokens.
     """
+    if isinstance(text, str):
+        return _featurize_pass([_utf8(text)], hash_dim)[0]
     out: list[SparseFeatures] = []
     pending: list[bytes] = []
     n_pending = 0
-    for text in texts:
-        pending.append(text.lower().encode("utf-8", "surrogatepass"))
+    for one in text:
+        pending.append(_utf8(one))
         n_pending += len(pending[-1])
         if n_pending >= _PASS_BYTES:
             out += _featurize_pass(pending, hash_dim)
@@ -132,33 +145,32 @@ def featurize_batch(texts: Sequence[str],
     return out
 
 
+def _utf8(text: str) -> bytes:
+    return text.lower().encode("utf-8", "surrogatepass")
+
+
 def _featurize_pass(texts: Sequence[bytes],
                     hash_dim: int) -> list[SparseFeatures]:
     """One pass: hash, then count each text's distinct buckets with one
-    sort by (text, bucket)."""
+    sort by (text, bucket).  The texts' indices and weights are views
+    of two arrays per pass, so the pass leaves no small allocation per
+    text between its temporaries."""
     buckets, owner = _hash_ngrams(texts, hash_dim)
     order = np.lexsort((buckets, owner))
     buckets, owner = buckets[order], owner[order]
     new = np.ones(len(buckets), dtype=bool)
     new[1:] = (buckets[1:] != buckets[:-1]) | (owner[1:] != owner[:-1])
     starts = np.flatnonzero(new)
-    counts = np.diff(starts, append=len(buckets))
+    indices = buckets[starts]
+    weights = np.diff(np.append(starts, len(buckets))).astype(np.float64)
     bounds = np.searchsorted(owner[starts], np.arange(len(texts) + 1))
     out = []
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        weights = counts[lo:hi].astype(np.float64)
-        weights /= np.linalg.norm(weights)
-        out.append(SparseFeatures(indices=buckets[starts[lo:hi]],
-                                  weights=weights, hash_dim=hash_dim))
+        w = weights[lo:hi]
+        w /= np.linalg.norm(w)
+        out.append(SparseFeatures(indices=indices[lo:hi], weights=w,
+                                  hash_dim=hash_dim))
     return out
-
-
-def featurize(text: str, hash_dim: int = DEFAULT_HASH_DIM) -> SparseFeatures:
-    """Hash a text into normalized sparse features (a batch of one).
-
-    Raises EmptyTextError when the text contains no tokens.
-    """
-    return featurize_batch([text], hash_dim)[0]
 
 
 def ngram_strings(text: str) -> list[str]:

@@ -22,7 +22,6 @@ else:
         _impl = _kernels_py
         BACKEND = "python"
 
-hash_ngrams = _impl.hash_ngrams
 adamw_step = _impl.adamw_step
 add_outer = _impl.add_outer
 

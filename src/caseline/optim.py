@@ -4,13 +4,14 @@ Parameters are updated in place; moment buffers live in the optimizer.
 The per-element update runs through the kernel backend (fused loop
 when the extension is compiled).
 
-A gradient is either a dense array shaped like its parameter or a
-RowGrad: sorted unique row ids and one value row per id, every other
+A gradient is either a dense array shaped like its parameter or a row
+gradient: step's rows argument names sorted unique row ids for the
+parameter, and its gradient holds one value row per id, every other
 row being zero.  The optimizer keeps, per parameter, a mask of the rows
 that have ever had a gradient.  A row never touched has m = v = 0 and
 a zero gradient, so with eps > 0 the dense update reduces exactly to
-the decay p -= lr * (0.0 + weight_decay * p).  A row-gradient step takes one of
-two branches, chosen by the touched share alone:
+the decay p -= lr * (0.0 + weight_decay * p).  A row-gradient step
+takes one of two branches, chosen by the touched share alone:
 
 * fewer than half the rows touched: run the kernel on the gathered
   touched rows, apply the decay to all rows in cache-sized blocks, and
@@ -25,8 +26,6 @@ scattered gradient, so the switch only picks the cheaper one.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from . import kernels
@@ -37,13 +36,6 @@ from . import kernels
 _BLOCK = 1 << 13
 # Elements per block of the decay, which reuses one buffer per step.
 _DECAY_BLOCK = 1 << 15
-
-
-class RowGrad(NamedTuple):
-    """Gradient that is zero outside the given rows of its parameter."""
-
-    rows: np.ndarray    # int64, strictly increasing, < len(param)
-    values: np.ndarray  # (len(rows), *param.shape[1:])
 
 
 class AdamW:
@@ -71,16 +63,20 @@ class AdamW:
                          for k, p in params.items()}
         self._dense_grad: dict[str, np.ndarray] = {}
 
-    def step(self, grads: dict[str, np.ndarray | RowGrad]) -> None:
+    def step(self, grads: dict[str, np.ndarray],
+             rows: dict[str, np.ndarray] | None = None) -> None:
         """Apply one update from the given gradients (same keys as
-        params); each is a dense array or a RowGrad."""
+        params).  A gradient is dense unless rows names its parameter:
+        then it holds one value row per id in rows[name] (int64,
+        strictly increasing, < len(param)) and is zero elsewhere."""
+        rows = rows or {}
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         for name, p in self.params.items():
             grad = grads[name]
-            if isinstance(grad, RowGrad):
-                self._row_step(name, grad, bc1, bc2)
+            if name in rows:
+                self._row_step(name, rows[name], grad, bc1, bc2)
             else:
                 grad = np.ascontiguousarray(grad)
                 if grad.size != p.size:
@@ -101,11 +97,11 @@ class AdamW:
                 self.lr, self.beta1, self.beta2, self.eps,
                 self.weight_decay, bc1, bc2)
 
-    def _row_step(self, name: str, grad: RowGrad, bc1: float,
-                  bc2: float) -> None:
+    def _row_step(self, name: str, rows: np.ndarray, values: np.ndarray,
+                  bc1: float, bc2: float) -> None:
         p, m, v = self.params[name], self.m[name], self.v[name]
-        rows = np.asarray(grad.rows, dtype=np.int64)
-        values = np.asarray(grad.values, dtype=np.float64)
+        rows = np.asarray(rows, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
         if values.shape != (len(rows),) + p.shape[1:]:
             raise ValueError(
                 f"row gradient for {name!r}: values {values.shape} do not "

@@ -13,7 +13,6 @@ from caseline.features import (
     _PASS_BYTES,
     DEFAULT_HASH_DIM,
     featurize,
-    featurize_batch,
     ngram_strings,
     tokenize,
 )
@@ -100,11 +99,10 @@ def test_collision_audit_default_dim():
     for _ in range(200):
         words = [vocab[j] for j in rng.integers(0, 100, size=30)]
         strings.update(ngram_strings(" ".join(words)))
-    from caseline.kernels import hash_ngrams
     buckets = set()
     for s in strings:
         toks = s.split("\x1f")
-        ids = np.asarray(hash_ngrams(toks, DEFAULT_HASH_DIM))
+        ids = np.asarray(_kernels_py.hash_ngrams(toks, DEFAULT_HASH_DIM))
         buckets.add(int(ids[-1]))  # last id = the full n-gram's bucket
     assert len(strings) == 4505
     collisions = len(strings) - len(buckets)
@@ -146,11 +144,12 @@ def _reference_features(tokens, hash_dim):
 @given(st.lists(st.lists(_TOKEN, min_size=1, max_size=30), min_size=1,
                 max_size=6),
        st.sampled_from([1, 7, 512, 1 << 18, (1 << 61) + 5]))
-def test_featurize_batch_matches_reference_hash(token_lists, hash_dim):
-    """The vectorized batch hash gives the per-token FNV-1a reference's
-    buckets, hence bitwise the same indices and weights."""
+def test_featurize_sequence_matches_reference_hash(token_lists, hash_dim):
+    """Hashing a sequence gives the per-token FNV-1a reference's
+    buckets, hence bitwise the same indices and weights, and so does
+    hashing each text alone."""
     texts = [" ".join(tokens) for tokens in token_lists]
-    batch = featurize_batch(texts, hash_dim)
+    batch = featurize(texts, hash_dim)
     assert len(batch) == len(texts)
     for tokens, text, got in zip(token_lists, texts, batch):
         indices, weights = _reference_features(tokens, hash_dim)
@@ -162,14 +161,14 @@ def test_featurize_batch_matches_reference_hash(token_lists, hash_dim):
         assert single.weights.tobytes() == weights.tobytes()
 
 
-def test_featurize_batch_spans_several_passes():
-    """A batch larger than one hashing pass splits at text boundaries
+def test_featurize_sequence_spans_several_passes():
+    """A sequence larger than one hashing pass splits at text boundaries
     without changing any text's features."""
     rng = np.random.default_rng(1)
     vocab = [f"w{i}" for i in range(300)]
     texts = [" ".join(vocab[j] for j in rng.integers(0, 300, size=n))
              for n in rng.integers(1, 80, size=3 * _PASS_BYTES // 100)]
-    batch = featurize_batch(texts, 1 << 12)
+    batch = featurize(texts, 1 << 12)
     assert len(batch) == len(texts)
     for text, got in zip(texts, batch):
         indices, weights = _reference_features(tokenize(text), 1 << 12)
@@ -181,18 +180,20 @@ def _check_against_reference(texts, hash_dim):
     token_lists = [tokenize(text) for text in texts]
     if not all(token_lists):
         with pytest.raises(EmptyTextError):
-            featurize_batch(texts, hash_dim)
+            featurize(texts, hash_dim)
         return
-    for tokens, got in zip(token_lists, featurize_batch(texts, hash_dim)):
+    batch = featurize(texts, hash_dim)
+    for text, tokens, got in zip(texts, token_lists, batch):
         indices, weights = _reference_features(tokens, hash_dim)
-        assert got.indices.tobytes() == indices.tobytes()
-        assert got.weights.tobytes() == weights.tobytes()
+        for f in (got, featurize(text, hash_dim)):
+            assert f.indices.tobytes() == indices.tobytes()
+            assert f.weights.tobytes() == weights.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.text(max_size=80), min_size=1, max_size=5))
-def test_featurize_batch_tokenizes_any_text_like_tokenize(texts):
-    """Byte-level tokenizing inside the batch finds tokenize's tokens
+def test_featurize_sequence_tokenizes_any_text_like_tokenize(texts):
+    """Byte-level tokenizing inside a pass finds tokenize's tokens
     in any text, non-ASCII and case-mapped characters included."""
     _check_against_reference(texts, 1 << 10)
 
@@ -204,11 +205,11 @@ def test_featurize_batch_tokenizes_any_text_like_tokenize(texts):
     "lone \ud800 surrogate",
     "tab\tand\x00nul\x7fdel",
 ])
-def test_featurize_batch_tricky_characters(text):
+def test_featurize_sequence_tricky_characters(text):
     _check_against_reference([text, "plain words"], 1 << 10)
 
 
-def test_featurize_batch_empty_text_raises():
-    assert featurize_batch([], 64) == []
+def test_featurize_sequence_empty_text_raises():
+    assert featurize([], 64) == []
     with pytest.raises(EmptyTextError):
-        featurize_batch(["fine words", " ?! "], 64)
+        featurize(["fine words", " ?! "], 64)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caseline import _kernels_py
-from caseline.optim import _BLOCK, _DECAY_BLOCK, AdamW, RowGrad
+from caseline.optim import _BLOCK, _DECAY_BLOCK, AdamW
 
 HYPER = dict(lr=3e-2, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.05)
 
@@ -56,7 +56,7 @@ def test_row_steps_match_dense_kernel_bitwise(case):
         values = rng.standard_normal((len(rows), *cols))
         dense = np.zeros(shape)
         dense[rows] = values
-        opt.step({"w": RowGrad(rows, values)})
+        opt.step({"w": values}, rows={"w": rows})
         _dense_reference(p_ref, m_ref, v_ref, dense, t)
         assert _same_bits(p, p_ref), f"param differs at step {t}"
         assert _same_bits(opt.m["w"], m_ref), f"m differs at step {t}"
@@ -72,21 +72,22 @@ def test_crossing_the_switch_and_dense_gradients_mix(rng):
            for k, p in params.items()}
     opt = AdamW(params, **HYPER)
     for t in range(1, 13):
-        rows = np.arange(4 * (t - 1), 4 * t) % 64
-        grads = {
-            "w": RowGrad(np.sort(rows), rng.standard_normal((4, 3))),
-            "b": rng.standard_normal(3),
-            "u": (rng.standard_normal((10, 2)) if t == 3 else
-                  RowGrad(np.array([t % 10]), rng.standard_normal((1, 2)))),
-        }
+        rows = {"w": np.sort(np.arange(4 * (t - 1), 4 * t) % 64)}
+        grads = {"w": rng.standard_normal((4, 3)),
+                 "b": rng.standard_normal(3)}
+        if t == 3:
+            grads["u"] = rng.standard_normal((10, 2))
+        else:
+            rows["u"] = np.array([t % 10])
+            grads["u"] = rng.standard_normal((1, 2))
         for name, grad in grads.items():
             dense = np.zeros(shapes[name])
-            if isinstance(grad, RowGrad):
-                dense[grad.rows] = grad.values
+            if name in rows:
+                dense[rows[name]] = grad
             else:
                 dense[...] = grad
             _dense_reference(*ref[name], dense, t)
-        opt.step(grads)
+        opt.step(grads, rows=rows)
         for name, (p_ref, m_ref, v_ref) in ref.items():
             assert _same_bits(params[name], p_ref), (name, t)
             assert _same_bits(opt.m[name], m_ref), (name, t)
@@ -103,13 +104,13 @@ def test_parameters_spanning_several_blocks(rng):
     for t, share in enumerate([0.1, 0.3, 0.6, 0.2, None], start=1):
         if share is None:
             dense = rng.standard_normal(shape)
-            grad = dense
+            opt.step({"w": dense})
         else:
             rows = np.flatnonzero(rng.random(shape[0]) < share)
-            grad = RowGrad(rows, rng.standard_normal((len(rows), 40)))
+            values = rng.standard_normal((len(rows), 40))
             dense = np.zeros(shape)
-            dense[rows] = grad.values
-        opt.step({"w": grad})
+            dense[rows] = values
+            opt.step({"w": values}, rows={"w": rows})
         _dense_reference(p_ref, m_ref, v_ref, dense, t)
         assert _same_bits(p, p_ref), f"param differs at step {t}"
         assert _same_bits(opt.m["w"], m_ref), f"m differs at step {t}"
@@ -125,7 +126,7 @@ def test_parameters_spanning_several_blocks(rng):
 def test_malformed_row_gradient_rejected(rows, values):
     opt = AdamW({"w": np.zeros((8, 2))}, **HYPER)
     with pytest.raises(ValueError):
-        opt.step({"w": RowGrad(np.array(rows), values)})
+        opt.step({"w": values}, rows={"w": np.array(rows)})
 
 
 def test_dense_gradient_of_wrong_size_rejected():
