@@ -62,7 +62,6 @@ from .retrieval import (
     Evidence,
     EvidenceSet,
     RetrievalConfig,
-    candidate_labels_policy,
     decayed_similarity,
     retrieve_precedents,
 )
@@ -86,8 +85,7 @@ __all__ = [
     "ModelParams", "Prediction", "TrainConfig", "drift_input",
     "forward", "fuse_evidence", "load_model", "loss", "predict",
     "save_model", "train",
-    "Evidence", "EvidenceSet", "RetrievalConfig",
-    "candidate_labels_policy", "decayed_similarity",
+    "Evidence", "EvidenceSet", "RetrievalConfig", "decayed_similarity",
     "retrieve_precedents",
     "EmbeddingStore",
     "SummarizerConfig", "summarize_case",

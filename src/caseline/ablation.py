@@ -30,7 +30,7 @@ from .metrics import (
     micro_confusion,
     micro_f1,
 )
-from .model import TrainConfig, evaluate_split, train
+from .model import TrainConfig, _sigmoid, evaluate_split, train
 from .optim import AdamW
 from .retrieval import RetrievalConfig
 from .synthetic import DriftCorpusConfig, generate_drift_corpus, \
@@ -234,26 +234,14 @@ def train_plain_classifier(x: np.ndarray, y: np.ndarray,
     opt = AdamW({"w": w, "b": b}, lr=lr)
     yf = y.astype(np.float64)
     for _ in range(epochs):
-        z = x @ w + b
-        p = np.empty_like(z)
-        pos = z >= 0
-        p[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        p[~pos] = ez / (1.0 + ez)
-        g = (p - yf) / (n * n_labels)
+        g = (_sigmoid(x @ w + b) - yf) / (n * n_labels)
         opt.step({"w": x.T @ g, "b": g.sum(axis=0)})
     return w, b
 
 
 def plain_probabilities(x: np.ndarray, w: np.ndarray,
                         b: np.ndarray) -> np.ndarray:
-    z = x @ w + b
-    p = np.empty_like(z)
-    pos = z >= 0
-    p[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    p[~pos] = ez / (1.0 + ez)
-    return p
+    return _sigmoid(x @ w + b)
 
 
 def _dense_features(corpus, hash_dim: int) -> np.ndarray:

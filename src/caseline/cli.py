@@ -28,7 +28,13 @@ from .corpus import (
     load_corpus,
 )
 from .encoder import embed_corpus, load_encoder, save_encoder, train_encoder
-from .errors import CaselineError, ConfigError, MalformedRecordError
+from .errors import (
+    NPZ_READ_ERRORS,
+    CaselineError,
+    ConfigError,
+    IoFailureError,
+    MalformedRecordError,
+)
 from .metrics import MetricsReport, compute_report, format_report_table
 from .model import (
     evaluate_split,
@@ -99,14 +105,17 @@ def save_index(path: str | Path, store: EmbeddingStore,
 
 def load_index(path: str | Path
                ) -> tuple[EmbeddingStore, np.ndarray, LabelCatalog, dict]:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        if meta.get("kind") != "index":
-            raise ConfigError(f"{path} is not an index bundle")
-        store = EmbeddingStore([str(c) for c in data["case_ids"]],
-                               data["matrix"].astype(np.float64))
-        labels = data["labels"].astype(np.uint8)
-        catalog = LabelCatalog([str(n) for n in data["label_names"]])
+    try:
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"]).decode())
+            if meta.get("kind") != "index":
+                raise ConfigError(f"{path} is not an index bundle")
+            store = EmbeddingStore([str(c) for c in data["case_ids"]],
+                                   data["matrix"].astype(np.float64))
+            labels = data["labels"].astype(np.uint8)
+            catalog = LabelCatalog([str(n) for n in data["label_names"]])
+    except NPZ_READ_ERRORS as exc:
+        raise IoFailureError(f"cannot read index {path}: {exc}") from exc
     if labels.shape[0] != len(store.case_ids):
         raise MalformedRecordError(
             f"{path}: {labels.shape[0]} label rows for "
@@ -186,15 +195,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _split_ranks(splits, which: str):
-    ranks = {"train": splits.train_ranks,
-             "validation": splits.val_ranks,
-             "test": splits.test_ranks}.get(which)
-    if ranks is None:
-        raise ConfigError(f"unknown split {which!r}")
-    return ranks
-
-
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     store, labels, catalog, _ = load_index(args.index)
@@ -206,7 +206,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     lines = [_canonical_json(
         {"_meta": {**_provenance(cfg, "predict"),
                    "split": args.split}})]
-    for rank in _split_ranks(splits, args.split):
+    for rank in splits.ranks(args.split):
         pred, evidence = predict_with_evidence(
             corpus[rank], rank, params, store, labels, retr)
         lines.append(_canonical_json(

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     BadDateError,
+    ConfigError,
     DuplicateIdError,
     InsufficientDataError,
     IoFailureError,
@@ -316,16 +317,16 @@ class SplitCorpus:
         start = self.n_train + self.n_val
         return range(start, start + self.n_test)
 
-    def split_of_rank(self, rank: int) -> str | None:
-        if rank < 0 or rank >= len(self.corpus):
-            raise IndexError(f"rank {rank} outside corpus")
-        if rank < self.n_train:
-            return "train"
-        if rank < self.n_train + self.n_val:
-            return "val"
-        if rank < self.n_train + self.n_val + self.n_test:
-            return "test"
-        return None
+    def ranks(self, name: str) -> range:
+        """Ranks of the split called "train", "validation" or "test"."""
+        if name == "train":
+            return self.train_ranks
+        if name == "validation":
+            return self.val_ranks
+        if name == "test":
+            return self.test_ranks
+        raise ConfigError(
+            f"unknown split {name!r}; expected train, validation or test")
 
 
 def chronological_split(corpus: Corpus, n_train: int, n_val: int,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import logging
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -23,6 +22,7 @@ import numpy as np
 from . import kernels
 from .corpus import CaseRecord, Corpus
 from .errors import (
+    NPZ_READ_ERRORS,
     DimensionMismatchError,
     IoFailureError,
     NonPositiveTemperatureError,
@@ -113,13 +113,16 @@ def init_encoder_params(cfg: ContrastiveConfig) -> EncoderParams:
     )
 
 
-def _dropout_mask(params: EncoderParams, seed: int) -> np.ndarray:
-    """Inverted-dropout mask on the hidden layer, drawn from the seed."""
-    if params.dropout == 0.0:
-        return np.ones(params.hidden_dim)
+def _dropout_mask(shape: int | tuple[int, ...], rate: float,
+                  seed: int) -> np.ndarray | None:
+    """Inverted-dropout mask drawn from the seed: each entry is kept
+    with probability 1 - rate and scaled by 1 / (1 - rate).  None at
+    rate 0, meaning no mask."""
+    if rate <= 0.0:
+        return None
     rng = np.random.default_rng(seed)
-    keep = rng.random(params.hidden_dim) >= params.dropout
-    return keep / (1.0 - params.dropout)
+    keep = rng.random(shape) >= rate
+    return keep / (1.0 - rate)
 
 
 def _forward(feats: SparseFeatures, params: EncoderParams,
@@ -168,7 +171,8 @@ def encode(feats: SparseFeatures, params: EncoderParams, mode: str = "infer",
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    mask = _dropout_mask(params, seed) if mode == "train" else None
+    mask = _dropout_mask(params.hidden_dim, params.dropout, seed) \
+        if mode == "train" else None
     z2, _ = _forward(feats, params, mask)
     if mode == "infer":
         norm = np.linalg.norm(z2)
@@ -249,8 +253,10 @@ def _fit(feats: list[SparseFeatures],
             for j, i in enumerate(batch):
                 base = ((cfg.seed * 1000003 + epoch * 9973 + start) * 131
                         + int(i)) * 2
-                e0[j], c0 = _forward(feats[i], params, _dropout_mask(params, base))
-                e1[j], c1 = _forward(feats[i], params, _dropout_mask(params, base + 1))
+                e0[j], c0 = _forward(feats[i], params, _dropout_mask(
+                    params.hidden_dim, params.dropout, base))
+                e1[j], c1 = _forward(feats[i], params, _dropout_mask(
+                    params.hidden_dim, params.dropout, base + 1))
                 caches0.append(c0)
                 caches1.append(c1)
             loss, d0, d1 = info_nce_loss(e0, e1, cfg.temperature)
@@ -362,10 +368,7 @@ def load_encoder(path: str | Path) -> tuple[EncoderParams, dict]:
                 b2=np.ascontiguousarray(data["b2"], dtype=np.float64),
                 dropout=float(meta["dropout"]),
             )
-    except (OSError, EOFError, KeyError, ValueError, NotImplementedError,
-            zipfile.BadZipFile) as exc:
-        # a truncated or corrupt file fails inside np.load or the zip
-        # reader (a flipped header bit can name an unknown compression)
+    except NPZ_READ_ERRORS as exc:
         raise IoFailureError(
             f"cannot read encoder checkpoint {path}: {exc}") from exc
     return params, meta.get("config", {})

@@ -8,7 +8,7 @@ hash_dim on any machine; no vocabulary is stored.
 featurize takes one text or a sequence of them and tokenizes and
 hashes many texts per vectorized numpy pass (runs of token bytes, then
 uint64 FNV-1a one byte position at a time), bit-for-bit equal to
-tokenize followed by the per-token reference in caseline._kernels_py.
+tokenize followed by the per-token reference kernels.hash_ngrams.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def _fnv1a(h: np.ndarray, data: np.ndarray, starts: np.ndarray,
 def _hash_ngrams(texts: Sequence[bytes],
                  hash_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Bucket ids of every unigram and bigram of the lowercased UTF-8
-    texts, as _kernels_py.hash_ngrams computes them for tokenize's
+    texts, as kernels.hash_ngrams computes them for tokenize's
     tokens, and the index of the text each came from.  Raises
     EmptyTextError when a text has no token."""
     # " t0 t1 ... ": a non-token byte before and after every text, so

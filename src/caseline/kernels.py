@@ -1,31 +1,83 @@
-"""Kernel backend selection.
+"""NumPy implementations of the hot kernels.
 
-Imports the compiled speedup module when available, otherwise the
-numpy fallbacks.  Set CASELINE_PURE_PYTHON=1 to force the fallbacks
-(used by the kernel-equivalence tests and the benchmark).
+``adamw_step`` and ``add_outer`` are the per-element optimizer update
+and the sparse row accumulation that training runs.  ``hash_ngrams``
+is the per-token FNV-1a reference that ``features.featurize`` must
+match bit for bit; the pipeline itself hashes through ``featurize``.
 """
 
 from __future__ import annotations
 
-import os
+import numpy as np
 
-from . import _kernels_py
+# The only kernel implementation; kept as a name for run reports.
+BACKEND = "python"
 
-if os.environ.get("CASELINE_PURE_PYTHON"):
-    _impl = _kernels_py
-    BACKEND = "python"
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[no-redef]
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = _kernels_py
-        BACKEND = "python"
-
-adamw_step = _impl.adamw_step
-add_outer = _impl.add_outer
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_SEP = b"\x1f"
 
 
-def backend() -> str:
-    """Name of the active kernel backend: 'compiled' or 'python'."""
-    return BACKEND
+def _fnv_update(h: int, data: bytes) -> int:
+    for b in data:
+        h = ((h ^ b) * _FNV_PRIME) & _MASK64
+    return h
+
+
+def hash_ngrams(tokens: list[str], hash_dim: int) -> np.ndarray:
+    """Bucket ids for all unigrams then all bigrams of a token sequence.
+
+    Each feature string is hashed with 64-bit FNV-1a over its UTF-8
+    bytes (bigrams as first token, 0x1f separator, second token) and
+    reduced mod hash_dim.  Returns int64 bucket ids, one per feature
+    occurrence, duplicates included.
+    """
+    enc = [t.encode("utf-8") for t in tokens]
+    n = len(enc)
+    out = np.empty(n + (n - 1 if n > 1 else 0), dtype=np.int64)
+    heads = []
+    for i, tb in enumerate(enc):
+        h = _fnv_update(_FNV_OFFSET, tb)
+        heads.append(h)
+        out[i] = h % hash_dim
+    for i in range(n - 1):
+        h = _fnv_update(_fnv_update(heads[i], _SEP), enc[i + 1])
+        out[n + i] = h % hash_dim
+    return out
+
+
+def adamw_step(
+    param: np.ndarray,
+    grad: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    lr: float,
+    beta1: float,
+    beta2: float,
+    eps: float,
+    weight_decay: float,
+    bias_c1: float,
+    bias_c2: float,
+) -> None:
+    """One decoupled-weight-decay Adam update, in place on 1-D float64 views.
+
+    bias_c1/bias_c2 are the step-dependent corrections 1 - beta^t,
+    precomputed by the caller.
+    """
+    omb1 = 1.0 - beta1
+    omb2 = 1.0 - beta2
+    m[:] = beta1 * m + omb1 * grad
+    v[:] = beta2 * v + omb2 * (grad * grad)
+    param -= lr * ((m / bias_c1) / (np.sqrt(v / bias_c2) + eps)
+                   + weight_decay * param)
+
+
+def add_outer(out: np.ndarray, idx: np.ndarray, vals: np.ndarray,
+              vec: np.ndarray) -> None:
+    """out[idx[i], :] += vals[i] * vec for each i, in place.
+
+    idx entries must be unique (feature buckets are deduplicated
+    upstream); the numpy fancy-index update silently drops duplicates.
+    """
+    out[idx] += vals[:, None] * vec

@@ -26,11 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import CaseRecord, LabelCatalog, SplitCorpus
-from .encoder import EncoderParams, encode
+from .encoder import EncoderParams, _dropout_mask, encode
 from .errors import (
+    NPZ_READ_ERRORS,
     ConfigError,
     DegenerateRangeError,
     DimensionMismatchError,
+    IoFailureError,
     LabelLengthMismatchError,
 )
 from .features import featurize
@@ -382,45 +384,30 @@ def loss(prediction: Prediction, labels: np.ndarray,
     return value, {"y_final": d_y_final, "drift": d_drift}
 
 
-def _policy_limit(split_name: str, splits: SplitCorpus) -> int | None:
-    """Candidate-pool cap implementing the per-split policy: training
-    queries only see training-split precedents."""
-    return splits.n_train if split_name == "train" else None
-
-
-def _precompute_inputs(ranks, splits: SplitCorpus, store: EmbeddingStore,
+def _precompute_inputs(ranks, store: EmbeddingStore,
                        labels_all: np.ndarray, retr_cfg: RetrievalConfig,
-                       cfg_retrieval_on: bool, split_name: str,
-                       drift_frequencies: int,
+                       cfg_retrieval_on: bool, drift_frequencies: int,
                        train_rank_range: tuple[int, int]):
     """Evidence embeddings and drift features for the given ranks.
 
     Both are parameter-independent, so the trainer computes them once
-    up front rather than inside the epoch loop.
+    up front rather than inside the epoch loop.  Evidence comes from
+    the strictly-earlier cases, so a training query (rank < n_train)
+    sees training-split precedents only.
     """
     n_labels = labels_all.shape[1]
-    limit = _policy_limit(split_name, splits)
     e_ev = np.zeros((len(ranks), n_labels))
     if cfg_retrieval_on:
         for i, r in enumerate(ranks):
             ev = retrieve_precedents(
                 r, store.matrix[r], store, labels_all, retr_cfg,
-                query_case_id=store.case_ids[r], candidate_limit=limit)
+                query_case_id=store.case_ids[r])
             e_ev[i] = fuse_evidence(ev, n_labels)
     t = np.stack([
         drift_features(drift_input(r, train_rank_range),
                        drift_frequencies)
         for r in ranks])
     return e_ev, t
-
-
-def _dropout_mask(shape: tuple[int, int], dropout: float,
-                  seed: int) -> np.ndarray | None:
-    if dropout <= 0.0:
-        return None
-    rng = np.random.default_rng(seed)
-    keep = (rng.random(shape) >= dropout).astype(np.float64)
-    return keep / (1.0 - dropout)
 
 
 def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
@@ -447,13 +434,11 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
     train_rank_range = (train_ranks[0], train_ranks[-1])
 
     e_ev_train, t_train = _precompute_inputs(
-        train_ranks, splits, store, labels_all, retr_cfg,
-        cfg.retrieval_on, "train", cfg.drift_frequencies,
-        train_rank_range)
+        train_ranks, store, labels_all, retr_cfg, cfg.retrieval_on,
+        cfg.drift_frequencies, train_rank_range)
     e_ev_val, t_val = _precompute_inputs(
-        val_ranks, splits, store, labels_all, retr_cfg,
-        cfg.retrieval_on, "validation", cfg.drift_frequencies,
-        train_rank_range)
+        val_ranks, store, labels_all, retr_cfg, cfg.retrieval_on,
+        cfg.drift_frequencies, train_rank_range)
     e_case_train = store.matrix[train_ranks]
     e_case_val = store.matrix[val_ranks]
     y_train = labels_all[train_ranks]
@@ -538,21 +523,15 @@ def evaluate_split(params: ModelParams, splits: SplitCorpus,
                    store: EmbeddingStore, catalog: LabelCatalog,
                    retr_cfg: RetrievalConfig, which: str = "test",
                    seed: int = 0) -> MetricsReport:
-    """Deterministic metrics for one split under the evaluation-time
-    candidate policy (all strictly-earlier cases available)."""
+    """Deterministic metrics for one split, with evidence from all
+    strictly-earlier cases."""
     corpus = splits.corpus
     store.check_alignment(corpus)
     labels_all = corpus.label_matrix(catalog).astype(np.float64)
-    ranks = {"train": splits.train_ranks, "validation": splits.val_ranks,
-             "test": splits.test_ranks}.get(which)
-    if ranks is None:
-        raise ConfigError(f"unknown split {which!r}")
-    ranks = list(ranks)
-    policy_name = "train" if which == "train" else which
+    ranks = list(splits.ranks(which))
     e_ev, t = _precompute_inputs(
-        ranks, splits, store, labels_all, retr_cfg,
-        params.retrieval_on, policy_name, params.drift_frequencies,
-        params.train_rank_range)
+        ranks, store, labels_all, retr_cfg, params.retrieval_on,
+        params.drift_frequencies, params.train_rank_range)
     _, _, y_final, _ = _batch_forward(
         store.matrix[ranks], e_ev, t, params)
     probs = _sigmoid(y_final)
@@ -635,21 +614,25 @@ def save_model(params: ModelParams, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ModelParams:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        if meta.get("kind") != "model":
-            raise ConfigError(f"{path} is not a model checkpoint")
-        if meta["format_version"] != _MODEL_FORMAT_VERSION:
-            raise ConfigError(
-                f"unsupported checkpoint version "
-                f"{meta['format_version']}")
-        return ModelParams(
-            w=data["w"], b=data["b"],
-            drift_w1=data["drift_w1"], drift_b1=data["drift_b1"],
-            drift_w2=data["drift_w2"], drift_b2=data["drift_b2"],
-            train_rank_range=tuple(meta["train_rank_range"]),
-            drift_frequencies=meta["drift_frequencies"],
-            retrieval_on=meta["retrieval_on"],
-            drift_on=meta["drift_on"],
-            adapter=data["adapter"] if meta["has_adapter"] else None,
-            meta=meta.get("config", {}))
+    try:
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"]).decode())
+            if meta.get("kind") != "model":
+                raise ConfigError(f"{path} is not a model checkpoint")
+            if meta["format_version"] != _MODEL_FORMAT_VERSION:
+                raise ConfigError(
+                    f"unsupported checkpoint version "
+                    f"{meta['format_version']}")
+            return ModelParams(
+                w=data["w"], b=data["b"],
+                drift_w1=data["drift_w1"], drift_b1=data["drift_b1"],
+                drift_w2=data["drift_w2"], drift_b2=data["drift_b2"],
+                train_rank_range=tuple(meta["train_rank_range"]),
+                drift_frequencies=meta["drift_frequencies"],
+                retrieval_on=meta["retrieval_on"],
+                drift_on=meta["drift_on"],
+                adapter=data["adapter"] if meta["has_adapter"] else None,
+                meta=meta.get("config", {}))
+    except NPZ_READ_ERRORS as exc:
+        raise IoFailureError(
+            f"cannot read model checkpoint {path}: {exc}") from exc

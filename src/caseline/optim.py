@@ -1,8 +1,7 @@
 """Decoupled-weight-decay Adam over named parameter arrays.
 
 Parameters are updated in place; moment buffers live in the optimizer.
-The per-element update runs through the kernel backend (fused loop
-when the extension is compiled).
+The per-element update is kernels.adamw_step.
 
 A gradient is either a dense array shaped like its parameter or a row
 gradient: step's rows argument names sorted unique row ids for the

@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import SplitCorpus
 from .errors import (
     ConfigError,
     NegativeGapError,
@@ -31,7 +30,6 @@ __all__ = [
     "EvidenceSet",
     "decayed_similarity",
     "retrieve_precedents",
-    "candidate_labels_policy",
     "debug_table",
 ]
 
@@ -136,8 +134,7 @@ def retrieve_precedents(query_rank: int, query_embedding: np.ndarray,
 
     ``labels`` holds one label vector per store row, aligned by rank.
     ``candidate_limit``, when given, additionally caps the pool at
-    ranks below that bound (used to restrict training-time queries to
-    training-split precedents).  Ties on score prefer the smaller rank
+    ranks below that bound.  Ties on score prefer the smaller rank
     gap, then the lexicographically smaller case_id.
     """
     labels = np.asarray(labels)
@@ -158,22 +155,6 @@ def retrieve_precedents(query_rank: int, query_embedding: np.ndarray,
                  score=float(scores[i]), labels=labels[i])
         for i in order)
     return EvidenceSet(query_case_id, entries)
-
-
-def candidate_labels_policy(split: str, query_rank: int,
-                            splits: SplitCorpus) -> range:
-    """Allowed precedent ranks for a query in the given split.
-
-    Training queries may only see earlier training cases; validation
-    and test queries may see every earlier case regardless of split
-    (a decided case's outcome is public once it is in the past).
-    """
-    if split == "train":
-        return range(0, min(query_rank, splits.n_train))
-    if split in ("validation", "test"):
-        return range(0, query_rank)
-    raise ConfigError(
-        f"unknown split {split!r}; expected train, validation or test")
 
 
 def debug_table(query_rank: int, query_embedding: np.ndarray,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -470,13 +469,11 @@ _SETS = [
 
 def _full_pipeline_run(d: Path) -> tuple[bytes, float]:
     d.mkdir(parents=True, exist_ok=True)
-    env = {k: v for k, v in os.environ.items()
-           if k != "CASELINE_PURE_PYTHON"}
 
     def cli(*argv):
         proc = subprocess.run(
             [sys.executable, "-m", "caseline.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=300)
+            capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         return proc
 

@@ -26,14 +26,10 @@ SETS = [
 ]
 
 
-def run_cli(*argv, env_extra=None, check=True):
-    env = {k: v for k, v in os.environ.items()
-           if k != "CASELINE_PURE_PYTHON"}
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*argv, check=True):
     proc = subprocess.run(
         [sys.executable, "-m", "caseline.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=300)
+        capture_output=True, text=True, timeout=300)
     if check:
         assert proc.returncode == 0, proc.stderr
     return proc
@@ -175,21 +171,6 @@ class TestPipeline:
         assert open(art["ingested.jsonl"], "rb").read() \
             == open(art["corpus.jsonl"], "rb").read()
 
-    def test_pure_python_backend_embeds_identically(self, pipeline,
-                                                    tmp_path):
-        _, art, _ = pipeline
-        out = tmp_path / "embeddings_pure.npz"
-        run_cli("embed", "--corpus", art["ingested.jsonl"],
-                "--encoder", art["encoder.npz"],
-                "--output", str(out),
-                "--labels-file", art["labels.txt"], *SETS,
-                env_extra={"CASELINE_PURE_PYTHON": "1"})
-        from caseline.store import EmbeddingStore
-        pure = EmbeddingStore.load(out)
-        com = EmbeddingStore.load(art["embeddings.npz"])
-        np.testing.assert_array_equal(pure.matrix, com.matrix)
-        assert pure.case_ids == com.case_ids
-
 
 class TestErrors:
     def test_usage_error_exits_2(self):
@@ -281,6 +262,8 @@ class TestArtifactFiles:
     @pytest.mark.parametrize("artifact, damage", [
         ("enc", "truncate"), ("enc", "zero-middle"),
         ("emb", "truncate"), ("emb", "inflate-count"),
+        ("idx", "truncate"), ("idx", "zero-middle"),
+        ("model", "truncate"), ("model", "zero-middle"),
     ])
     def test_damaged_artifact_exits_1_with_one_json_line(
             self, suffixless, tmp_path, capsys, artifact, damage):
@@ -293,18 +276,29 @@ class TestArtifactFiles:
             raw[mid:mid + 64] = bytes(64)
         else:  # the store's row count, a u64 after magic, version, dtype
             raw[16:24] = (10 ** 9).to_bytes(8, "little")
-        bad = tmp_path / "damaged"
-        bad.write_bytes(bytes(raw))
-        capsys.readouterr()
-        if artifact == "enc":
-            argv = ["embed", "--corpus", p["corpus"], "--encoder", str(bad),
-                    "--output", str(tmp_path / "out")]
-        else:
-            argv = ["index", "--corpus", p["corpus"], "--embeddings",
-                    str(bad), "--output", str(tmp_path / "out")]
-        code = cli.main([*argv, "--labels-file", p["labels"], *SETS])
-        lines = [ln for ln in capsys.readouterr().err.splitlines()
-                 if ln.strip()]
-        assert code == 1
-        assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "IoFailureError"
+        (tmp_path / "damaged").write_bytes(bytes(raw))
+        bad = str(tmp_path / "damaged")
+        out = str(tmp_path / "out")
+        corpus = ["--corpus", p["corpus"]]
+        runs = {
+            "enc": [["embed", *corpus, "--encoder", bad, "--output", out]],
+            "emb": [["index", *corpus, "--embeddings", bad,
+                     "--output", out]],
+            "idx": [["train", *corpus, "--index", bad, "--output", out],
+                    ["predict", *corpus, "--index", bad,
+                     "--model", p["model"], "--output", out],
+                    ["evaluate", *corpus, "--index", bad,
+                     "--model", p["model"]]],
+            "model": [["predict", *corpus, "--index", p["idx"],
+                       "--model", bad, "--output", out],
+                      ["evaluate", *corpus, "--index", p["idx"],
+                       "--model", bad]],
+        }[artifact]
+        for argv in runs:
+            capsys.readouterr()
+            code = cli.main([*argv, "--labels-file", p["labels"], *SETS])
+            lines = [ln for ln in capsys.readouterr().err.splitlines()
+                     if ln.strip()]
+            assert code == 1, argv[0]
+            assert len(lines) == 1, argv[0]
+            assert json.loads(lines[0])["error"] == "IoFailureError"

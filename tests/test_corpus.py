@@ -21,6 +21,7 @@ from caseline.corpus import (
 )
 from caseline.errors import (
     BadDateError,
+    ConfigError,
     DuplicateIdError,
     InsufficientDataError,
     MalformedRecordError,
@@ -149,3 +150,14 @@ class TestSplit:
     def test_zero_split_rejected(self, tiny_corpus):
         with pytest.raises(InsufficientDataError):
             SplitCorpus(tiny_corpus, 6, 0, 0)
+
+    def test_ranks_by_name(self, tiny_corpus):
+        s = chronological_split(tiny_corpus, 3, 2, 1)
+        assert s.ranks("train") == range(0, 3)
+        assert s.ranks("validation") == range(3, 5)
+        assert s.ranks("test") == range(5, 6)
+
+    @pytest.mark.parametrize("name", ["val", "dev", "Test", ""])
+    def test_ranks_rejects_unknown_name(self, tiny_corpus, name):
+        with pytest.raises(ConfigError):
+            chronological_split(tiny_corpus, 3, 2, 1).ranks(name)

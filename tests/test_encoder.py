@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from caseline import _kernels_py
+from caseline import kernels
 from caseline.encoder import (
     ContrastiveConfig,
     _dropout_mask,
@@ -202,7 +202,7 @@ class TestTraining:
 
 
 def _reference_features(text: str, hash_dim: int) -> SparseFeatures:
-    buckets = _kernels_py.hash_ngrams(tokenize(text), hash_dim)
+    buckets = kernels.hash_ngrams(tokenize(text), hash_dim)
     indices, counts = np.unique(buckets, return_counts=True)
     weights = counts.astype(np.float64)
     weights /= np.linalg.norm(weights)
@@ -215,12 +215,12 @@ def _reference_backward(dz2, cache, params, grads):
     grads["w2"] += np.outer(hd, dz2)
     dz1 = np.where(z1 > 0.0, (params.w2 @ dz2) * mask, 0.0)
     grads["b1"] += dz1
-    _kernels_py.add_outer(grads["w1"], feats.indices, feats.weights, dz1)
+    kernels.add_outer(grads["w1"], feats.indices, feats.weights, dz1)
 
 
 def _dense_reference_train(cases, cfg: ContrastiveConfig):
     """The contrastive loop with a dense hash_dim x hidden w1 gradient
-    accumulated by _kernels_py.add_outer and a dense AdamW update of
+    accumulated by kernels.add_outer and a dense AdamW update of
     every parameter (AdamW defaults: beta 0.9/0.999, eps 1e-8)."""
     feats = [_reference_features(c.text, cfg.hash_dim) for c in cases]
     params = init_encoder_params(cfg)
@@ -238,8 +238,8 @@ def _dense_reference_train(cases, cfg: ContrastiveConfig):
                 base = ((cfg.seed * 1000003 + epoch * 9973 + start) * 131
                         + int(i)) * 2
                 for view, out in enumerate(views):
-                    out.append(_forward(feats[i], params,
-                                        _dropout_mask(params, base + view)))
+                    out.append(_forward(feats[i], params, _dropout_mask(
+                        params.hidden_dim, params.dropout, base + view)))
             _, d0, d1 = info_nce_loss(np.array([z for z, _ in views[0]]),
                                       np.array([z for z, _ in views[1]]),
                                       cfg.temperature)
@@ -249,7 +249,7 @@ def _dense_reference_train(cases, cfg: ContrastiveConfig):
                 _reference_backward(d1[j], views[1][j][1], params, grads)
             t += 1
             for k, a in arrays.items():
-                _kernels_py.adamw_step(
+                kernels.adamw_step(
                     a.ravel(), grads[k].ravel(), m[k].ravel(), v[k].ravel(),
                     cfg.learning_rate, 0.9, 0.999, 1e-8, cfg.weight_decay,
                     1.0 - 0.9 ** t, 1.0 - 0.999 ** t)

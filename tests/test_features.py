@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caseline import _kernels_py
+from caseline import kernels
 from caseline.errors import EmptyTextError
 from caseline.features import (
     _PASS_BYTES,
@@ -102,7 +102,7 @@ def test_collision_audit_default_dim():
     buckets = set()
     for s in strings:
         toks = s.split("\x1f")
-        ids = np.asarray(_kernels_py.hash_ngrams(toks, DEFAULT_HASH_DIM))
+        ids = np.asarray(kernels.hash_ngrams(toks, DEFAULT_HASH_DIM))
         buckets.add(int(ids[-1]))  # last id = the full n-gram's bucket
     assert len(strings) == 4505
     collisions = len(strings) - len(buckets)
@@ -133,7 +133,7 @@ _TOKEN = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789",
 
 def _reference_features(tokens, hash_dim):
     """Indices and weights from the per-token FNV-1a reference."""
-    buckets = _kernels_py.hash_ngrams(tokens, hash_dim)
+    buckets = kernels.hash_ngrams(tokens, hash_dim)
     indices, counts = np.unique(buckets, return_counts=True)
     weights = counts.astype(np.float64)
     weights /= np.linalg.norm(weights)

@@ -18,6 +18,7 @@ from caseline.model import (
     TrainConfig,
     _batch_backward,
     _batch_forward,
+    _precompute_inputs,
     drift_features,
     drift_input,
     evaluate_split,
@@ -34,7 +35,12 @@ from caseline.model import (
     train_with_history,
 )
 from caseline.optim import AdamW
-from caseline.retrieval import Evidence, EvidenceSet, RetrievalConfig
+from caseline.retrieval import (
+    Evidence,
+    EvidenceSet,
+    RetrievalConfig,
+    retrieve_precedents,
+)
 from caseline.store import EmbeddingStore
 from conftest import make_case
 
@@ -481,6 +487,29 @@ class TestTraining:
                 best_f1, best_w, best_b = f1, w.copy(), b.copy()
         np.testing.assert_array_equal(got.w, best_w)
         np.testing.assert_array_equal(got.b, best_b)
+
+
+class TestCandidatePolicy:
+    def test_training_evidence_is_training_split_only(self, rng):
+        """The strictly-earlier mask is the training policy: a training
+        query's evidence equals the pool capped at n_train, and the
+        trainer fuses exactly that evidence."""
+        corpus, catalog, splits, store = _toy_setup(rng)
+        labels = corpus.label_matrix(catalog).astype(np.float64)
+        n_train = splits.n_train
+        ranks = list(splits.train_ranks)
+        e_ev, _ = _precompute_inputs(ranks, store, labels, RETR, True, 0,
+                                     (0, n_train - 1))
+        for r in ranks:
+            ev = retrieve_precedents(r, store.matrix[r], store, labels,
+                                     RETR)
+            capped = retrieve_precedents(r, store.matrix[r], store, labels,
+                                         RETR, candidate_limit=n_train)
+            assert all(e.rank < n_train for e in ev)
+            assert [(e.rank, e.case_id, e.score) for e in ev] \
+                == [(e.rank, e.case_id, e.score) for e in capped]
+            assert e_ev[r].tobytes() \
+                == fuse_evidence(capped, len(catalog)).tobytes()
 
 
 @pytest.fixture(scope="module")

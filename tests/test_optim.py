@@ -1,7 +1,7 @@
 """Row-sparse AdamW against the dense reference update.
 
 A row gradient must give bit-for-bit the parameters and moments that
-_kernels_py.adamw_step gives when fed the same gradient scattered into
+kernels.adamw_step gives when fed the same gradient scattered into
 a dense zero array, on both sides of the half-touched switch."""
 from __future__ import annotations
 
@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caseline import _kernels_py
+from caseline import kernels
 from caseline.optim import _BLOCK, _DECAY_BLOCK, AdamW
 
 HYPER = dict(lr=3e-2, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.05)
 
 
 def _dense_reference(p, m, v, dense_grad, t):
-    _kernels_py.adamw_step(
+    kernels.adamw_step(
         p.ravel(), dense_grad.ravel(), m.ravel(), v.ravel(),
         HYPER["lr"], HYPER["beta1"], HYPER["beta2"], HYPER["eps"],
         HYPER["weight_decay"], 1.0 - HYPER["beta1"] ** t,

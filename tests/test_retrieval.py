@@ -1,5 +1,5 @@
 """Precedent retrieval: decay arithmetic, brute-force oracle parity,
-future masking, tie-breaking, and the candidate policy."""
+future masking and tie-breaking."""
 from __future__ import annotations
 
 import math
@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caseline.corpus import chronological_split
 from caseline.errors import (
     ConfigError,
     NegativeGapError,
@@ -19,7 +18,6 @@ from caseline.retrieval import (
     Evidence,
     EvidenceSet,
     RetrievalConfig,
-    candidate_labels_policy,
     debug_table,
     decayed_similarity,
     retrieve_precedents,
@@ -199,28 +197,6 @@ class TestRetrieve:
             got_scores = sorted((e.score for e in ev), reverse=True)
             np.testing.assert_allclose(got_scores, want_scores, atol=1e-6)
             assert got_ranks == set(int(w) for w in want)
-
-
-class TestCandidatePolicy:
-    @pytest.fixture()
-    def splits(self, tiny_corpus):
-        return chronological_split(tiny_corpus, 3, 2, 1)
-
-    def test_train_clamped_to_train_ranks(self, splits):
-        assert candidate_labels_policy("train", 2, splits) == range(0, 2)
-
-    def test_validation_sees_all_earlier(self, splits):
-        assert candidate_labels_policy("validation", 4, splits) == range(0, 4)
-
-    def test_test_sees_all_earlier(self, splits):
-        assert candidate_labels_policy("test", 5, splits) == range(0, 5)
-
-    def test_first_case_empty(self, splits):
-        assert len(candidate_labels_policy("train", 0, splits)) == 0
-
-    def test_unknown_split_rejected(self, splits):
-        with pytest.raises(ConfigError):
-            candidate_labels_policy("dev", 1, splits)
 
 
 class TestEvidenceTypes:
