@@ -52,9 +52,8 @@ from .model import (
     drift_input,
     forward,
     fuse_evidence,
+    infer,
     load_model,
-    loss,
-    predict,
     save_model,
     train,
 )
@@ -83,8 +82,8 @@ __all__ = [
     "MetricsReport", "compute_report", "micro_confusion", "micro_f1",
     "micro_jaccard", "micro_pr_auc", "micro_roc_auc",
     "ModelParams", "Prediction", "TrainConfig", "drift_input",
-    "forward", "fuse_evidence", "load_model", "loss", "predict",
-    "save_model", "train",
+    "forward", "fuse_evidence", "infer", "load_model", "save_model",
+    "train",
     "Evidence", "EvidenceSet", "RetrievalConfig", "decayed_similarity",
     "retrieve_precedents",
     "EmbeddingStore",

@@ -34,13 +34,14 @@ from .errors import (
     ConfigError,
     IoFailureError,
     MalformedRecordError,
+    UnknownLabelError,
 )
 from .metrics import MetricsReport, compute_report, format_report_table
 from .model import (
     evaluate_split,
+    infer,
     load_model,
     prediction_record,
-    predict_with_evidence,
     save_model,
     train,
 )
@@ -86,13 +87,16 @@ def _write_sidecar(path: Path, cfg: RunConfig, stage: str) -> None:
 
 # ---------------------------------------------------------------- index
 
+_INDEX_FORMAT_VERSION = 1
+
+
 def save_index(path: str | Path, store: EmbeddingStore,
                labels: np.ndarray, catalog: LabelCatalog,
                provenance: dict) -> None:
     """Bundle embeddings, aligned label vectors, and the label names
     into one retrieval-ready artifact."""
     meta = dict(provenance)
-    meta.update({"format_version": 1, "kind": "index"})
+    meta.update(format_version=_INDEX_FORMAT_VERSION, kind="index")
     with open(path, "wb") as fh:  # a file keeps ".npz" off the path
         np.savez(fh,
                  matrix=store.matrix,
@@ -108,8 +112,10 @@ def load_index(path: str | Path
     try:
         with np.load(path) as data:
             meta = json.loads(bytes(data["meta"]).decode())
-            if meta.get("kind") != "index":
-                raise ConfigError(f"{path} is not an index bundle")
+            if (meta.get("kind"), meta.get("format_version")) \
+                    != ("index", _INDEX_FORMAT_VERSION):
+                raise ConfigError(f"{path} is not an index bundle of "
+                                  f"version {_INDEX_FORMAT_VERSION}")
             store = EmbeddingStore([str(c) for c in data["case_ids"]],
                                    data["matrix"].astype(np.float64))
             labels = data["labels"].astype(np.uint8)
@@ -197,21 +203,20 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
-    store, labels, catalog, _ = load_index(args.index)
+    store, _, catalog, _ = load_index(args.index)
     corpus = load_corpus(args.corpus, catalog)
     store.check_alignment(corpus)
     splits = chronological_split(corpus, *cfg.split_sizes(len(corpus)))
     params = load_model(args.model)
-    retr = cfg.retrieval_config()
-    lines = [_canonical_json(
-        {"_meta": {**_provenance(cfg, "predict"),
-                   "split": args.split}})]
-    for rank in splits.ranks(args.split):
-        pred, evidence = predict_with_evidence(
-            corpus[rank], rank, params, store, labels, retr)
-        lines.append(_canonical_json(
-            prediction_record(corpus[rank].case_id, pred, catalog,
-                              evidence)))
+    ranks = list(splits.ranks(args.split))
+    pred, evidence = infer(params, ranks, store,
+                           corpus.label_matrix(catalog).astype(np.float64),
+                           cfg.retrieval_config())
+    lines = [_canonical_json({"_meta": {**_provenance(cfg, "predict"),
+                                        "split": args.split}})]
+    lines += [_canonical_json(prediction_record(
+        corpus[r].case_id, pred.row(i), catalog, evidence[i]))
+        for i, r in enumerate(ranks)]
     Path(args.output).write_text("\n".join(lines) + "\n",
                                  encoding="utf-8")
     print(f"wrote {len(lines) - 1} predictions -> {args.output}")
@@ -222,32 +227,39 @@ def _report_from_predictions(args: argparse.Namespace, cfg: RunConfig
                              ) -> MetricsReport:
     catalog = _catalog_from(args)
     corpus = load_corpus(args.corpus, catalog)
-    probs_rows, decision_rows, truth_rows = [], [], []
+    rows, seen = [], set()
     text = Path(args.predictions).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        try:
+        where = f"{args.predictions}:{lineno}"
+        try:  # JSONDecodeError is a ValueError
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+            if isinstance(obj, dict) and "_meta" in obj:
+                continue
+            case_id, probs = obj["case_id"], obj["probabilities"]
+            rank = corpus.rank_of(case_id)
+            decided = encode_labels(obj["decisions"], catalog)
+        except (ValueError, KeyError, TypeError, UnknownLabelError) as exc:
             raise MalformedRecordError(
-                f"{args.predictions}:{lineno}: {exc}") from exc
-        if "_meta" in obj:
-            continue
-        probs_rows.append(np.array(obj["probabilities"],
-                                   dtype=np.float64))
-        decision_rows.append(
-            encode_labels(obj["decisions"], catalog))
-        rank = corpus.rank_of(obj["case_id"])
-        truth_rows.append(
-            encode_labels(corpus[rank].articles, catalog))
-    if not probs_rows:
+                f"{where}: {type(exc).__name__}: {exc}") from None
+        if rank in seen:
+            raise MalformedRecordError(
+                f"{where}: repeated case_id {case_id!r}")
+        seen.add(rank)
+        if not (isinstance(probs, list) and len(probs) == len(catalog)
+                and all(type(p) in (int, float) and 0.0 <= p <= 1.0
+                        for p in probs)):
+            raise MalformedRecordError(
+                f"{where}: probabilities must be {len(catalog)} numbers "
+                "in [0, 1]")
+        rows.append((np.array(probs, dtype=np.float64), decided,
+                     encode_labels(corpus[rank].articles, catalog)))
+    if not rows:
         raise MalformedRecordError(
             f"{args.predictions}: no prediction records")
-    return compute_report(np.stack(probs_rows),
-                          np.stack(decision_rows),
-                          np.stack(truth_rows),
-                          seed=cfg.get("seed"))
+    probs, decisions, truth = (np.stack(col) for col in zip(*rows))
+    return compute_report(probs, decisions, truth, seed=cfg.get("seed"))
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

@@ -56,11 +56,10 @@ __all__ = [
     "drift_features",
     "init_model_params",
     "forward",
-    "loss",
+    "infer",
     "train",
     "train_with_history",
     "evaluate_split",
-    "predict",
     "predict_with_evidence",
     "prediction_record",
     "save_model",
@@ -155,9 +154,6 @@ class ModelParams:
     def drift_in_dim(self) -> int:
         return self.drift_w1.shape[0]
 
-    def classifier_arrays(self) -> dict[str, np.ndarray]:
-        return {"w": self.w, "b": self.b}
-
     def other_arrays(self) -> dict[str, np.ndarray]:
         arrays: dict[str, np.ndarray] = {}
         if self.drift_on:
@@ -180,14 +176,19 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Prediction:
-    """Per-case outputs: pre-correction logits, the drift correction,
-    served logits, probabilities, and 0.5-threshold decisions."""
+    """Model outputs, one row per case: pre-correction logits, the
+    drift correction, served logits, probabilities, and 0.5-threshold
+    decisions.  ``row(i)`` gives case i alone, as 1-D arrays."""
 
     y_orig: np.ndarray
     drift: np.ndarray
     y_final: np.ndarray
     probabilities: np.ndarray
     decisions: np.ndarray
+
+    def row(self, i: int) -> "Prediction":
+        return Prediction(self.y_orig[i], self.drift[i], self.y_final[i],
+                          self.probabilities[i], self.decisions[i])
 
 
 def fuse_evidence(evidence: EvidenceSet, n_labels: int) -> np.ndarray:
@@ -337,77 +338,88 @@ def _batch_backward(d_y_final: np.ndarray, d_drift: np.ndarray, cache,
         grads["adapter"] += e_case.T @ dx[:, :params.embed_dim]
 
 
+def _decide(params: ModelParams, e_case: np.ndarray, e_ev: np.ndarray,
+            t: np.ndarray) -> Prediction:
+    """Forward without dropout, sigmoid, and the 0.5 threshold: the one
+    decision rule of inference and of the trainer's validation pass."""
+    y_orig, drift, y_final, _ = _batch_forward(e_case, e_ev, t, params)
+    probs = _sigmoid(y_final)
+    return Prediction(y_orig, drift, y_final, probs,
+                      (probs >= 0.5).astype(np.uint8))
+
+
 def forward(case_embedding: np.ndarray, evidence_embedding: np.ndarray,
             drift_in: np.ndarray, params: ModelParams) -> Prediction:
-    """Single-case forward pass (no dropout): concatenated linear
-    classifier plus the drift correction."""
-    e_c = np.asarray(case_embedding, dtype=np.float64).reshape(1, -1)
-    e_r = np.asarray(evidence_embedding, dtype=np.float64).reshape(1, -1)
-    t = np.asarray(drift_in, dtype=np.float64).reshape(1, -1)
-    y_orig, drift, y_final, _ = _batch_forward(e_c, e_r, t, params)
-    probs = _sigmoid(y_final[0])
-    return Prediction(
-        y_orig=y_orig[0], drift=drift[0], y_final=y_final[0],
-        probabilities=probs,
-        decisions=(probs >= 0.5).astype(np.uint8))
+    """One case through ``infer``'s decision rule, as a one-row batch."""
+    return _decide(params, *(np.reshape(a, (1, -1)) for a in (
+        case_embedding, evidence_embedding, drift_in))).row(0)
 
 
-def _bce_from_logits(z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Elementwise binary cross-entropy of sigmoid(z) against y,
-    computed in the overflow-safe logit form."""
-    return np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+def _batch_loss(y_final: np.ndarray, drift: np.ndarray, y: np.ndarray,
+                lam: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Composite batch loss and its exact gradients.
 
-
-def loss(prediction: Prediction, labels: np.ndarray,
-         lam: float) -> tuple[float, dict[str, np.ndarray]]:
-    """Composite per-case loss and its exact gradients.
-
-    Returns ``(value, {"y_final": g, "drift": g})`` where the value is
-    ``(1 - lam) * mean-BCE(sigmoid(y_final), labels)
-    + lam * ||drift||^2``.  The "drift" entry is only the direct
+    Returns ``(value, d_y_final, d_drift)`` where the value is the
+    batch mean of ``(1 - lam) * mean-BCE(sigmoid(y_final), labels)
+    + lam * ||drift||^2`` per case.  ``d_drift`` is only the direct
     penalty gradient; the BCE part reaches the drift head through
-    "y_final".
+    ``d_y_final``.  The BCE is computed in the overflow-safe logit form.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigError(f"lam must be in [0,1], got {lam}")
-    y = np.asarray(labels, dtype=np.float64).reshape(-1)
-    z = prediction.y_final
-    if y.shape != z.shape:
-        raise DimensionMismatchError(
-            f"labels shape {y.shape} != logits shape {z.shape}")
-    n = y.shape[0]
-    bce = float(_bce_from_logits(z, y).mean())
-    penalty = float(prediction.drift @ prediction.drift)
-    value = (1.0 - lam) * bce + lam * penalty
-    d_y_final = (1.0 - lam) * (_sigmoid(z) - y) / n
-    d_drift = 2.0 * lam * prediction.drift
-    return value, {"y_final": d_y_final, "drift": d_drift}
+    bsz, n_labels = y.shape
+    bce = (np.maximum(y_final, 0.0) - y_final * y
+           + np.log1p(np.exp(-np.abs(y_final)))).mean(axis=1)
+    penalty = (drift * drift).sum(axis=1)
+    value = float(((1.0 - lam) * bce + lam * penalty).mean())
+    d_y_final = (1.0 - lam) * (_sigmoid(y_final) - y) / (n_labels * bsz)
+    d_drift = 2.0 * lam * drift / bsz
+    return value, d_y_final, d_drift
 
 
 def _precompute_inputs(ranks, store: EmbeddingStore,
                        labels_all: np.ndarray, retr_cfg: RetrievalConfig,
-                       cfg_retrieval_on: bool, drift_frequencies: int,
-                       train_rank_range: tuple[int, int]):
-    """Evidence embeddings and drift features for the given ranks.
+                       params: ModelParams,
+                       queries: tuple[list[str], np.ndarray] | None = None,
+                       evidence: list[EvidenceSet] | None = None):
+    """Case, fused-evidence and drift inputs for the given ranks.  The
+    cases are the store rows at ``ranks`` unless ``queries``, a
+    ``(case_ids, vectors)`` pair, gives cases outside the store.  Each
+    EvidenceSet is appended to ``evidence`` if a list is given, else
+    only the fused rows are kept.
 
-    Both are parameter-independent, so the trainer computes them once
-    up front rather than inside the epoch loop.  Evidence comes from
-    the strictly-earlier cases, so a training query (rank < n_train)
-    sees training-split precedents only.
+    Evidence comes from the strictly-earlier cases, so a training query
+    (rank < n_train) sees training-split precedents only.
     """
+    case_ids, e_case = queries if queries is not None \
+        else ([store.case_ids[r] for r in ranks], store.matrix[ranks])
     n_labels = labels_all.shape[1]
     e_ev = np.zeros((len(ranks), n_labels))
-    if cfg_retrieval_on:
-        for i, r in enumerate(ranks):
-            ev = retrieve_precedents(
-                r, store.matrix[r], store, labels_all, retr_cfg,
-                query_case_id=store.case_ids[r])
-            e_ev[i] = fuse_evidence(ev, n_labels)
+    for i, r in enumerate(ranks):
+        ev = retrieve_precedents(
+            r, e_case[i], store, labels_all, retr_cfg,
+            query_case_id=case_ids[i]) if params.retrieval_on \
+            else EvidenceSet(case_ids[i], ())
+        e_ev[i] = fuse_evidence(ev, n_labels)
+        if evidence is not None:
+            evidence.append(ev)
     t = np.stack([
-        drift_features(drift_input(r, train_rank_range),
-                       drift_frequencies)
+        drift_features(drift_input(r, params.train_rank_range),
+                       params.drift_frequencies)
         for r in ranks])
-    return e_ev, t
+    return e_case, e_ev, t
+
+
+def infer(params: ModelParams, ranks, store: EmbeddingStore,
+          labels: np.ndarray, retr_cfg: RetrievalConfig
+          ) -> tuple[Prediction, list[EvidenceSet]]:
+    """The one inference path: retrieve and fuse evidence for the store
+    rows at ``ranks``, build the drift features, and run one batched
+    forward with the sigmoid and the 0.5 threshold.  Returns one
+    prediction row and one EvidenceSet per rank; ``labels`` has one row
+    per store row."""
+    evidence: list[EvidenceSet] = []
+    e_case, e_ev, t = _precompute_inputs(ranks, store, labels, retr_cfg,
+                                         params, evidence=evidence)
+    return _decide(params, e_case, e_ev, t), evidence
 
 
 def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
@@ -431,22 +443,15 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
     val_ranks = list(splits.val_ranks)
     if len(train_ranks) < 2:
         raise ConfigError("need at least 2 training cases")
-    train_rank_range = (train_ranks[0], train_ranks[-1])
-
-    e_ev_train, t_train = _precompute_inputs(
-        train_ranks, store, labels_all, retr_cfg, cfg.retrieval_on,
-        cfg.drift_frequencies, train_rank_range)
-    e_ev_val, t_val = _precompute_inputs(
-        val_ranks, store, labels_all, retr_cfg, cfg.retrieval_on,
-        cfg.drift_frequencies, train_rank_range)
-    e_case_train = store.matrix[train_ranks]
-    e_case_val = store.matrix[val_ranks]
-    y_train = labels_all[train_ranks]
-    y_val = labels_all[val_ranks]
-
     params = init_model_params(store.dim, n_labels, cfg,
-                               train_rank_range)
-    opt_classifier = AdamW(params.classifier_arrays(),
+                               (train_ranks[0], train_ranks[-1]))
+    e_case_train, e_ev_train, t_train = _precompute_inputs(
+        train_ranks, store, labels_all, retr_cfg, params)
+    e_case_val, e_ev_val, t_val = _precompute_inputs(
+        val_ranks, store, labels_all, retr_cfg, params)
+    y_train, y_val = labels_all[train_ranks], labels_all[val_ranks]
+
+    opt_classifier = AdamW({"w": params.w, "b": params.b},
                            lr=cfg.classifier_lr,
                            weight_decay=cfg.weight_decay)
     other = params.other_arrays()
@@ -456,8 +461,7 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
     lam = cfg.lam if cfg.drift_on else 0.0
 
     def val_f1(p: ModelParams) -> float:
-        _, _, y_final, _ = _batch_forward(e_case_val, e_ev_val, t_val, p)
-        decisions = (_sigmoid(y_final) >= 0.5).astype(np.uint8)
+        decisions = _decide(p, e_case_val, e_ev_val, t_val).decisions
         return micro_f1(micro_confusion(decisions, y_val))
 
     best = copy.deepcopy(params)
@@ -476,17 +480,13 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
             mask = _dropout_mask(
                 (bsz, store.dim + n_labels), cfg.dropout,
                 (cfg.seed * 1000003 + epoch * 9973 + start) * 131 + 7)
-            y_orig, drift, y_final, cache = _batch_forward(
+            _, drift, y_final, cache = _batch_forward(
                 e_case_train[idx], e_ev_train[idx], t_train[idx],
                 params, mask)
-            y = y_train[idx]
-            bce = _bce_from_logits(y_final, y).mean(axis=1)
-            penalty = (drift * drift).sum(axis=1)
-            total += float(((1.0 - lam) * bce + lam * penalty).mean())
+            value, d_y_final, d_drift = _batch_loss(
+                y_final, drift, y_train[idx], lam)
+            total += value
             batches += 1
-            d_y_final = (1.0 - lam) * (_sigmoid(y_final) - y) \
-                / (n_labels * bsz)
-            d_drift = 2.0 * lam * drift / bsz
             for g in grads.values():
                 g.fill(0.0)
             _batch_backward(d_y_final, d_drift, cache, params, grads)
@@ -529,14 +529,9 @@ def evaluate_split(params: ModelParams, splits: SplitCorpus,
     store.check_alignment(corpus)
     labels_all = corpus.label_matrix(catalog).astype(np.float64)
     ranks = list(splits.ranks(which))
-    e_ev, t = _precompute_inputs(
-        ranks, store, labels_all, retr_cfg, params.retrieval_on,
-        params.drift_frequencies, params.train_rank_range)
-    _, _, y_final, _ = _batch_forward(
-        store.matrix[ranks], e_ev, t, params)
-    probs = _sigmoid(y_final)
-    decisions = (probs >= 0.5).astype(np.uint8)
-    return compute_report(probs, decisions, labels_all[ranks], seed=seed)
+    pred, _ = infer(params, ranks, store, labels_all, retr_cfg)
+    return compute_report(pred.probabilities, pred.decisions,
+                          labels_all[ranks], seed=seed)
 
 
 def predict_with_evidence(case: CaseRecord, rank: int,
@@ -544,8 +539,9 @@ def predict_with_evidence(case: CaseRecord, rank: int,
                           labels: np.ndarray, retr_cfg: RetrievalConfig,
                           encoder: EncoderParams | None = None
                           ) -> tuple[Prediction, EvidenceSet]:
-    """Full pipeline for one case: embed (or look up), retrieve under
-    the evaluation-time policy, fuse, forward."""
+    """Full pipeline for one case: embed (or look up), then build its
+    inputs and decide as ``infer`` does for a one-row batch at
+    ``rank``."""
     if case.case_id in store:
         vec = store.vector(case.case_id)
     elif encoder is not None:
@@ -555,36 +551,27 @@ def predict_with_evidence(case: CaseRecord, rank: int,
         raise ConfigError(
             f"case {case.case_id} not in the embedding store and no "
             "encoder given to embed it")
-    evidence = retrieve_precedents(
-        rank, vec, store, labels, retr_cfg,
-        query_case_id=case.case_id) if params.retrieval_on \
-        else EvidenceSet(case.case_id, ())
-    e_ev = fuse_evidence(evidence, params.n_labels)
-    t = drift_features(drift_input(rank, params.train_rank_range),
-                       params.drift_frequencies)
-    return forward(vec, e_ev, t, params), evidence
-
-
-def predict(case: CaseRecord, rank: int, params: ModelParams,
-            store: EmbeddingStore, labels: np.ndarray,
-            retr_cfg: RetrievalConfig,
-            encoder: EncoderParams | None = None) -> Prediction:
-    """Prediction for one case; see predict_with_evidence."""
-    pred, _ = predict_with_evidence(case, rank, params, store, labels,
-                                    retr_cfg, encoder)
-    return pred
+    evidence: list[EvidenceSet] = []
+    e_case, e_ev, t = _precompute_inputs(
+        [rank], store, labels, retr_cfg, params,
+        ([case.case_id], vec.reshape(1, -1)), evidence)
+    return forward(e_case, e_ev, t, params), evidence[0]
 
 
 def prediction_record(case_id: str, pred: Prediction,
                       catalog: LabelCatalog,
                       evidence: EvidenceSet) -> dict:
-    """JSON-serializable record: probabilities, decided label names,
-    and the evidence list as the interpretability surface."""
+    """JSON-serializable record for one case: probabilities, decided
+    label names, the split of the served logits into classifier output
+    and drift correction, and the evidence list as the
+    interpretability surface."""
     return {
         "case_id": case_id,
         "probabilities": [float(p) for p in pred.probabilities],
         "decisions": [name for name, bit
                       in zip(catalog.names, pred.decisions) if bit],
+        "y_orig": [float(v) for v in pred.y_orig],
+        "drift": [float(v) for v in pred.drift],
         "evidence": [{"case_id": ev.case_id, "score": ev.score}
                      for ev in evidence],
     }

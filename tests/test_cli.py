@@ -13,6 +13,9 @@ import numpy as np
 import pytest
 
 from caseline import cli
+from caseline.config import load_run_config
+from caseline.corpus import chronological_split, load_corpus
+from caseline.model import infer, load_model
 
 # small-profile overrides so the whole pipeline stays in seconds
 SETS = [
@@ -118,8 +121,9 @@ class TestPipeline:
         assert len(records) == 40
         for rec in records:
             assert set(rec) == {"case_id", "probabilities", "decisions",
-                                "evidence"}
-            assert len(rec["probabilities"]) == 8
+                                "y_orig", "drift", "evidence"}
+            for key in ("probabilities", "y_orig", "drift"):
+                assert len(rec[key]) == 8
             assert all(0.0 <= p <= 1.0 for p in rec["probabilities"])
             for ev in rec["evidence"]:
                 assert set(ev) == {"case_id", "score"}
@@ -148,6 +152,30 @@ class TestPipeline:
         a = open(art["report.json"], "rb").read()
         b = open(art["report_from_predictions.json"], "rb").read()
         assert a == b
+
+    def test_predictions_equal_infer_bit_for_bit(self, pipeline):
+        """The predictions file carries exactly the batch rows that the
+        evaluate path scores."""
+        _, art, _ = pipeline
+        store, _, catalog, _ = cli.load_index(art["index.npz"])
+        corpus = load_corpus(art["ingested.jsonl"], catalog)
+        cfg = load_run_config(None, SETS[1::2])
+        splits = chronological_split(corpus, *cfg.split_sizes(len(corpus)))
+        ranks = list(splits.ranks("test"))
+        pred, evidence = infer(load_model(art["model.npz"]), ranks, store,
+                               corpus.label_matrix(catalog).astype(float),
+                               cfg.retrieval_config())
+        records = [json.loads(line) for line in
+                   open(art["predictions.jsonl"], encoding="utf-8")][1:]
+        assert [r["case_id"] for r in records] \
+            == [corpus[r].case_id for r in ranks]
+        for key, want in (("probabilities", pred.probabilities),
+                          ("y_orig", pred.y_orig), ("drift", pred.drift)):
+            got = np.array([r[key] for r in records])
+            assert got.tobytes() == want.tobytes(), key
+        assert [[(e["case_id"], e["score"]) for e in r["evidence"]]
+                for r in records] \
+            == [[(e.case_id, e.score) for e in ev] for ev in evidence]
 
     def test_evaluate_rerun_byte_identical(self, pipeline, tmp_path):
         _, art, _ = pipeline
@@ -214,6 +242,56 @@ class TestErrors:
         assert proc.returncode == 1
         assert json.loads(proc.stderr.strip())["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("damage", [
+        "unknown-case-id", "no-probabilities", "not-an-object",
+        "three-probabilities", "string-probability", "nan-probability",
+        "infinite-probability", "probability-above-1",
+        "negative-probability", "unknown-decision", "repeated-records",
+    ])
+    def test_malformed_predictions_exit_1_with_one_json_line(
+            self, pipeline, tmp_path, capsys, damage):
+        _, art, _ = pipeline
+        lines = open(art["predictions.jsonl"],
+                     encoding="utf-8").read().splitlines()
+        rec = json.loads(lines[3])
+        if damage == "unknown-case-id":
+            rec["case_id"] = "no-such-case"
+        elif damage == "no-probabilities":
+            del rec["probabilities"]
+        elif damage == "not-an-object":
+            rec = [1, 2]
+        elif damage == "three-probabilities":
+            rec["probabilities"] = rec["probabilities"][:3]
+        elif damage == "string-probability":
+            rec["probabilities"][0] = "x"
+        elif damage == "nan-probability":
+            rec["probabilities"][0] = float("nan")
+        elif damage == "infinite-probability":
+            rec["probabilities"][0] = float("inf")
+        elif damage == "probability-above-1":
+            rec["probabilities"][0] = 1.5
+        elif damage == "negative-probability":
+            rec["probabilities"][0] = -0.25
+        elif damage == "unknown-decision":
+            rec["decisions"] = ["no-such-label"]
+        if damage == "repeated-records":
+            lines += lines[1:]
+        else:
+            lines[3] = json.dumps(rec)
+        bad = tmp_path / "predictions.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        code = cli.main(["evaluate", "--corpus", art["ingested.jsonl"],
+                         "--predictions", str(bad),
+                         "--labels-file", art["labels.txt"], *SETS])
+        err = [ln for ln in capsys.readouterr().err.splitlines()
+               if ln.strip()]
+        assert code == 1
+        assert len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["error"] == "MalformedRecordError"
+        assert f"{bad}:" in payload["message"]
+
     def test_version_flag(self):
         proc = run_cli("--version")
         assert proc.stdout.startswith("caseline ")
@@ -262,22 +340,33 @@ class TestArtifactFiles:
     @pytest.mark.parametrize("artifact, damage", [
         ("enc", "truncate"), ("enc", "zero-middle"),
         ("emb", "truncate"), ("emb", "inflate-count"),
-        ("idx", "truncate"), ("idx", "zero-middle"),
+        ("idx", "truncate"), ("idx", "zero-middle"), ("idx", "version"),
         ("model", "truncate"), ("model", "zero-middle"),
     ])
     def test_damaged_artifact_exits_1_with_one_json_line(
             self, suffixless, tmp_path, capsys, artifact, damage):
         _, p = suffixless
         raw = bytearray(open(p[artifact], "rb").read())
+        bad = str(tmp_path / "damaged")
         if damage == "truncate":
             raw = raw[:len(raw) // 2]
         elif damage == "zero-middle":
             mid = len(raw) // 2
             raw[mid:mid + 64] = bytes(64)
-        else:  # the store's row count, a u64 after magic, version, dtype
+        elif damage == "inflate-count":
+            # the store's row count, a u64 after magic, version, dtype
             raw[16:24] = (10 ** 9).to_bytes(8, "little")
-        (tmp_path / "damaged").write_bytes(bytes(raw))
-        bad = str(tmp_path / "damaged")
+        if damage == "version":
+            with np.load(p[artifact]) as data:
+                arrays = dict(data)
+            meta = json.loads(bytes(arrays["meta"]).decode())
+            meta["format_version"] = 99
+            arrays["meta"] = np.frombuffer(json.dumps(meta).encode(),
+                                           dtype=np.uint8)
+            with open(bad, "wb") as fh:
+                np.savez(fh, **arrays)
+        else:
+            (tmp_path / "damaged").write_bytes(bytes(raw))
         out = str(tmp_path / "out")
         corpus = ["--corpus", p["corpus"]]
         runs = {
@@ -301,4 +390,6 @@ class TestArtifactFiles:
                      if ln.strip()]
             assert code == 1, argv[0]
             assert len(lines) == 1, argv[0]
-            assert json.loads(lines[0])["error"] == "IoFailureError"
+            assert json.loads(lines[0])["error"] \
+                == ("ConfigError" if damage == "version"
+                    else "IoFailureError")

@@ -1,5 +1,5 @@
-"""Fusion, drift head, forward pass, composite loss, gradients, and
-the supervised training loop."""
+"""Fusion, drift head, the inference path, composite loss, gradients,
+and the supervised training loop."""
 from __future__ import annotations
 
 import math
@@ -18,16 +18,15 @@ from caseline.model import (
     TrainConfig,
     _batch_backward,
     _batch_forward,
+    _batch_loss,
     _precompute_inputs,
     drift_features,
     drift_input,
     evaluate_split,
-    forward,
     fuse_evidence,
+    infer,
     init_model_params,
     load_model,
-    loss,
-    predict,
     predict_with_evidence,
     prediction_record,
     save_model,
@@ -130,153 +129,193 @@ class TestDriftInput:
         np.testing.assert_allclose(out, want, atol=1e-15)
 
 
+def _random_store(rng, n, d, L):
+    """Unit-vector store of n cases with random multi-hot labels."""
+    mat = rng.standard_normal((n, d))
+    mat /= np.linalg.norm(mat, axis=1, keepdims=True)
+    store = EmbeddingStore([f"q{i:03d}" for i in range(n)], mat)
+    return store, rng.integers(0, 2, size=(n, L)).astype(float)
+
+
+def _oracle_row(rank, store, labels, params, cfg):
+    """Straight-line reference for one query: brute-force top-k over
+    the strictly-earlier cases, softmax fusion of their labels, the
+    affine drift coordinate with its sinusoids, concat -> linear, MLP
+    drift, additive correction, logistic probability."""
+    q = store.matrix[rank]
+    scored = []
+    for j in range(rank):
+        gap = rank - j
+        score = float(np.dot(q, store.matrix[j])) \
+            / (1.0 + gap / (cfg.alpha * cfg.val_size))
+        scored.append((-score, gap, store.case_ids[j], j, score))
+    top = sorted(scored)[:cfg.k]
+    e_evid = np.zeros(labels.shape[1])
+    if top:
+        best = max(s for *_, s in top)
+        weights = [math.exp(s - best) for *_, s in top]
+        for wgt, (*_, j, _s) in zip(weights, top):
+            e_evid += wgt * labels[j]
+        e_evid /= sum(weights)
+    lo, hi = params.train_rank_range
+    x = (rank - lo) / (hi - lo)
+    feats = [x]
+    for f in range(params.drift_frequencies):
+        feats += [math.sin(2 ** f * math.pi * x),
+                  math.cos(2 ** f * math.pi * x)]
+    concat = np.concatenate([q, e_evid])
+    y_orig = concat @ params.w + params.b
+    hidden = np.maximum(np.array(feats) @ params.drift_w1
+                        + params.drift_b1, 0.0)
+    drift = hidden @ params.drift_w2 + params.drift_b2
+    y_final = y_orig + drift
+    probs = 1.0 / (1.0 + np.exp(-y_final))
+    return [case_id for _, _, case_id, _, _ in top], y_orig, drift, probs
+
+
 class TestForward:
-    def test_zero_params_yield_half_probabilities(self):
-        params = init_model_params(4, 3, TrainConfig(), (0, 9))
+    """The batched forward as ``infer`` runs it, from ranks to
+    decisions."""
+
+    def test_zero_params_yield_half_probabilities(self, rng):
+        store, labels = _random_store(rng, 8, 4, 3)
+        params = init_model_params(4, 3, TrainConfig(), (0, 7))
         for arr in params.all_arrays().values():
             arr[...] = 0.0
-        pred = forward(np.ones(4), np.zeros(3), np.array([0.5]), params)
-        np.testing.assert_array_equal(pred.y_orig, np.zeros(3))
-        np.testing.assert_array_equal(pred.drift, np.zeros(3))
+        pred, _ = infer(params, range(8), store, labels, RETR)
+        np.testing.assert_array_equal(pred.y_orig, np.zeros((8, 3)))
+        np.testing.assert_array_equal(pred.drift, np.zeros((8, 3)))
         np.testing.assert_allclose(pred.probabilities, 0.5, atol=1e-15)
 
     def test_zero_drift_head_is_pure_classifier(self, rng):
+        store, labels = _random_store(rng, 8, 4, 3)
         params = _random_params(rng, 4, 3)
         params.drift_w2[...] = 0.0
         params.drift_b2[...] = 0.0
-        pred = forward(rng.standard_normal(4), rng.random(3),
-                       np.array([0.7]), params)
+        pred, _ = infer(params, range(8), store, labels, RETR)
         np.testing.assert_array_equal(pred.y_final, pred.y_orig)
 
     def test_straight_line_oracle(self, rng):
-        """Independent re-implementation of concat -> linear, MLP drift,
-        additive correction."""
+        """Independent re-implementation of retrieval, fusion, the drift
+        input, concat -> linear, MLP drift and additive correction."""
         for _ in range(10):
+            n = int(rng.integers(3, 14))
             d, L = int(rng.integers(2, 8)), int(rng.integers(2, 5))
-            params = _random_params(rng, d, L)
-            e_case = rng.standard_normal(d)
-            e_evid = rng.random(L)
-            x = np.array([float(rng.uniform(0, 1.4))])
-            pred = forward(e_case, e_evid, x, params)
+            cfg = TrainConfig(drift_frequencies=int(rng.integers(0, 3)))
+            params = _random_params(rng, d, L, cfg, rank_range=(0, n - 2))
+            store, labels = _random_store(rng, n, d, L)
+            retr = RetrievalConfig(k=int(rng.integers(1, 5)),
+                                   alpha=float(rng.uniform(0.5, 3.0)),
+                                   val_size=int(rng.integers(1, 10)))
+            ranks = list(rng.permutation(n)[:int(rng.integers(1, n + 1))])
+            pred, evidence = infer(params, ranks, store, labels, retr)
+            for i, r in enumerate(ranks):
+                ids, y_orig, drift, probs = _oracle_row(
+                    r, store, labels, params, retr)
+                assert [e.case_id for e in evidence[i]] == ids
+                np.testing.assert_allclose(pred.y_orig[i], y_orig,
+                                           atol=1e-12)
+                np.testing.assert_allclose(pred.drift[i], drift,
+                                           atol=1e-12)
+                np.testing.assert_allclose(pred.y_final[i],
+                                           y_orig + drift, atol=1e-12)
+                np.testing.assert_allclose(pred.probabilities[i], probs,
+                                           atol=1e-12)
+                np.testing.assert_array_equal(
+                    pred.decisions[i], (probs >= 0.5).astype(np.uint8))
 
-            concat = np.concatenate([e_case, e_evid])
-            y_orig = concat @ params.w + params.b
-            hidden = np.maximum(x @ params.drift_w1 + params.drift_b1, 0.0)
-            drift = hidden @ params.drift_w2 + params.drift_b2
-            y_final = y_orig + drift
-            probs = 1.0 / (1.0 + np.exp(-y_final))
-
-            np.testing.assert_allclose(pred.y_orig, y_orig, atol=1e-12)
-            np.testing.assert_allclose(pred.drift, drift, atol=1e-12)
-            np.testing.assert_allclose(pred.y_final, y_final, atol=1e-12)
-            np.testing.assert_allclose(pred.probabilities, probs, atol=1e-12)
-            np.testing.assert_array_equal(
-                pred.decisions, (probs >= 0.5).astype(np.uint8))
+    def test_retrieval_off_fuses_no_evidence(self, rng):
+        store, labels = _random_store(rng, 10, 4, 3)
+        params = _random_params(rng, 4, 3)
+        params.retrieval_on = False
+        pred, evidence = infer(params, range(10), store, labels, RETR)
+        assert all(len(ev) == 0 for ev in evidence)
+        want = store.matrix @ params.w[:4] + params.b
+        np.testing.assert_allclose(pred.y_orig, want, atol=1e-12)
 
     def test_decision_monotonicity(self, rng):
+        store, labels = _random_store(rng, 10, 4, 3)
         params = _random_params(rng, 4, 3)
-        pred = forward(rng.standard_normal(4), rng.random(3),
-                       np.array([0.2]), params)
-        boosted = pred.y_final.copy()
-        boosted[1] += 5.0
-        probs = 1.0 / (1.0 + np.exp(-boosted))
-        new_dec = (probs >= 0.5).astype(np.uint8)
-        assert new_dec[1] >= pred.decisions[1]
-        np.testing.assert_array_equal(np.delete(new_dec, 1),
-                                      np.delete(pred.decisions, 1))
+        before, _ = infer(params, range(10), store, labels, RETR)
+        params.b[1] += 5.0
+        after, _ = infer(params, range(10), store, labels, RETR)
+        assert (after.decisions[:, 1] >= before.decisions[:, 1]).all()
+        np.testing.assert_array_equal(np.delete(after.decisions, 1, 1),
+                                      np.delete(before.decisions, 1, 1))
 
 
 class TestLoss:
     @staticmethod
-    def _pred(rng, L, zero_drift=False):
-        params = _random_params(rng, 3, L)
-        if zero_drift:
-            params.drift_w2[...] = 0.0
-            params.drift_b2[...] = 0.0
-        return forward(rng.standard_normal(3), rng.random(L),
-                       np.array([0.4]), params)
+    def _batch(rng, B, L, zero_drift=False):
+        y_final = rng.standard_normal((B, L)) * 2.0
+        drift = np.zeros((B, L)) if zero_drift \
+            else rng.standard_normal((B, L)) * 0.5
+        y = rng.integers(0, 2, size=(B, L)).astype(float)
+        return y_final, drift, y
 
     def test_hand_value_ln2(self):
-        params = init_model_params(3, 16, TrainConfig(), (0, 9))
-        for arr in params.all_arrays().values():
-            arr[...] = 0.0
-        pred = forward(np.zeros(3), np.zeros(16), np.array([0.0]), params)
-        value, _ = loss(pred, np.ones(16), 0.0)
+        value, _, _ = _batch_loss(np.zeros((1, 16)), np.zeros((1, 16)),
+                                  np.ones((1, 16)), 0.0)
         assert math.isclose(value, math.log(2), rel_tol=0, abs_tol=1e-12)
 
     def test_lambda_zero_is_pure_bce(self, rng):
-        pred = self._pred(rng, 4)
-        y = rng.integers(0, 2, size=4).astype(float)
-        value, _ = loss(pred, y, 0.0)
-        probs = pred.probabilities
+        y_final, drift, y = self._batch(rng, 3, 4)
+        value, _, _ = _batch_loss(y_final, drift, y, 0.0)
+        probs = 1.0 / (1.0 + np.exp(-y_final))
         bce = -(y * np.log(probs) + (1 - y) * np.log(1 - probs)).mean()
         assert math.isclose(value, bce, rel_tol=1e-10)
 
     def test_zero_drift_scales_bce_only(self, rng):
-        pred = self._pred(rng, 4, zero_drift=True)
-        y = rng.integers(0, 2, size=4).astype(float)
-        v0, _ = loss(pred, y, 0.0)
-        v_half, _ = loss(pred, y, 0.5)
+        y_final, drift, y = self._batch(rng, 3, 4, zero_drift=True)
+        v0, _, _ = _batch_loss(y_final, drift, y, 0.0)
+        v_half, _, _ = _batch_loss(y_final, drift, y, 0.5)
         assert math.isclose(v_half, 0.5 * v0, rel_tol=1e-12)
 
     def test_penalty_term(self, rng):
-        pred = self._pred(rng, 3)
-        y = rng.integers(0, 2, size=3).astype(float)
+        y_final, drift, y = self._batch(rng, 4, 3)
         lam = 0.25
-        v, _ = loss(pred, y, lam)
-        v_bce, _ = loss(pred, y, 0.0)
-        penalty = float((pred.drift ** 2).sum())
+        v, _, _ = _batch_loss(y_final, drift, y, lam)
+        v_bce, _, _ = _batch_loss(y_final, drift, y, 0.0)
+        penalty = float((drift ** 2).sum(axis=1).mean())
         assert math.isclose(v, (1 - lam) * v_bce + lam * penalty,
                             rel_tol=1e-10)
 
     def test_gradients_match_finite_differences(self, rng):
         """d loss / d y_final and d loss / d drift against central
-        differences, perturbing via the Prediction fields."""
-        from caseline.model import Prediction, _sigmoid
+        differences of the loss value; a drift step also moves
+        y_final = y_orig + drift."""
         for _ in range(10):
-            L = int(rng.integers(2, 5))
-            y = rng.integers(0, 2, size=L).astype(float)
+            B, L = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+            y_orig, drift, y = self._batch(rng, B, L)
             lam = float(rng.uniform(0, 1))
-            y_orig = rng.standard_normal(L)
-            drift = rng.standard_normal(L) * 0.5
 
-            def make(yo, dr):
-                yf = yo + dr
-                p = _sigmoid(yf)
-                return Prediction(y_orig=yo, drift=dr, y_final=yf,
-                                  probabilities=p,
-                                  decisions=(p >= 0.5).astype(np.uint8))
+            def value(yo, dr):
+                return _batch_loss(yo + dr, dr, y, lam)[0]
 
-            _, grads = loss(make(y_orig, drift), y, lam)
+            _, d_y_final, d_drift = _batch_loss(y_orig + drift, drift, y,
+                                                lam)
             eps = 1e-6
-            for j in range(L):
-                # y_final direction: perturb y_orig (drift fixed)
-                yo_p, yo_m = y_orig.copy(), y_orig.copy()
-                yo_p[j] += eps
-                yo_m[j] -= eps
-                lp, _ = loss(make(yo_p, drift), y, lam)
-                lm, _ = loss(make(yo_m, drift), y, lam)
-                num = (lp - lm) / (2 * eps)
-                assert abs(num - grads["y_final"][j]) < 1e-5
-                # drift direction: includes the penalty path
-                dr_p, dr_m = drift.copy(), drift.copy()
-                dr_p[j] += eps
-                dr_m[j] -= eps
-                lp, _ = loss(make(y_orig, dr_p), y, lam)
-                lm, _ = loss(make(y_orig, dr_m), y, lam)
-                num = (lp - lm) / (2 * eps)
-                total = grads["y_final"][j] + grads["drift"][j]
-                assert abs(num - total) < 1e-5
+            for idx in np.ndindex(B, L):
+                step = np.zeros((B, L))
+                step[idx] = eps
+                num = (value(y_orig + step, drift)
+                       - value(y_orig - step, drift)) / (2 * eps)
+                assert abs(num - d_y_final[idx]) < 1e-5
+                num = (value(y_orig, drift + step)
+                       - value(y_orig, drift - step)) / (2 * eps)
+                assert abs(num - d_y_final[idx] - d_drift[idx]) < 1e-5
 
 
 class TestParameterGradients:
     def test_all_parameters_match_finite_differences(self, rng):
-        """The batched analytic gradients used by the trainer, checked
-        against central differences of the batch objective for every
-        parameter tensor."""
+        """The trainer's analytic gradients, from _batch_loss through
+        _batch_backward, checked against central differences of an
+        independently written batch objective for every parameter
+        tensor.  Batches hold at least two cases so a wrong batch
+        normalization shows."""
         for _ in range(5):
             d, L, B = (int(rng.integers(2, 8)), int(rng.integers(2, 5)),
-                       int(rng.integers(1, 5)))
+                       int(rng.integers(2, 5)))
             lam = float(rng.uniform(0, 1))
             params = _random_params(rng, d, L)
             e_case = rng.standard_normal((B, d))
@@ -293,15 +332,12 @@ class TestParameterGradients:
                 pen = (drift * drift).sum(axis=1)
                 return float(((1 - lam) * bce + lam * pen).mean())
 
-            y_orig, drift, y_final, cache = _batch_forward(
+            _, drift, y_final, cache = _batch_forward(
                 e_case, e_ev, t, params)
-            from caseline.model import _sigmoid
-            d_y_final = (1 - lam) * (_sigmoid(y_final) - y) / (L * B)
-            d_drift = 2 * lam * drift / B
+            _, d_y_final, d_drift = _batch_loss(y_final, drift, y, lam)
             grads = {k: np.zeros_like(v)
                      for k, v in params.all_arrays().items()}
             _batch_backward(d_y_final, d_drift, cache, params, grads)
-
             eps = 1e-5
             for name, arr in params.all_arrays().items():
                 flat = arr.ravel()
@@ -414,10 +450,9 @@ class TestTraining:
         params = train(splits, store, catalog, RETR, cfg)
         assert not params.drift_w2.any()
         assert not params.drift_b2.any()
-        pred = predict(splits.corpus.cases[-1], len(splits.corpus.cases) - 1,
-                       params, store,
-                       splits.corpus.label_matrix(catalog).astype(float),
-                       RETR)
+        pred, _ = infer(params, splits.test_ranks, store,
+                        splits.corpus.label_matrix(catalog).astype(float),
+                        RETR)
         np.testing.assert_array_equal(pred.y_final, pred.y_orig)
 
     def test_drift_off_forces_lambda_zero(self, rng):
@@ -498,8 +533,9 @@ class TestCandidatePolicy:
         labels = corpus.label_matrix(catalog).astype(np.float64)
         n_train = splits.n_train
         ranks = list(splits.train_ranks)
-        e_ev, _ = _precompute_inputs(ranks, store, labels, RETR, True, 0,
-                                     (0, n_train - 1))
+        params = init_model_params(store.dim, len(catalog), TrainConfig(),
+                                   (0, n_train - 1))
+        _, e_ev, _ = _precompute_inputs(ranks, store, labels, RETR, params)
         for r in ranks:
             ev = retrieve_precedents(r, store.matrix[r], store, labels,
                                      RETR)
@@ -531,25 +567,65 @@ class TestPredict:
         assert pred.probabilities.shape == labels[0].shape
 
     def test_deterministic(self, trained):
-        corpus, _, _, store, params, labels = trained
-        a = predict(corpus.cases[10], 10, params, store, labels, RETR)
-        b = predict(corpus.cases[10], 10, params, store, labels, RETR)
-        np.testing.assert_array_equal(a.probabilities, b.probabilities)
+        corpus, _, splits, store, params, labels = trained
+        a, _ = infer(params, splits.test_ranks, store, labels, RETR)
+        b, _ = infer(params, splits.test_ranks, store, labels, RETR)
+        assert a.probabilities.tobytes() == b.probabilities.tobytes()
 
-    def test_matches_recomposed_pipeline(self, trained):
-        from caseline.retrieval import retrieve_precedents
+    def test_one_row_call_matches_its_infer_row(self, trained):
         corpus, _, _, store, params, labels = trained
-        rank = 50
-        pred = predict(corpus.cases[rank], rank, params, store, labels,
-                       RETR)
-        ev = retrieve_precedents(rank, store.matrix[rank], store, labels,
-                                 RETR)
-        e_ev = fuse_evidence(ev, labels.shape[1])
-        x = drift_features(drift_input(rank, params.train_rank_range),
-                           params.drift_frequencies)
-        want = forward(store.matrix[rank], e_ev, x, params)
-        np.testing.assert_allclose(pred.probabilities, want.probabilities,
-                                   atol=1e-12)
+        ranks = list(range(len(corpus)))
+        batch, evidence = infer(params, ranks, store, labels, RETR)
+        for rank in (0, 1, 50, 79, 80, 119):
+            pred, ev = predict_with_evidence(corpus.cases[rank], rank,
+                                             params, store, labels, RETR)
+            for got, want in ((pred.y_orig, batch.y_orig),
+                              (pred.drift, batch.drift),
+                              (pred.probabilities, batch.probabilities)):
+                np.testing.assert_allclose(got, want[rank], rtol=0,
+                                           atol=1e-12)
+            np.testing.assert_array_equal(pred.decisions,
+                                          batch.decisions[rank])
+            assert ev.query_case_id == evidence[rank].query_case_id
+            assert [(e.case_id, e.rank, e.score, e.labels.tobytes())
+                    for e in ev] \
+                == [(e.case_id, e.rank, e.score, e.labels.tobytes())
+                    for e in evidence[rank]]
+
+    def test_one_row_call_is_a_one_row_infer(self, trained):
+        """``forward`` decides one case bit for bit as ``infer`` decides
+        a one-row batch."""
+        corpus, _, _, store, params, labels = trained
+        for rank in (0, 50, 119):
+            pred, _ = predict_with_evidence(corpus.cases[rank], rank,
+                                            params, store, labels, RETR)
+            want, _ = infer(params, [rank], store, labels, RETR)
+            for name in ("y_orig", "drift", "y_final", "probabilities",
+                         "decisions"):
+                assert getattr(pred, name).tobytes() \
+                    == getattr(want, name)[0].tobytes()
+
+    def test_encoder_path_for_a_case_outside_the_store(self, drift_setup):
+        """A case missing from the store is embedded by the encoder and
+        scored like the same case inside the store."""
+        corpus, catalog = drift_setup["corpus"], drift_setup["catalog"]
+        store = drift_setup["store"]
+        labels = corpus.label_matrix(catalog).astype(float)
+        last = len(corpus) - 1
+        head = EmbeddingStore(store.case_ids[:last], store.matrix[:last])
+        params = _random_params(np.random.default_rng(3), store.dim,
+                                len(catalog), rank_range=(0, 159))
+        with pytest.raises(ConfigError):
+            predict_with_evidence(corpus[last], last, params, head,
+                                  labels[:last], RETR)
+        pred, ev = predict_with_evidence(corpus[last], last, params, head,
+                                         labels[:last], RETR,
+                                         encoder=drift_setup["enc"])
+        want, want_ev = infer(params, [last], store, labels, RETR)
+        np.testing.assert_allclose(pred.probabilities,
+                                   want.probabilities[0], atol=1e-12)
+        assert ev.query_case_id == corpus[last].case_id
+        assert [e.case_id for e in ev] == [e.case_id for e in want_ev[0]]
 
     def test_prediction_record_shape(self, trained):
         corpus, catalog, _, store, params, labels = trained
@@ -557,7 +633,10 @@ class TestPredict:
                                          store, labels, RETR)
         rec = prediction_record(corpus.cases[30].case_id, pred, catalog, ev)
         assert rec["case_id"] == corpus.cases[30].case_id
-        assert len(rec["probabilities"]) == len(catalog)
+        for key in ("probabilities", "y_orig", "drift"):
+            assert len(rec[key]) == len(catalog)
+        np.testing.assert_allclose(
+            np.add(rec["y_orig"], rec["drift"]), pred.y_final, atol=0)
         assert all(name in catalog.names for name in rec["decisions"])
         assert all(set(e) == {"case_id", "score"} for e in rec["evidence"])
 
@@ -584,6 +663,6 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         save_model(params, path)
         loaded = load_model(path)
-        a = predict(corpus.cases[60], 60, params, store, labels, RETR)
-        b = predict(corpus.cases[60], 60, loaded, store, labels, RETR)
+        a, _ = infer(params, splits.test_ranks, store, labels, RETR)
+        b, _ = infer(loaded, splits.test_ranks, store, labels, RETR)
         np.testing.assert_array_equal(a.probabilities, b.probabilities)
