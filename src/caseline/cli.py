@@ -20,19 +20,19 @@ import numpy as np
 
 from . import __version__
 from .ablation import AblationSpec, run_ablation
+from .artifacts import canonical_json, load_npz, save_npz, save_text
 from .config import RunConfig, load_run_config
 from .corpus import (
     LabelCatalog,
+    SplitCorpus,
     chronological_split,
     encode_labels,
     load_corpus,
 )
 from .encoder import embed_corpus, load_encoder, save_encoder, train_encoder
 from .errors import (
-    NPZ_READ_ERRORS,
     CaselineError,
     ConfigError,
-    IoFailureError,
     MalformedRecordError,
     UnknownLabelError,
 )
@@ -57,10 +57,6 @@ STAGE_VERSION = 1
 __all__ = ["main"]
 
 
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def _config_from(args: argparse.Namespace) -> RunConfig:
     overrides = list(args.set or [])
     if getattr(args, "seed", None) is not None:
@@ -79,15 +75,13 @@ def _provenance(cfg: RunConfig, stage: str) -> dict:
             "stage_version": STAGE_VERSION, "tool_version": __version__}
 
 
-def _write_sidecar(path: Path, cfg: RunConfig, stage: str) -> None:
-    sidecar = path.with_name(path.name + ".meta.json")
-    sidecar.write_text(_canonical_json(_provenance(cfg, stage)) + "\n",
-                       encoding="utf-8")
-
-
 # ---------------------------------------------------------------- index
 
 _INDEX_FORMAT_VERSION = 1
+_INDEX_SCHEMA = {"matrix": ("float", ("N", "D")),
+                 "case_ids": ("text", ("N",)),
+                 "labels": ("bits", ("N", "L")),
+                 "label_names": ("text", ("L",))}
 
 
 def save_index(path: str | Path, store: EmbeddingStore,
@@ -95,38 +89,33 @@ def save_index(path: str | Path, store: EmbeddingStore,
                provenance: dict) -> None:
     """Bundle embeddings, aligned label vectors, and the label names
     into one retrieval-ready artifact."""
-    meta = dict(provenance)
-    meta.update(format_version=_INDEX_FORMAT_VERSION, kind="index")
-    with open(path, "wb") as fh:  # a file keeps ".npz" off the path
-        np.savez(fh,
-                 matrix=store.matrix,
-                 case_ids=np.array(store.case_ids),
-                 labels=labels.astype(np.uint8),
-                 label_names=np.array(list(catalog.names)),
-                 meta=np.frombuffer(
-                     _canonical_json(meta).encode(), dtype=np.uint8).copy())
+    save_npz(path, "index", _INDEX_FORMAT_VERSION, {
+        "matrix": store.matrix,
+        "case_ids": np.array(store.case_ids, dtype=str),
+        "labels": labels.astype(np.uint8),
+        "label_names": np.array(list(catalog.names), dtype=str),
+    }, provenance)
 
 
 def load_index(path: str | Path
                ) -> tuple[EmbeddingStore, np.ndarray, LabelCatalog, dict]:
-    try:
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
-            if (meta.get("kind"), meta.get("format_version")) \
-                    != ("index", _INDEX_FORMAT_VERSION):
-                raise ConfigError(f"{path} is not an index bundle of "
-                                  f"version {_INDEX_FORMAT_VERSION}")
-            store = EmbeddingStore([str(c) for c in data["case_ids"]],
-                                   data["matrix"].astype(np.float64))
-            labels = data["labels"].astype(np.uint8)
-            catalog = LabelCatalog([str(n) for n in data["label_names"]])
-    except NPZ_READ_ERRORS as exc:
-        raise IoFailureError(f"cannot read index {path}: {exc}") from exc
-    if labels.shape[0] != len(store.case_ids):
-        raise MalformedRecordError(
-            f"{path}: {labels.shape[0]} label rows for "
-            f"{len(store.case_ids)} embeddings")
-    return store, labels, catalog, meta
+    arrays, meta = load_npz(path, "index", _INDEX_FORMAT_VERSION,
+                            _INDEX_SCHEMA)
+    return (EmbeddingStore([str(c) for c in arrays["case_ids"]],
+                           arrays["matrix"]),
+            arrays["labels"],
+            LabelCatalog([str(n) for n in arrays["label_names"]]), meta)
+
+
+def _indexed_splits(args: argparse.Namespace, cfg: RunConfig
+                    ) -> tuple[EmbeddingStore, LabelCatalog, SplitCorpus]:
+    """The store and catalog of ``--index``, and the chronological
+    split of ``--corpus``, checked to be aligned with the store."""
+    store, _, catalog, _ = load_index(args.index)
+    corpus = load_corpus(args.corpus, catalog)
+    store.check_alignment(corpus)
+    return store, catalog, chronological_split(
+        corpus, *cfg.split_sizes(len(corpus)))
 
 
 # ----------------------------------------------------------- subcommands
@@ -169,7 +158,8 @@ def cmd_embed(args: argparse.Namespace) -> int:
     enc, _ = load_encoder(args.encoder)
     store = embed_corpus(corpus, enc)
     store.save(args.output)
-    _write_sidecar(Path(args.output), cfg, "embed")
+    save_text(f"{args.output}.meta.json",
+              canonical_json(_provenance(cfg, "embed")) + "\n")
     print(f"embedded {len(store)} cases -> {args.output}")
     return 0
 
@@ -188,10 +178,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
-    store, labels, catalog, _ = load_index(args.index)
-    corpus = load_corpus(args.corpus, catalog)
-    store.check_alignment(corpus)
-    splits = chronological_split(corpus, *cfg.split_sizes(len(corpus)))
+    store, catalog, splits = _indexed_splits(args, cfg)
     params = train(splits, store, catalog, cfg.retrieval_config(),
                    cfg.train_config())
     params.meta = {**_provenance(cfg, "train"),
@@ -203,22 +190,19 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
-    store, _, catalog, _ = load_index(args.index)
-    corpus = load_corpus(args.corpus, catalog)
-    store.check_alignment(corpus)
-    splits = chronological_split(corpus, *cfg.split_sizes(len(corpus)))
+    store, catalog, splits = _indexed_splits(args, cfg)
+    corpus = splits.corpus
     params = load_model(args.model)
     ranks = list(splits.ranks(args.split))
     pred, evidence = infer(params, ranks, store,
                            corpus.label_matrix(catalog).astype(np.float64),
                            cfg.retrieval_config())
-    lines = [_canonical_json({"_meta": {**_provenance(cfg, "predict"),
-                                        "split": args.split}})]
-    lines += [_canonical_json(prediction_record(
+    lines = [canonical_json({"_meta": {**_provenance(cfg, "predict"),
+                                       "split": args.split}})]
+    lines += [canonical_json(prediction_record(
         corpus[r].case_id, pred.row(i), catalog, evidence[i]))
         for i, r in enumerate(ranks)]
-    Path(args.output).write_text("\n".join(lines) + "\n",
-                                 encoding="utf-8")
+    save_text(args.output, "\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} predictions -> {args.output}")
     return 0
 
@@ -271,11 +255,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise ConfigError(
                 "evaluate needs either --predictions or both "
                 "--index and --model")
-        store, _, catalog, _ = load_index(args.index)
-        corpus = load_corpus(args.corpus, catalog)
-        store.check_alignment(corpus)
-        splits = chronological_split(corpus,
-                                     *cfg.split_sizes(len(corpus)))
+        store, catalog, splits = _indexed_splits(args, cfg)
         params = load_model(args.model)
         report = evaluate_split(params, splits, store, catalog,
                                 cfg.retrieval_config(), args.split,
@@ -283,8 +263,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     payload = {**_provenance(cfg, "evaluate"),
                "report": json.loads(report.to_json())}
     if args.output:
-        Path(args.output).write_text(_canonical_json(payload) + "\n",
-                                     encoding="utf-8")
+        save_text(args.output, canonical_json(payload) + "\n")
     print(format_report_table([("evaluation", [report])]), end="")
     return 0
 
@@ -308,12 +287,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = json.loads(result.to_json())
     payload["provenance"] = _provenance(cfg, "ablate")
-    (out_dir / "rows.json").write_text(
-        _canonical_json(payload) + "\n", encoding="utf-8")
-    (out_dir / "table.txt").write_text(result.to_text(),
-                                       encoding="utf-8")
-    (out_dir / "sweep.csv").write_text(result.to_csv(),
-                                       encoding="utf-8")
+    save_text(out_dir / "rows.json", canonical_json(payload) + "\n")
+    save_text(out_dir / "table.txt", result.to_text())
+    save_text(out_dir / "sweep.csv", result.to_csv())
     print(result.to_text(), end="")
     return 0
 
@@ -455,7 +431,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": type(exc).__name__,
                           "message": str(exc)}), file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # an unreadable input
         print(json.dumps({"error": "IoFailureError",
                           "message": str(exc)}), file=sys.stderr)
         return 1

@@ -189,7 +189,7 @@ def load_run_config(path: str | Path | None = None,
     if path is not None:
         try:
             lines = Path(path).read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise IoFailureError(
                 f"cannot read config {path}: {exc}") from exc
         for lineno, line in enumerate(lines, start=1):

@@ -19,6 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .artifacts import atomic_write, save_text
 from .errors import (
     BadDateError,
     ConfigError,
@@ -66,9 +67,9 @@ class LabelCatalog:
     def __init__(self, names: Sequence[str]):
         names = tuple(str(n) for n in names)
         if not names:
-            raise ValueError("label catalog must not be empty")
+            raise ConfigError("label catalog must not be empty")
         if len(set(names)) != len(names):
-            raise ValueError("label catalog contains duplicate names")
+            raise ConfigError("label catalog contains duplicate names")
         self.names = names
         self._index = {n: i for i, n in enumerate(names)}
 
@@ -96,14 +97,13 @@ class LabelCatalog:
         """Load a catalog: plain text, one label name per line, order significant."""
         try:
             lines = Path(path).read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise IoFailureError(f"cannot read label catalog {path}: {exc}") from exc
         names = [ln.strip() for ln in lines if ln.strip()]
         return cls(names)
 
     def to_file(self, path: str | Path) -> None:
-        Path(path).write_text("".join(n + "\n" for n in self.names),
-                              encoding="utf-8")
+        save_text(path, "".join(n + "\n" for n in self.names))
 
 
 @dataclass(frozen=True)
@@ -233,12 +233,9 @@ class Corpus:
         return mat
 
     def save_jsonl(self, path: str | Path) -> None:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                for case in self.cases:
-                    fh.write(serialize_case_record(case) + "\n")
-        except OSError as exc:
-            raise IoFailureError(f"cannot write corpus {path}: {exc}") from exc
+        with atomic_write(path, "w") as fh:
+            for case in self.cases:
+                fh.write(serialize_case_record(case) + "\n")
 
 
 def load_corpus(path: str | Path, catalog: LabelCatalog) -> Corpus:
@@ -250,7 +247,7 @@ def load_corpus(path: str | Path, catalog: LabelCatalog) -> Corpus:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoFailureError(f"cannot read corpus {path}: {exc}") from exc
 
     records = []

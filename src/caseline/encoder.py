@@ -11,8 +11,8 @@ unit-normalizes the output.
 
 from __future__ import annotations
 
-import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -20,11 +20,11 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
+from .artifacts import load_npz, save_npz
 from .corpus import CaseRecord, Corpus
 from .errors import (
-    NPZ_READ_ERRORS,
     DimensionMismatchError,
-    IoFailureError,
+    NonFiniteError,
     NonPositiveTemperatureError,
 )
 from .features import DEFAULT_HASH_DIM, SparseFeatures, featurize
@@ -259,7 +259,14 @@ def _fit(feats: list[SparseFeatures],
                     params.hidden_dim, params.dropout, base + 1))
                 caches0.append(c0)
                 caches1.append(c1)
+            where = f"epoch {epoch} batch {start // cfg.batch_size}"
+            if not (np.isfinite(e0).all() and np.isfinite(e1).all()):
+                raise NonFiniteError(
+                    f"contrastive training: non-finite views at {where}")
             loss, d0, d1 = info_nce_loss(e0, e1, cfg.temperature)
+            if not math.isfinite(loss):
+                raise NonFiniteError(
+                    f"contrastive training: non-finite loss at {where}")
             for g in grads.values():
                 g.fill(0.0)
             # the batch's union of w1 rows; plain np.unique would import
@@ -330,45 +337,20 @@ def embed_corpus(corpus: Corpus, params: EncoderParams) -> EmbeddingStore:
 # -- checkpointing --
 
 _ENCODER_FORMAT = 1
+_ENCODER_SCHEMA = {"w1": ("float", ("V", "H")), "b1": ("float", ("H",)),
+                   "w2": ("float", ("H", "O")), "b2": ("float", ("O",))}
 
 
 def save_encoder(params: EncoderParams, path: str | Path,
                  config_echo: dict | None = None) -> None:
     """Versioned checkpoint: all matrices plus a config echo."""
-    meta = {
-        "format_version": _ENCODER_FORMAT,
-        "kind": "encoder",
-        "dropout": params.dropout,
-        "config": config_echo or {},
-    }
-    try:
-        # an open file keeps np.savez from appending ".npz" to the path
-        with open(path, "wb") as fh:
-            np.savez(fh, meta=np.frombuffer(
-                json.dumps(meta, sort_keys=True).encode("utf-8"),
-                dtype=np.uint8), **params.arrays())
-    except OSError as exc:
-        raise IoFailureError(f"cannot write encoder checkpoint: {exc}") from exc
+    save_npz(path, "encoder", _ENCODER_FORMAT, params.arrays(),
+             {"dropout": params.dropout, "config": config_echo or {}})
 
 
 def load_encoder(path: str | Path) -> tuple[EncoderParams, dict]:
-    try:
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-            if meta.get("kind") != "encoder":
-                raise IoFailureError(f"{path} is not an encoder checkpoint")
-            if meta.get("format_version") != _ENCODER_FORMAT:
-                raise IoFailureError(
-                    f"unsupported encoder checkpoint version "
-                    f"{meta.get('format_version')}")
-            params = EncoderParams(
-                w1=np.ascontiguousarray(data["w1"], dtype=np.float64),
-                b1=np.ascontiguousarray(data["b1"], dtype=np.float64),
-                w2=np.ascontiguousarray(data["w2"], dtype=np.float64),
-                b2=np.ascontiguousarray(data["b2"], dtype=np.float64),
-                dropout=float(meta["dropout"]),
-            )
-    except NPZ_READ_ERRORS as exc:
-        raise IoFailureError(
-            f"cannot read encoder checkpoint {path}: {exc}") from exc
-    return params, meta.get("config", {})
+    arrays, meta = load_npz(path, "encoder", _ENCODER_FORMAT,
+                            _ENCODER_SCHEMA, {"dropout": (int, float),
+                                              "config": dict})
+    return EncoderParams(**arrays, dropout=float(meta["dropout"])), \
+        meta["config"]

@@ -4,8 +4,6 @@ Every domain error derives from CaselineError so callers (and the CLI)
 can distinguish input/domain problems (exit 1) from usage mistakes.
 """
 
-import zipfile
-
 
 class CaselineError(Exception):
     """Base class for all domain errors."""
@@ -35,13 +33,6 @@ class InsufficientDataError(CaselineError):
 
 class IoFailureError(CaselineError):
     """Reading or writing an artifact failed."""
-
-
-# What np.load and its zip reader raise on a missing, truncated or
-# corrupt .npz (a flipped header bit can name an unknown compression);
-# the artifact loaders report each as IoFailureError.
-NPZ_READ_ERRORS = (OSError, EOFError, KeyError, ValueError,
-                   NotImplementedError, zipfile.BadZipFile)
 
 
 # -- summarizer client --
@@ -79,6 +70,12 @@ class DimensionMismatchError(CaselineError):
 
 class NonPositiveTemperatureError(CaselineError):
     """Contrastive temperature must be > 0."""
+
+
+# -- training --
+
+class NonFiniteError(CaselineError):
+    """A training batch produced a non-finite loss or activation."""
 
 
 # -- retrieval --

@@ -17,7 +17,6 @@ correction anchored to the plain prediction.
 from __future__ import annotations
 
 import copy
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -25,15 +24,15 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import load_npz, save_npz
 from .corpus import CaseRecord, LabelCatalog, SplitCorpus
 from .encoder import EncoderParams, _dropout_mask, encode
 from .errors import (
-    NPZ_READ_ERRORS,
     ConfigError,
     DegenerateRangeError,
     DimensionMismatchError,
-    IoFailureError,
     LabelLengthMismatchError,
+    NonFiniteError,
 )
 from .features import featurize
 from .metrics import MetricsReport, compute_report, micro_confusion, micro_f1
@@ -485,6 +484,10 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
                 params, mask)
             value, d_y_final, d_drift = _batch_loss(
                 y_final, drift, y_train[idx], lam)
+            if not math.isfinite(value):
+                raise NonFiniteError(
+                    f"supervised training: non-finite loss at epoch "
+                    f"{epoch} batch {batches}")
             total += value
             batches += 1
             for g in grads.values():
@@ -578,48 +581,35 @@ def prediction_record(case_id: str, pred: Prediction,
 
 
 _MODEL_FORMAT_VERSION = 1
+_MODEL_SCHEMA = {
+    "w": ("float", ("I", "L")), "b": ("float", ("L",)),
+    "drift_w1": ("float", ("T", "K")), "drift_b1": ("float", ("K",)),
+    "drift_w2": ("float", ("K", "L")), "drift_b2": ("float", ("L",)),
+    "adapter?": ("float", ("E", "E")),
+}
+_MODEL_META_SCHEMA = {"train_rank_range": list, "drift_frequencies": int,
+                      "retrieval_on": bool, "drift_on": bool,
+                      "config": dict}
 
 
 def save_model(params: ModelParams, path: str | Path) -> None:
     """Versioned checkpoint with both parameter groups, the flags, and
     the training-split rank range needed at inference."""
-    meta = {
-        "format_version": _MODEL_FORMAT_VERSION,
-        "kind": "model",
+    save_npz(path, "model", _MODEL_FORMAT_VERSION, params.all_arrays(), {
         "train_rank_range": list(params.train_rank_range),
         "drift_frequencies": params.drift_frequencies,
         "retrieval_on": params.retrieval_on,
         "drift_on": params.drift_on,
         "has_adapter": params.adapter is not None,
         "config": params.meta,
-    }
-    arrays = dict(params.all_arrays())
-    arrays["meta"] = np.frombuffer(
-        json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8).copy()
-    with open(path, "wb") as fh:  # a file keeps ".npz" off the path
-        np.savez(fh, **arrays)
+    })
 
 
 def load_model(path: str | Path) -> ModelParams:
-    try:
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
-            if meta.get("kind") != "model":
-                raise ConfigError(f"{path} is not a model checkpoint")
-            if meta["format_version"] != _MODEL_FORMAT_VERSION:
-                raise ConfigError(
-                    f"unsupported checkpoint version "
-                    f"{meta['format_version']}")
-            return ModelParams(
-                w=data["w"], b=data["b"],
-                drift_w1=data["drift_w1"], drift_b1=data["drift_b1"],
-                drift_w2=data["drift_w2"], drift_b2=data["drift_b2"],
-                train_rank_range=tuple(meta["train_rank_range"]),
-                drift_frequencies=meta["drift_frequencies"],
-                retrieval_on=meta["retrieval_on"],
-                drift_on=meta["drift_on"],
-                adapter=data["adapter"] if meta["has_adapter"] else None,
-                meta=meta.get("config", {}))
-    except NPZ_READ_ERRORS as exc:
-        raise IoFailureError(
-            f"cannot read model checkpoint {path}: {exc}") from exc
+    arrays, meta = load_npz(path, "model", _MODEL_FORMAT_VERSION,
+                            _MODEL_SCHEMA, _MODEL_META_SCHEMA)
+    return ModelParams(  # the adapter, if saved, is among the arrays
+        **arrays, train_rank_range=tuple(meta["train_rank_range"]),
+        drift_frequencies=meta["drift_frequencies"],
+        retrieval_on=meta["retrieval_on"], drift_on=meta["drift_on"],
+        meta=meta["config"])

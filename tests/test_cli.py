@@ -6,11 +6,16 @@ import contextlib
 import io
 import json
 import os
+import re
+import struct
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caseline import cli
 from caseline.config import load_run_config
@@ -307,7 +312,7 @@ def suffixless(tmp_path_factory):
     """In-process run whose artifact paths have no file suffix."""
     d = tmp_path_factory.mktemp("suffixless")
     p = {name: str(d / name) for name in (
-        "raw", "labels", "corpus", "enc", "emb", "idx", "model")}
+        "raw", "labels", "corpus", "enc", "emb", "idx", "model", "preds")}
     lab = ["--labels-file", p["labels"]]
     assert main_quiet("gen-drift", "--output", p["raw"], "--labels-output",
                       p["labels"], "--n", "160", "--vocab-size", "400") == 0
@@ -326,7 +331,69 @@ def suffixless(tmp_path_factory):
                       p["idx"], "--output", p["model"]) == 0
     assert main_quiet("evaluate", "--corpus", p["corpus"], "--index",
                       p["idx"], "--model", p["model"]) == 0
+    assert main_quiet("predict", "--corpus", p["corpus"], "--index",
+                      p["idx"], "--model", p["model"], "--output",
+                      p["preds"]) == 0
     return d, p
+
+
+def run_in_process(argv, labels) -> tuple[int, list[str]]:
+    """Exit code of ``cli.main`` and the non-blank lines of its stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--labels-file", labels, *SETS])
+    return code, [ln for ln in err.getvalue().splitlines() if ln.strip()]
+
+
+def consumers(p: dict, bad: str, artifact: str, out: str) -> list[list[str]]:
+    """The subcommands that read ``artifact``, with ``bad`` in its place."""
+    corpus = ["--corpus", p["corpus"]]
+    return {
+        "labels": [["ingest", "--input", p["raw"], "--output", out]],
+        "corpus": [["evaluate", "--corpus", bad,
+                    "--predictions", p["preds"]]],
+        "enc": [["embed", *corpus, "--encoder", bad, "--output", out]],
+        "emb": [["index", *corpus, "--embeddings", bad,
+                 "--output", out]],
+        "idx": [["train", *corpus, "--index", bad, "--output", out],
+                ["predict", *corpus, "--index", bad,
+                 "--model", p["model"], "--output", out],
+                ["evaluate", *corpus, "--index", bad,
+                 "--model", p["model"]]],
+        "model": [["predict", *corpus, "--index", p["idx"],
+                   "--model", bad, "--output", out],
+                  ["evaluate", *corpus, "--index", p["idx"],
+                   "--model", bad]],
+        "preds": [["evaluate", *corpus, "--predictions", bad]],
+    }[artifact]
+
+
+def edit_npz(src: str, dst: str, damage: str) -> None:
+    """Rewrite a checkpoint with one fault: ``version`` sets the meta
+    record's format version to 99; ``NAME:HOW`` changes array NAME."""
+    with np.load(src) as data:
+        arrays = dict(data)
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    name, _, how = damage.partition(":")
+    if damage == "version":
+        meta["format_version"] = 99
+    elif how == "flatten":
+        arrays[name] = arrays[name].ravel()
+    elif how == "short":
+        arrays[name] = arrays[name][:-1]
+    elif how == "transpose":
+        arrays[name] = arrays[name].T
+    elif how == "nan":
+        arrays[name].flat[arrays[name].size // 2] = np.nan
+    elif how == "two":
+        arrays[name].flat[0] = 2
+    elif how == "drop-column":
+        arrays[name] = arrays[name][:, :-1]
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(),
+                                   dtype=np.uint8)
+    with open(dst, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 class TestArtifactFiles:
@@ -334,17 +401,25 @@ class TestArtifactFiles:
         d, p = suffixless
         assert sorted(f.name for f in d.iterdir()
                       if not f.name.endswith(".meta.json")) \
-            == ["corpus", "emb", "enc", "idx", "labels", "model", "raw"]
+            == ["corpus", "emb", "enc", "idx", "labels", "model", "preds",
+                "raw"]
         assert p["train_encoder_stdout"].strip().endswith(f"-> {p['enc']}")
 
     @pytest.mark.parametrize("artifact, damage", [
         ("enc", "truncate"), ("enc", "zero-middle"),
-        ("emb", "truncate"), ("emb", "inflate-count"),
+        ("enc", "w2:flatten"), ("enc", "b1:short"), ("enc", "w1:nan"),
+        ("enc", "version"), ("enc", "model-file"),
+        ("emb", "truncate"), ("emb", "inflate-count"), ("emb", "row-nan"),
         ("idx", "truncate"), ("idx", "zero-middle"), ("idx", "version"),
+        ("idx", "matrix:nan"), ("idx", "labels:two"),
+        ("idx", "labels:drop-column"),
         ("model", "truncate"), ("model", "zero-middle"),
+        ("model", "w:flatten"), ("model", "b:short"),
+        ("model", "drift_w2:transpose"), ("model", "w:nan"),
+        ("model", "version"),
     ])
     def test_damaged_artifact_exits_1_with_one_json_line(
-            self, suffixless, tmp_path, capsys, artifact, damage):
+            self, suffixless, tmp_path, artifact, damage):
         _, p = suffixless
         raw = bytearray(open(p[artifact], "rb").read())
         bad = str(tmp_path / "damaged")
@@ -356,40 +431,60 @@ class TestArtifactFiles:
         elif damage == "inflate-count":
             # the store's row count, a u64 after magic, version, dtype
             raw[16:24] = (10 ** 9).to_bytes(8, "little")
-        if damage == "version":
-            with np.load(p[artifact]) as data:
-                arrays = dict(data)
-            meta = json.loads(bytes(arrays["meta"]).decode())
-            meta["format_version"] = 99
-            arrays["meta"] = np.frombuffer(json.dumps(meta).encode(),
-                                           dtype=np.uint8)
-            with open(bad, "wb") as fh:
-                np.savez(fh, **arrays)
+        elif damage == "row-nan":
+            # the first float of the matrix, after the 32-byte header
+            raw[32:40] = struct.pack("<d", float("nan"))
+        elif damage == "model-file":
+            raw = bytearray(open(p["model"], "rb").read())
+        if damage == "version" or ":" in damage:
+            edit_npz(p[artifact], bad, damage)
         else:
             (tmp_path / "damaged").write_bytes(bytes(raw))
-        out = str(tmp_path / "out")
-        corpus = ["--corpus", p["corpus"]]
-        runs = {
-            "enc": [["embed", *corpus, "--encoder", bad, "--output", out]],
-            "emb": [["index", *corpus, "--embeddings", bad,
-                     "--output", out]],
-            "idx": [["train", *corpus, "--index", bad, "--output", out],
-                    ["predict", *corpus, "--index", bad,
-                     "--model", p["model"], "--output", out],
-                    ["evaluate", *corpus, "--index", bad,
-                     "--model", p["model"]]],
-            "model": [["predict", *corpus, "--index", p["idx"],
-                       "--model", bad, "--output", out],
-                      ["evaluate", *corpus, "--index", p["idx"],
-                       "--model", bad]],
-        }[artifact]
-        for argv in runs:
-            capsys.readouterr()
-            code = cli.main([*argv, "--labels-file", p["labels"], *SETS])
-            lines = [ln for ln in capsys.readouterr().err.splitlines()
-                     if ln.strip()]
+        for argv in consumers(p, bad, artifact, str(tmp_path / "out")):
+            code, lines = run_in_process(argv, p["labels"])
             assert code == 1, argv[0]
             assert len(lines) == 1, argv[0]
             assert json.loads(lines[0])["error"] \
-                == ("ConfigError" if damage == "version"
-                    else "IoFailureError")
+                == ("ConfigError" if damage in ("version", "model-file")
+                    else "IoFailureError"), lines[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("artifact", [
+        "labels", "corpus", "enc", "emb", "idx", "model", "preds"])
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_truncated_or_flipped_artifact_never_escapes(
+            self, suffixless, artifact, data):
+        _, p = suffixless
+        raw = bytearray(open(p[artifact], "rb").read())
+        offset = data.draw(st.integers(0, len(raw) - 1), label="offset")
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[:offset]
+        else:
+            raw[offset] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = os.path.join(tmp, "damaged")
+            with open(bad, "wb") as fh:
+                fh.write(raw)
+            for argv in consumers(p, bad, artifact,
+                                  os.path.join(tmp, "out")):
+                code, lines = run_in_process(argv, p["labels"])
+                assert code in (0, 1), argv[0]
+                if code == 1:
+                    assert len(lines) == 1, lines
+                    assert set(json.loads(lines[0])) \
+                        == {"error", "message"}
+
+    def test_non_finite_training_exits_1(self, suffixless, tmp_path):
+        _, p = suffixless
+        code, lines = run_in_process(
+            ["train", "--corpus", p["corpus"], "--index", p["idx"],
+             "--output", str(tmp_path / "model"),
+             "--set", "train.classifier_lr=1e300",
+             "--set", "train.weight_decay=1e300"], p["labels"])
+        assert code == 1
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "NonFiniteError"
+        assert re.search(r"loss at epoch \d+ batch \d+", error["message"])
+        assert not (tmp_path / "model").exists()

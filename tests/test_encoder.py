@@ -23,6 +23,7 @@ from caseline.encoder import (
 )
 from caseline.errors import (
     DimensionMismatchError,
+    NonFiniteError,
     NonPositiveTemperatureError,
 )
 from caseline.features import SparseFeatures, featurize, tokenize
@@ -167,6 +168,15 @@ class TestTraining:
         b = train_encoder(corpus.cases, SMALL_CFG)
         for key, arr in a.arrays().items():
             np.testing.assert_array_equal(arr, b.arrays()[key])
+
+    def test_non_finite_views_name_epoch_and_batch(self, cluster_corpus):
+        corpus, _ = cluster_corpus
+        cfg = ContrastiveConfig(hash_dim=1024, hidden_dim=16, out_dim=8,
+                                epochs=2, learning_rate=1e300,
+                                batch_size=4, seed=11)
+        with pytest.raises(NonFiniteError,
+                           match=r"views at epoch 0 batch 1\b"):
+            train_encoder(corpus.cases, cfg)
 
     def test_loss_not_increasing_over_epochs(self, cluster_corpus):
         """Final-epoch mean loss at or below first-epoch mean loss,
