@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .artifacts import canonical_json
 from .corpus import LabelCatalog, SplitCorpus, chronological_split
 from .encoder import ContrastiveConfig, train_encoder, embed_corpus
 from .errors import ConfigError
@@ -161,8 +162,7 @@ class AblationResult:
                      for name, seed, report in self.rows],
             "summary": self.summary(),
         }
-        return json.dumps(payload, sort_keys=True,
-                          separators=(",", ":"))
+        return canonical_json(payload)
 
     def to_text(self) -> str:
         return format_report_table(

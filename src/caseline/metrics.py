@@ -17,6 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .artifacts import canonical_json
 from .errors import LengthMismatchError, NoPositivesError, SingleClassError
 
 __all__ = [
@@ -169,12 +170,9 @@ class MetricsReport:
 
     def to_json(self) -> str:
         """Canonical single-line JSON (stable key order, no spaces)."""
-        return json.dumps(
-            {k: getattr(self, k) for k in (
-                "micro_f1", "micro_jaccard", "micro_pr_auc",
-                "micro_roc_auc", "tp", "fp", "fn", "tn",
-                "n_cases", "seed")},
-            sort_keys=True, separators=(",", ":"))
+        return canonical_json({k: getattr(self, k) for k in (
+            "micro_f1", "micro_jaccard", "micro_pr_auc", "micro_roc_auc",
+            "tp", "fp", "fn", "tn", "n_cases", "seed")})
 
     @classmethod
     def from_json(cls, text: str) -> "MetricsReport":
