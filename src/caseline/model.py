@@ -31,6 +31,7 @@ from .errors import (
     ConfigError,
     DegenerateRangeError,
     DimensionMismatchError,
+    IoFailureError,
     LabelLengthMismatchError,
     NonFiniteError,
 )
@@ -589,7 +590,7 @@ _MODEL_SCHEMA = {
 }
 _MODEL_META_SCHEMA = {"train_rank_range": list, "drift_frequencies": int,
                       "retrieval_on": bool, "drift_on": bool,
-                      "config": dict}
+                      "has_adapter": bool, "config": dict}
 
 
 def save_model(params: ModelParams, path: str | Path) -> None:
@@ -608,7 +609,10 @@ def save_model(params: ModelParams, path: str | Path) -> None:
 def load_model(path: str | Path) -> ModelParams:
     arrays, meta = load_npz(path, "model", _MODEL_FORMAT_VERSION,
                             _MODEL_SCHEMA, _MODEL_META_SCHEMA)
-    return ModelParams(  # the adapter, if saved, is among the arrays
+    if meta["has_adapter"] != ("adapter" in arrays):
+        raise IoFailureError(f"model checkpoint {path}: has_adapter is "
+                             f"{meta['has_adapter']} but the arrays differ")
+    return ModelParams(
         **arrays, train_rank_range=tuple(meta["train_rank_range"]),
         drift_frequencies=meta["drift_frequencies"],
         retrieval_on=meta["retrieval_on"], drift_on=meta["drift_on"],

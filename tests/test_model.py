@@ -11,6 +11,7 @@ from caseline.corpus import Corpus, LabelCatalog, chronological_split
 from caseline.errors import (
     ConfigError,
     DegenerateRangeError,
+    IoFailureError,
     LabelLengthMismatchError,
 )
 from caseline.metrics import micro_confusion, micro_f1
@@ -654,6 +655,23 @@ class TestCheckpoint:
         assert loaded.train_rank_range == params.train_rank_range
         assert loaded.retrieval_on == params.retrieval_on
         assert loaded.drift_on == params.drift_on
+
+    def test_adapter_round_trip_and_flag_check(self, rng, tmp_path):
+        _, catalog, splits, store = _toy_setup(rng)
+        params = train(splits, store, catalog, RETR,
+                       TrainConfig(max_epochs=1, seed=8,
+                                   finetune_encoder=True))
+        path = tmp_path / "model.npz"
+        save_model(params, path)
+        np.testing.assert_array_equal(load_model(path).adapter,
+                                      params.adapter)
+        with np.load(path) as data:  # drop the adapter, keep the flag
+            arrays = dict(data)
+        del arrays["adapter"]
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(IoFailureError, match="has_adapter"):
+            load_model(path)
 
     def test_loaded_model_predicts_identically(self, rng, tmp_path):
         corpus, catalog, splits, store = _toy_setup(rng)
