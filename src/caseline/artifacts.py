@@ -122,10 +122,11 @@ def load_npz(path: str | Path, kind: str, version: int,
                                  f"{key!r} is {meta.get(key)!r}")
     sizes: dict[str, int] = {}
     for name, (dtype, dims) in schema.items():
-        arr = arrays.get(name.rstrip("?"))
+        name = name.rstrip("?")
+        arr = arrays.get(name)
         if arr is None:
             continue
-        what = f"{kind} checkpoint {path}: array {name.rstrip('?')!r}"
+        what = f"{kind} checkpoint {path}: array {name!r}"
         if arr.ndim != len(dims) or any(
                 sizes.setdefault(d, n) != n for d, n in zip(dims, arr.shape)):
             raise IoFailureError(f"{what} has shape {arr.shape}, expected "

@@ -2,6 +2,7 @@
 and the rule that no other module writes files or reads .npz itself."""
 from __future__ import annotations
 
+import functools
 import os
 import re
 from pathlib import Path
@@ -111,7 +112,7 @@ class TestAtomicWrite:
                 hash_dim=64, hidden_dim=4, out_dim=4))
             save_encoder(params, path)
             monkeypatch.setattr(np, "savez", _failing_savez)
-            save = lambda: save_encoder(params, path)  # noqa: E731
+            save = functools.partial(save_encoder, params, path)
         else:
             tiny_corpus.save_jsonl(path)
             calls = []
@@ -123,7 +124,7 @@ class TestAtomicWrite:
                 return "{}"
             monkeypatch.setattr("caseline.corpus.serialize_case_record",
                                 fail_on_third)
-            save = lambda: tiny_corpus.save_jsonl(path)  # noqa: E731
+            save = functools.partial(tiny_corpus.save_jsonl, path)
         before = path.read_bytes()
         with pytest.raises(IoFailureError, match="No space left"):
             save()
