@@ -23,6 +23,7 @@ from . import kernels
 from .artifacts import load_npz, save_npz
 from .corpus import CaseRecord, Corpus
 from .errors import (
+    ConfigError,
     DimensionMismatchError,
     NonFiniteError,
     NonPositiveTemperatureError,
@@ -89,11 +90,18 @@ class ContrastiveConfig:
             raise NonPositiveTemperatureError(
                 f"temperature must be > 0, got {self.temperature}")
         if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2 for in-batch negatives")
+            raise ConfigError(
+                f"batch_size must be >= 2 for in-batch negatives, got "
+                f"{self.batch_size}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
-        if self.epochs < 0 or self.learning_rate <= 0:
-            raise ValueError("epochs must be >= 0 and learning_rate > 0")
+            raise ConfigError(
+                f"dropout must be in [0, 1), got {self.dropout}")
+        if self.epochs < 0 or not self.learning_rate > 0:
+            raise ConfigError("epochs must be >= 0 and learning_rate > 0")
+        for name in ("hash_dim", "hidden_dim", "out_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def init_encoder_params(cfg: ContrastiveConfig) -> EncoderParams:

@@ -612,8 +612,22 @@ def load_model(path: str | Path) -> ModelParams:
     if meta["has_adapter"] != ("adapter" in arrays):
         raise IoFailureError(f"model checkpoint {path}: has_adapter is "
                              f"{meta['has_adapter']} but the arrays differ")
-    return ModelParams(
-        **arrays, train_rank_range=tuple(meta["train_rank_range"]),
+    rank_range = meta["train_rank_range"]
+    if not (len(rank_range) == 2
+            and all(type(r) is int for r in rank_range)
+            and rank_range[0] < rank_range[1]):
+        raise IoFailureError(
+            f"model checkpoint {path}: train_rank_range {rank_range!r} "
+            "is not two integers lo < hi")
+    params = ModelParams(
+        **arrays, train_rank_range=tuple(rank_range),
         drift_frequencies=meta["drift_frequencies"],
         retrieval_on=meta["retrieval_on"], drift_on=meta["drift_on"],
         meta=meta["config"])
+    if params.adapter is not None \
+            and params.adapter.shape[0] != params.embed_dim:
+        raise IoFailureError(
+            f"model checkpoint {path}: adapter is "
+            f"{params.adapter.shape[0]}x{params.adapter.shape[1]} but the "
+            f"classifier takes {params.embed_dim}-dim embeddings")
+    return params

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     NegativeGapError,
+    NonFiniteError,
     RankOutOfRangeError,
     StoreMisalignedError,
 )
@@ -116,12 +117,37 @@ def _scored_pool(query_rank: int, query_embedding: np.ndarray,
     if q.shape[0] != store.dim:
         raise StoreMisalignedError(
             f"query dim {q.shape[0]} != store dim {store.dim}")
+    if not np.isfinite(q).all():
+        raise NonFiniteError(
+            f"query at rank {query_rank} has a non-finite embedding")
     cosines = store.matrix[:pool_end] @ q
     gaps = np.arange(pool_end, 0, -1, dtype=np.float64) \
         if pool_end else np.empty(0)
     # Same expression as decayed_similarity, vectorized.
     scores = cosines / (1.0 + gaps / (cfg.alpha * cfg.val_size))
     return pool_end, cosines, gaps, scores
+
+
+def _top_k(scores: np.ndarray, gaps: np.ndarray, id_order: np.ndarray,
+           k: int) -> np.ndarray:
+    """Positions of the best ``k`` candidates, best first, in the exact
+    order of descending score, then ascending gap, then ascending
+    case_id (``id_order`` holds each candidate's place in case_id order).
+
+    A partial partition finds the k-th best score, and only the
+    candidates scoring at least that much are sorted.  Ties at the k-th
+    score are all kept, so the result equals the first k of a full sort.
+    """
+    if k < 1:
+        return np.empty(0, dtype=np.intp)
+    if k < len(scores):
+        kth = scores[np.argpartition(-scores, k - 1)[k - 1]]
+        keep = np.flatnonzero(scores >= kth)
+    else:
+        keep = np.arange(len(scores))
+    # lexsort sorts by the last key first.
+    order = np.lexsort((id_order[keep], gaps[keep], -scores[keep]))
+    return keep[order[:k]]
 
 
 def retrieve_precedents(query_rank: int, query_embedding: np.ndarray,
@@ -135,7 +161,8 @@ def retrieve_precedents(query_rank: int, query_embedding: np.ndarray,
     ``labels`` holds one label vector per store row, aligned by rank.
     ``candidate_limit``, when given, additionally caps the pool at
     ranks below that bound.  Ties on score prefer the smaller rank
-    gap, then the lexicographically smaller case_id.
+    gap, then the lexicographically smaller case_id.  A non-finite
+    query embedding is a NonFiniteError.
     """
     labels = np.asarray(labels)
     if labels.shape[0] != len(store.case_ids):
@@ -144,16 +171,10 @@ def retrieve_precedents(query_rank: int, query_embedding: np.ndarray,
             "store rows")
     pool_end, _, gaps, scores = _scored_pool(
         query_rank, query_embedding, store, cfg, candidate_limit)
-    if pool_end == 0:
-        return EvidenceSet(query_case_id, ())
-    ids = np.asarray(store.case_ids[:pool_end])
-    # lexsort sorts by the last key first: descending score, then
-    # ascending gap, then ascending case_id.
-    order = np.lexsort((ids, gaps, -scores))[:cfg.k]
     entries = tuple(
-        Evidence(case_id=str(ids[i]), rank=int(i),
+        Evidence(case_id=store.case_ids[i], rank=int(i),
                  score=float(scores[i]), labels=labels[i])
-        for i in order)
+        for i in _top_k(scores, gaps, store.id_order[:pool_end], cfg.k))
     return EvidenceSet(query_case_id, entries)
 
 
@@ -182,13 +203,10 @@ def debug_table(query_rank: int, query_embedding: np.ndarray,
     out.write(f"query rank {query_rank}: {pool_end} candidate(s)\n")
     out.write(f"{'case_id':<24}{'cosine':>10}{'gap':>8}"
               f"{'score':>10}  labels\n")
-    if pool_end:
-        order = np.lexsort((np.asarray(store.case_ids[:pool_end]),
-                            gaps, -scores))[:top]
-        for i in order:
-            out.write(f"{store.case_ids[i]:<24}{cosines[i]:>10.4f}"
-                      f"{int(gaps[i]):>8}{scores[i]:>10.4f}"
-                      f"  {label_text(labels[i])}\n")
+    for i in _top_k(scores, gaps, store.id_order[:pool_end], top):
+        out.write(f"{store.case_ids[i]:<24}{cosines[i]:>10.4f}"
+                  f"{int(gaps[i]):>8}{scores[i]:>10.4f}"
+                  f"  {label_text(labels[i])}\n")
     n = len(store.case_ids)
     q = np.asarray(query_embedding, dtype=np.float64).reshape(-1)
     for i in range(query_rank, min(query_rank + include_future, n)):

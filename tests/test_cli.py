@@ -338,11 +338,13 @@ def suffixless(tmp_path_factory):
 
 
 def run_in_process(argv, labels) -> tuple[int, list[str]]:
-    """Exit code of ``cli.main`` and the non-blank lines of its stderr."""
+    """Exit code of ``cli.main`` and the non-blank lines of its stderr.
+    A ``--set`` in ``argv`` wins over the same key in ``SETS``."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
-        code = cli.main([*argv, "--labels-file", labels, *SETS])
+        code = cli.main([argv[0], *SETS, *argv[1:], "--labels-file",
+                         labels])
     return code, [ln for ln in err.getvalue().splitlines() if ln.strip()]
 
 
@@ -371,13 +373,20 @@ def consumers(p: dict, bad: str, artifact: str, out: str) -> list[list[str]]:
 
 def edit_npz(src: str, dst: str, damage: str) -> None:
     """Rewrite a checkpoint with one fault: ``version`` sets the meta
-    record's format version to 99; ``NAME:HOW`` changes array NAME."""
+    record's format version to 99; ``meta:KEY=JSON`` sets a meta field;
+    ``NAME:HOW`` changes array NAME."""
     with np.load(src) as data:
         arrays = dict(data)
     meta = json.loads(bytes(arrays["meta"]).decode())
     name, _, how = damage.partition(":")
     if damage == "version":
         meta["format_version"] = 99
+    elif name == "meta":
+        key, _, value = how.partition("=")
+        meta[key] = json.loads(value)
+    elif how == "oversize":
+        arrays[name] = np.eye(arrays["w"].shape[0])
+        meta[f"has_{name}"] = True
     elif how == "flatten":
         arrays[name] = arrays[name].ravel()
     elif how == "short":
@@ -416,7 +425,13 @@ class TestArtifactFiles:
         ("model", "truncate"), ("model", "zero-middle"),
         ("model", "w:flatten"), ("model", "b:short"),
         ("model", "drift_w2:transpose"), ("model", "w:nan"),
-        ("model", "version"),
+        ("model", "version"), ("model", "adapter:oversize"),
+        ("model", "meta:train_rank_range=[5]"),
+        ("model", "meta:train_rank_range=[9, 3]"),
+        ("model", "meta:train_rank_range=[4, 4]"),
+        ("model", "meta:train_rank_range=[0.5, 200]"),
+        ("model", "meta:train_rank_range=[false, 200]"),
+        ("model", "meta:train_rank_range=[0, 100, 200]"),
     ])
     def test_damaged_artifact_exits_1_with_one_json_line(
             self, suffixless, tmp_path, artifact, damage):
@@ -474,6 +489,25 @@ class TestArtifactFiles:
                     assert len(lines) == 1, lines
                     assert set(json.loads(lines[0])) \
                         == {"error", "message"}
+
+    @pytest.mark.parametrize("override", [
+        "encoder.batch_size=1", "encoder.dropout=1.0",
+        "encoder.learning_rate=0", "encoder.epochs=-1",
+        "encoder.hash_dim=0", "encoder.hidden_dim=0", "encoder.out_dim=0",
+    ])
+    def test_bad_encoder_setting_exits_1_with_one_json_line(
+            self, suffixless, tmp_path, override):
+        _, p = suffixless
+        code, lines = run_in_process(
+            ["train-encoder", "--corpus", p["corpus"],
+             "--output", str(tmp_path / "enc"), "--set", override],
+            p["labels"])
+        assert code == 1
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "ConfigError"
+        assert override.split(".")[1].split("=")[0] in error["message"]
+        assert not (tmp_path / "enc").exists()
 
     def test_non_finite_training_exits_1(self, suffixless, tmp_path):
         _, p = suffixless

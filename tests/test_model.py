@@ -2,6 +2,7 @@
 and the supervised training loop."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from caseline.errors import (
     DegenerateRangeError,
     IoFailureError,
     LabelLengthMismatchError,
+    NonFiniteError,
 )
 from caseline.metrics import micro_confusion, micro_f1
 from caseline.model import (
@@ -627,6 +629,23 @@ class TestPredict:
                                    want.probabilities[0], atol=1e-12)
         assert ev.query_case_id == corpus[last].case_id
         assert [e.case_id for e in ev] == [e.case_id for e in want_ev[0]]
+
+    def test_non_finite_encoding_is_reported(self, drift_setup):
+        """Finite but huge encoder weights overflow to a NaN vector;
+        retrieval reports it instead of scoring it."""
+        corpus, catalog = drift_setup["corpus"], drift_setup["catalog"]
+        store, enc = drift_setup["store"], drift_setup["enc"]
+        labels = corpus.label_matrix(catalog).astype(float)
+        last = len(corpus) - 1
+        head = EmbeddingStore(store.case_ids[:last], store.matrix[:last])
+        params = _random_params(np.random.default_rng(3), store.dim,
+                                len(catalog), rank_range=(0, 159))
+        huge = dataclasses.replace(enc, w1=enc.w1 * 1e300,
+                                   w2=enc.w2 * 1e300)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteError, match=f"rank {last}"):
+            predict_with_evidence(corpus[last], last, params, head,
+                                  labels[:last], RETR, encoder=huge)
 
     def test_prediction_record_shape(self, trained):
         corpus, catalog, _, store, params, labels = trained

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from caseline.errors import (
     ConfigError,
     NegativeGapError,
+    NonFiniteError,
     RankOutOfRangeError,
 )
 from caseline.retrieval import (
@@ -170,6 +171,18 @@ class TestRetrieve:
         # equal scores and distinct gaps: recency wins before the id
         assert [e.rank for e in ev] == [3, 2, 1, 0]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("rank", [0, 5])
+    def test_non_finite_query_rejected(self, rng, bad, rank):
+        store = _random_store(rng, 10)
+        labels = np.zeros((10, 2))
+        query = store.matrix[rank].copy()
+        query[3] = bad
+        with pytest.raises(NonFiniteError, match=f"rank {rank}"):
+            retrieve_precedents(rank, query, store, labels, CFG)
+        with pytest.raises(NonFiniteError):
+            debug_table(rank, query, store, labels, CFG)
+
     def test_rank_out_of_range(self, rng):
         store = _random_store(rng, 5)
         labels = np.zeros((5, 2))
@@ -197,6 +210,50 @@ class TestRetrieve:
             got_scores = sorted((e.score for e in ev), reverse=True)
             np.testing.assert_allclose(got_scores, want_scores, atol=1e-6)
             assert got_ranks == set(int(w) for w in want)
+
+
+class TestTopKAcrossTies:
+    """Partial top-k selection against the plain sort in ``_brute_force``
+    on stores where many scores tie exactly at the k-th position."""
+
+    @staticmethod
+    def _tied_store(rng, n=60):
+        # A few distinct small-integer rows: every dot product is exact,
+        # so duplicated rows get bit-equal cosines in any summation
+        # order.  Shuffled ids make case_id order differ from rank order.
+        base = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0],
+                         [0, 0, 1, -1], [-1, 0, 1, 0], [0, 0, 0, 0]],
+                        dtype=float)
+        matrix = base[rng.integers(0, len(base), size=n)]
+        ids = [f"t{p:03d}" for p in rng.permutation(n)]
+        return EmbeddingStore(ids, matrix)
+
+    # alpha=2: ties where the cosine is 0.  alpha=1e18: the decay
+    # factor rounds to 1.0, so every duplicated row ties.
+    @pytest.mark.parametrize("alpha", [2.0, 1e18])
+    def test_matches_plain_sort(self, rng, alpha):
+        store = self._tied_store(rng)
+        labels = rng.integers(0, 2, size=(len(store), 3)).astype(float)
+        straddled = 0
+        for q in (1, 2, 17, 40, 59):
+            query = store.matrix[q]
+            full = _brute_force(q, query, store, labels,
+                                RetrievalConfig(k=q, alpha=alpha,
+                                                val_size=1))
+            # plus a k whose k-th score is the first zero score
+            first_zero = 1 + sum(w[0] > 0 for w in full)
+            for k in sorted({1, 5, q - 1, q, q + 3, first_zero} - {0}):
+                cfg = RetrievalConfig(k=k, alpha=alpha, val_size=1)
+                want = full[:k]
+                got = retrieve_precedents(q, query, store, labels, cfg)
+                assert [(e.score, e.case_id, e.rank) for e in got] \
+                    == [(w[0], w[2], w[3]) for w in want]
+                table = debug_table(q, query, store, labels, cfg, top=k)
+                assert [row.split()[0]
+                        for row in table.splitlines()[2:]] \
+                    == [w[2] for w in want]
+                straddled += k < q and full[k - 1][0] == full[k][0]
+        assert straddled >= 3, "no tie straddles the k-th position"
 
 
 class TestEvidenceTypes:
