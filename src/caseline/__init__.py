@@ -25,7 +25,6 @@ from .corpus import (
 )
 from .encoder import (
     ContrastiveConfig,
-    Embedding,
     EncoderParams,
     embed_corpus,
     encode,
@@ -74,9 +73,8 @@ __all__ = [
     "CaseRecord", "Corpus", "LabelCatalog", "SplitCorpus",
     "chronological_split", "decode_labels", "encode_labels",
     "load_corpus", "parse_case_record", "serialize_case_record",
-    "ContrastiveConfig", "Embedding", "EncoderParams", "embed_corpus",
-    "encode", "info_nce_loss", "load_encoder", "save_encoder",
-    "train_encoder",
+    "ContrastiveConfig", "EncoderParams", "embed_corpus", "encode",
+    "info_nce_loss", "load_encoder", "save_encoder", "train_encoder",
     "CaselineError",
     "SparseFeatures", "featurize", "tokenize",
     "MetricsReport", "compute_report", "micro_confusion", "micro_f1",

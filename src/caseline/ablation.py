@@ -72,12 +72,9 @@ LAM_GRID: tuple[float, ...] = (0.0, 0.05, 0.10, 0.25, 0.5)
 
 @dataclass(frozen=True)
 class AblationSpec:
-    """The experiment matrix: cells to run plus the standard grids."""
+    """The experiment matrix: the cells to run."""
 
     cells: tuple[AblationCell, ...]
-    k_grid: tuple[int, ...] = K_GRID
-    alpha_grid: tuple[float, ...] = ALPHA_GRID
-    lam_grid: tuple[float, ...] = LAM_GRID
 
     def __post_init__(self) -> None:
         if not self.cells:
@@ -96,21 +93,19 @@ class AblationSpec:
     @classmethod
     def k_sweep(cls, grid: tuple[int, ...] = K_GRID) -> "AblationSpec":
         return cls(cells=tuple(
-            AblationCell(f"k={k}", k=k) for k in grid), k_grid=grid)
+            AblationCell(f"k={k}", k=k) for k in grid))
 
     @classmethod
     def alpha_sweep(cls, grid: tuple[float, ...] = ALPHA_GRID
                     ) -> "AblationSpec":
         return cls(cells=tuple(
-            AblationCell(f"alpha={a:g}", alpha=a) for a in grid),
-            alpha_grid=grid)
+            AblationCell(f"alpha={a:g}", alpha=a) for a in grid))
 
     @classmethod
     def lam_sweep(cls, grid: tuple[float, ...] = LAM_GRID
                   ) -> "AblationSpec":
         return cls(cells=tuple(
-            AblationCell(f"lambda={v:g}", lam=v) for v in grid),
-            lam_grid=grid)
+            AblationCell(f"lambda={v:g}", lam=v) for v in grid))
 
 
 @dataclass(frozen=True)

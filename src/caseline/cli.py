@@ -4,8 +4,10 @@ One subcommand per stage, so the expensive stages (encoder training,
 corpus embedding) produce on-disk artifacts that later stages and
 repeated experiments reuse.  Artifacts never mutate their inputs, and
 every produced artifact embeds the configuration hash and the version
-of the producing stage.  Errors print a single machine-parseable JSON
-line on stderr: usage errors exit 2, domain errors exit 1.
+of the producing stage.  The run configuration is loaded and checked
+once, before a subcommand starts.  Errors print a single
+machine-parseable JSON line on stderr: usage errors exit 2, domain
+errors exit 1.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ __all__ = ["main"]
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
     overrides = list(args.set or [])
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides.append(f"seed={args.seed}")
     return load_run_config(args.config, overrides)
 
@@ -120,7 +122,7 @@ def _indexed_splits(args: argparse.Namespace, cfg: RunConfig
 
 # ----------------------------------------------------------- subcommands
 
-def cmd_ingest(args: argparse.Namespace) -> int:
+def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
     catalog = _catalog_from(args)
     corpus = load_corpus(args.input, catalog)
     corpus.save_jsonl(args.output)
@@ -128,8 +130,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_summarize(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
+def cmd_summarize(args: argparse.Namespace, cfg: RunConfig) -> int:
     catalog = _catalog_from(args)
     corpus = load_corpus(args.input, catalog)
     summarized = summarize_corpus(corpus, cfg.summarizer_config())
@@ -138,8 +139,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_train_encoder(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
+def cmd_train_encoder(args: argparse.Namespace, cfg: RunConfig) -> int:
     catalog = _catalog_from(args)
     corpus = load_corpus(args.corpus, catalog)
     splits = chronological_split(corpus, *cfg.split_sizes(len(corpus)))
@@ -151,8 +151,7 @@ def cmd_train_encoder(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_embed(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
+def cmd_embed(args: argparse.Namespace, cfg: RunConfig) -> int:
     catalog = _catalog_from(args)
     corpus = load_corpus(args.corpus, catalog)
     enc, _ = load_encoder(args.encoder)
@@ -164,8 +163,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_index(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
+def cmd_index(args: argparse.Namespace, cfg: RunConfig) -> int:
     catalog = _catalog_from(args)
     corpus = load_corpus(args.corpus, catalog)
     store = EmbeddingStore.load(args.embeddings)
@@ -176,8 +174,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
+def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     store, catalog, splits = _indexed_splits(args, cfg)
     params = train(splits, store, catalog, cfg.retrieval_config(),
                    cfg.train_config())
@@ -188,8 +185,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
+def cmd_predict(args: argparse.Namespace, cfg: RunConfig) -> int:
     store, catalog, splits = _indexed_splits(args, cfg)
     corpus = splits.corpus
     params = load_model(args.model)
@@ -246,8 +242,7 @@ def _report_from_predictions(args: argparse.Namespace, cfg: RunConfig
     return compute_report(probs, decisions, truth, seed=cfg.get("seed"))
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
+def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.predictions:
         report = _report_from_predictions(args, cfg)
     else:
@@ -268,8 +263,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_ablate(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
+def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> int:
     catalog = _catalog_from(args)
     corpus = load_corpus(args.corpus, catalog)
     splits = chronological_split(corpus, *cfg.split_sizes(len(corpus)))
@@ -294,8 +288,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gen_drift(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
+def cmd_gen_drift(args: argparse.Namespace, cfg: RunConfig) -> int:
     corpus_cfg = DriftCorpusConfig(
         n_cases=args.n, n_labels=args.n_labels,
         vocab_size=args.vocab_size, rotation_rate=args.rotation,
@@ -426,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
     try:
-        return args.func(args)
+        return args.func(args, _config_from(args))
     except CaselineError as exc:
         print(json.dumps({"error": type(exc).__name__,
                           "message": str(exc)}), file=sys.stderr)

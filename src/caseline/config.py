@@ -2,63 +2,63 @@
 
 One text file (or nothing but defaults) drives every pipeline stage.
 The format is deliberately diff-friendly: one ``key = value`` per
-line, ``#`` comments, no nesting.  Every key is validated against a
-typed schema before any work starts, and the canonical rendering of
-the effective configuration is hashed so artifacts can assert they
-were produced under the same settings.
+line, ``#`` comments, no nesting.  Each key's type and default are
+those of its stage dataclass field (``encoder.*`` is
+``ContrastiveConfig``, ``retrieval.*`` ``RetrievalConfig``,
+``train.*`` ``TrainConfig``, ``summarizer.*`` ``SummarizerConfig``).
+Loading checks the whole configuration, except the summarizer section,
+so every subcommand rejects a bad key or value before it does any
+work; only ``summarize`` needs the summarizer's endpoint.  The
+canonical rendering of the effective configuration is hashed so
+artifacts can assert they were produced under the same settings.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import re
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .encoder import ContrastiveConfig
-from .errors import ConfigError, IoFailureError
+from .errors import CaselineError, ConfigError, IoFailureError
 from .model import TrainConfig
 from .retrieval import RetrievalConfig
 from .summarizer import SummarizerConfig
 
 __all__ = ["RunConfig", "load_run_config", "SCHEMA"]
 
-# key -> (type, default); the defaults are the published-profile
-# values used throughout unless overridden.
-SCHEMA: dict[str, tuple[type, object]] = {
-    "seed": (int, 0),
-    "split.val_size": (int, 3000),
-    "split.test_size": (int, 3000),
-    "encoder.temperature": (float, 0.05),
-    "encoder.batch_size": (int, 8),
-    "encoder.epochs": (int, 3),
-    "encoder.learning_rate": (float, 1e-5),
-    "encoder.hash_dim": (int, 262144),
-    "encoder.hidden_dim": (int, 64),
-    "encoder.out_dim": (int, 256),
-    "encoder.dropout": (float, 0.2),
-    "encoder.weight_decay": (float, 0.01),
-    "retrieval.k": (int, 5),
-    "retrieval.alpha": (float, 2.0),
-    "train.lam": (float, 0.10),
-    "train.classifier_lr": (float, 1e-3),
-    "train.other_lr": (float, 1e-5),
-    "train.batch_size": (int, 8),
-    "train.dropout": (float, 0.2),
-    "train.patience": (int, 2),
-    "train.max_epochs": (int, 20),
-    "train.drift_hidden": (int, 64),
-    "train.drift_frequencies": (int, 0),
-    "train.retrieval_on": (bool, True),
-    "train.drift_on": (bool, True),
-    "train.finetune_encoder": (bool, False),
-    "train.weight_decay": (float, 0.01),
-    "summarizer.endpoint": (str, ""),
-    "summarizer.model": (str, ""),
-    "summarizer.temperature": (float, 1.0),
-    "summarizer.max_output_tokens": (int, 512),
-    "summarizer.timeout": (float, 30.0),
-    "summarizer.min_interval": (float, 0.0),
-}
+# The stage configs, by the key prefix of their settings.
+_SECTIONS = {"encoder": ContrastiveConfig, "retrieval": RetrievalConfig,
+             "train": TrainConfig, "summarizer": SummarizerConfig}
+
+# Stage fields filled from a key that belongs to no section.
+_SHARED = {"seed": "seed", "val_size": "split.val_size"}
+
+
+def _keys(section: str) -> dict[str, str]:
+    """Field name -> configuration key, for one stage config."""
+    return {f.name: _SHARED.get(f.name, f"{section}.{f.name}")
+            for f in fields(_SECTIONS[section])}
+
+
+def _schema() -> dict[str, tuple[type, object]]:
+    schema = {"seed": (int, 0), "split.val_size": (int, 3000),
+              "split.test_size": (int, 3000)}
+    for section, cls in _SECTIONS.items():
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            # A field without a default (the summarizer's endpoint and
+            # model) gets "", which its view rejects until it is set.
+            if f.name not in _SHARED:
+                schema[f"{section}.{f.name}"] = (
+                    hints[f.name], "" if f.default is MISSING else f.default)
+    return schema
+
+
+# key -> (type, default)
+SCHEMA: dict[str, tuple[type, object]] = _schema()
 
 
 def _parse_value(key: str, text: str):
@@ -70,14 +70,22 @@ def _parse_value(key: str, text: str):
             if low not in ("true", "false"):
                 raise ValueError("expected true or false")
             return low == "true"
-        if typ is int:
-            return int(text)
-        if typ is float:
-            return float(text)
-        return text
+        return typ(text)
     except ValueError as exc:
         raise ConfigError(
             f"bad value for {key}: {text!r} ({exc})") from exc
+
+
+def _assign(values: dict, item: str, where: str) -> None:
+    """Parse one ``key = value`` item into ``values``; ``where``
+    prefixes the error message."""
+    key, sep, raw = item.partition("=")
+    key = key.strip()
+    if not sep:
+        raise ConfigError(f"{where}expected key = value, got {item!r}")
+    if key not in SCHEMA:
+        raise ConfigError(f"{where}unknown configuration key {key!r}")
+    values[key] = _parse_value(key, raw)
 
 
 def _render_value(value) -> str:
@@ -102,14 +110,7 @@ class RunConfig:
         """Apply ``key=value`` strings on top of this configuration."""
         current = dict(self.values)
         for item in overrides:
-            key, sep, raw = item.partition("=")
-            key = key.strip()
-            if not sep:
-                raise ConfigError(
-                    f"override {item!r} is not of the form key=value")
-            if key not in SCHEMA:
-                raise ConfigError(f"unknown configuration key {key!r}")
-            current[key] = _parse_value(key, raw)
+            _assign(current, item, "override: ")
         return RunConfig(tuple(sorted(current.items())))
 
     def to_text(self) -> str:
@@ -124,50 +125,28 @@ class RunConfig:
 
     # Typed views consumed by the pipeline stages.
 
+    def _view(self, section: str):
+        keys = _keys(section)
+        try:
+            return _SECTIONS[section](
+                **{name: self.get(key) for name, key in keys.items()})
+        except CaselineError as exc:
+            # Name each field by its key: batch_size and dropout are
+            # settings of both the encoder and the train section.
+            raise ConfigError(re.sub(
+                r"\w+", lambda m: keys.get(m[0], m[0]), str(exc))) from exc
+
     def encoder_config(self) -> ContrastiveConfig:
-        return ContrastiveConfig(
-            temperature=self.get("encoder.temperature"),
-            batch_size=self.get("encoder.batch_size"),
-            epochs=self.get("encoder.epochs"),
-            learning_rate=self.get("encoder.learning_rate"),
-            seed=self.get("seed"),
-            hash_dim=self.get("encoder.hash_dim"),
-            hidden_dim=self.get("encoder.hidden_dim"),
-            out_dim=self.get("encoder.out_dim"),
-            dropout=self.get("encoder.dropout"),
-            weight_decay=self.get("encoder.weight_decay"))
+        return self._view("encoder")
 
     def retrieval_config(self) -> RetrievalConfig:
-        return RetrievalConfig(
-            k=self.get("retrieval.k"),
-            alpha=self.get("retrieval.alpha"),
-            val_size=self.get("split.val_size"))
+        return self._view("retrieval")
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            lam=self.get("train.lam"),
-            classifier_lr=self.get("train.classifier_lr"),
-            other_lr=self.get("train.other_lr"),
-            batch_size=self.get("train.batch_size"),
-            dropout=self.get("train.dropout"),
-            patience=self.get("train.patience"),
-            max_epochs=self.get("train.max_epochs"),
-            seed=self.get("seed"),
-            drift_hidden=self.get("train.drift_hidden"),
-            drift_frequencies=self.get("train.drift_frequencies"),
-            retrieval_on=self.get("train.retrieval_on"),
-            drift_on=self.get("train.drift_on"),
-            finetune_encoder=self.get("train.finetune_encoder"),
-            weight_decay=self.get("train.weight_decay"))
+        return self._view("train")
 
     def summarizer_config(self) -> SummarizerConfig:
-        return SummarizerConfig(
-            endpoint=self.get("summarizer.endpoint"),
-            model=self.get("summarizer.model"),
-            temperature=self.get("summarizer.temperature"),
-            max_output_tokens=self.get("summarizer.max_output_tokens"),
-            timeout=self.get("summarizer.timeout"),
-            min_interval=self.get("summarizer.min_interval"))
+        return self._view("summarizer")
 
     def split_sizes(self, n_total: int) -> tuple[int, int, int]:
         """(n_train, n_val, n_test) for a corpus of n_total cases;
@@ -194,20 +173,11 @@ def load_run_config(path: str | Path | None = None,
                 f"cannot read config {path}: {exc}") from exc
         for lineno, line in enumerate(lines, start=1):
             stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            key, sep, raw = stripped.partition("=")
-            key = key.strip()
-            if not sep:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected key = value, got "
-                    f"{stripped!r}")
-            if key not in SCHEMA:
-                raise ConfigError(
-                    f"{path}:{lineno}: unknown configuration key "
-                    f"{key!r}")
-            values[key] = _parse_value(key, raw)
+            if stripped and not stripped.startswith("#"):
+                _assign(values, stripped, f"{path}:{lineno}: ")
     cfg = RunConfig(tuple(sorted(values.items())))
     if overrides:
         cfg = cfg.with_overrides(overrides)
+    for section in ("encoder", "retrieval", "train"):
+        cfg._view(section)
     return cfg

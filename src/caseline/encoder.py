@@ -35,15 +35,6 @@ from .store import EmbeddingStore
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """Dense vector for one case; unit-normalized when produced in infer mode."""
-
-    vector: np.ndarray
-    case_id: str | None = None
-    rank: int | None = None
-
-
 @dataclass
 class EncoderParams:
     """Weights of the two-layer encoder: hash_dim -> hidden -> out."""
@@ -168,26 +159,13 @@ def _backward(dz2: np.ndarray, cache, params: EncoderParams,
     kernels.add_outer(w1_rows, positions, feats.weights, dz1)
 
 
-def encode(feats: SparseFeatures, params: EncoderParams, mode: str = "infer",
-           seed: int = 0) -> Embedding:
-    """Encode hashed features into an embedding.
-
-    infer mode: dropout off, output unit-normalized, deterministic.
-    train mode: dropout mask drawn from the seed, raw (unnormalized)
-    output; two seeds give the two stochastic views used as a
-    contrastive positive pair.
-    """
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    mask = _dropout_mask(params.hidden_dim, params.dropout, seed) \
-        if mode == "train" else None
-    z2, _ = _forward(feats, params, mask)
-    if mode == "infer":
-        norm = np.linalg.norm(z2)
-        if norm == 0.0:
-            raise DimensionMismatchError("encoder produced a zero vector")
-        z2 = z2 / norm
-    return Embedding(vector=z2)
+def encode(feats: SparseFeatures, params: EncoderParams) -> np.ndarray:
+    """Unit-normalized embedding of hashed features, dropout off."""
+    z2, _ = _forward(feats, params, None)
+    norm = np.linalg.norm(z2)
+    if norm == 0.0:
+        raise DimensionMismatchError("encoder produced a zero vector")
+    return z2 / norm
 
 
 def info_nce_loss(view0: np.ndarray, view1: np.ndarray, temperature: float):
@@ -331,14 +309,14 @@ _EMBED_CHUNK = 16
 
 
 def embed_corpus(corpus: Corpus, params: EncoderParams) -> EmbeddingStore:
-    """One infer-mode embedding per case, unit rows, in rank order."""
+    """One embedding per case, unit rows, in rank order."""
     matrix = np.empty((len(corpus), params.out_dim))
     texts = [case.text for case in corpus]
     for start in range(0, len(texts), _EMBED_CHUNK):
         chunk = featurize(texts[start:start + _EMBED_CHUNK],
                           params.hash_dim)
         for rank, feats in enumerate(chunk, start=start):
-            matrix[rank] = encode(feats, params, mode="infer").vector
+            matrix[rank] = encode(feats, params)
     return EmbeddingStore(corpus.case_ids(), matrix)
 
 

@@ -128,11 +128,10 @@ def _scored_pool(query_rank: int, query_embedding: np.ndarray,
     return pool_end, cosines, gaps, scores
 
 
-def _top_k(scores: np.ndarray, gaps: np.ndarray, id_order: np.ndarray,
-           k: int) -> np.ndarray:
+def _top_k(scores: np.ndarray, gaps: np.ndarray, k: int) -> np.ndarray:
     """Positions of the best ``k`` candidates, best first, in the exact
-    order of descending score, then ascending gap, then ascending
-    case_id (``id_order`` holds each candidate's place in case_id order).
+    order of descending score, then ascending gap.  Every candidate of
+    one query has a distinct gap, so the order is total.
 
     A partial partition finds the k-th best score, and only the
     candidates scoring at least that much are sorted.  Ties at the k-th
@@ -146,7 +145,7 @@ def _top_k(scores: np.ndarray, gaps: np.ndarray, id_order: np.ndarray,
     else:
         keep = np.arange(len(scores))
     # lexsort sorts by the last key first.
-    order = np.lexsort((id_order[keep], gaps[keep], -scores[keep]))
+    order = np.lexsort((gaps[keep], -scores[keep]))
     return keep[order[:k]]
 
 
@@ -161,20 +160,19 @@ def retrieve_precedents(query_rank: int, query_embedding: np.ndarray,
     ``labels`` holds one label vector per store row, aligned by rank.
     ``candidate_limit``, when given, additionally caps the pool at
     ranks below that bound.  Ties on score prefer the smaller rank
-    gap, then the lexicographically smaller case_id.  A non-finite
-    query embedding is a NonFiniteError.
+    gap.  A non-finite query embedding is a NonFiniteError.
     """
     labels = np.asarray(labels)
     if labels.shape[0] != len(store.case_ids):
         raise StoreMisalignedError(
             f"{labels.shape[0]} label rows for {len(store.case_ids)} "
             "store rows")
-    pool_end, _, gaps, scores = _scored_pool(
+    _, _, gaps, scores = _scored_pool(
         query_rank, query_embedding, store, cfg, candidate_limit)
     entries = tuple(
         Evidence(case_id=store.case_ids[i], rank=int(i),
                  score=float(scores[i]), labels=labels[i])
-        for i in _top_k(scores, gaps, store.id_order[:pool_end], cfg.k))
+        for i in _top_k(scores, gaps, cfg.k))
     return EvidenceSet(query_case_id, entries)
 
 
@@ -203,7 +201,7 @@ def debug_table(query_rank: int, query_embedding: np.ndarray,
     out.write(f"query rank {query_rank}: {pool_end} candidate(s)\n")
     out.write(f"{'case_id':<24}{'cosine':>10}{'gap':>8}"
               f"{'score':>10}  labels\n")
-    for i in _top_k(scores, gaps, store.id_order[:pool_end], top):
+    for i in _top_k(scores, gaps, top):
         out.write(f"{store.case_ids[i]:<24}{cosines[i]:>10.4f}"
                   f"{int(gaps[i]):>8}{scores[i]:>10.4f}"
                   f"  {label_text(labels[i])}\n")

@@ -47,12 +47,6 @@ class EmbeddingStore:
         self._rank = {cid: i for i, cid in enumerate(self.case_ids)}
         if len(self._rank) != len(self.case_ids):
             raise StoreMisalignedError("duplicate case ids in store")
-        # Each row's place in ascending case_id order: the integer key
-        # that breaks retrieval ties in case_id order.
-        self.id_order = np.empty(len(self.case_ids), dtype=np.int64)
-        self.id_order[sorted(range(len(self.case_ids)),
-                             key=self.case_ids.__getitem__)] = \
-            np.arange(len(self.case_ids))
 
     def __len__(self) -> int:
         return self.matrix.shape[0]

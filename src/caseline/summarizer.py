@@ -60,9 +60,9 @@ class SummarizerConfig:
 
     def __post_init__(self) -> None:
         if not self.endpoint:
-            raise ConfigError("summarizer endpoint must be set")
+            raise ConfigError("endpoint must be set")
         if not self.model:
-            raise ConfigError("summarizer model must be set")
+            raise ConfigError("model must be set")
         if not 1 <= self.max_output_tokens <= 512:
             raise ConfigError(
                 f"max_output_tokens must be in [1, 512], got "

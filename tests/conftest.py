@@ -2,26 +2,15 @@
 test modules (session-scoped where construction is not free)."""
 from __future__ import annotations
 
-import datetime
-
 import numpy as np
 import pytest
 
-from caseline.corpus import CaseRecord, Corpus, LabelCatalog, chronological_split
+from caseline.corpus import Corpus, LabelCatalog, chronological_split
 from caseline.encoder import ContrastiveConfig, embed_corpus, train_encoder
 from caseline.synthetic import DriftCorpusConfig, generate_drift_corpus, \
     synthetic_catalog
 
-
-def make_case(case_id: str, day: int, articles, text: str,
-              title: str | None = None) -> CaseRecord:
-    return CaseRecord(
-        case_id=case_id,
-        title=title or f"Case {case_id}",
-        decision_date=datetime.date(2001, 1, 1) + datetime.timedelta(days=day),
-        articles=frozenset(articles),
-        text=text,
-    )
+from case_factory import make_case
 
 
 @pytest.fixture(scope="session")

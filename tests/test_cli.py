@@ -506,8 +506,50 @@ class TestArtifactFiles:
         assert len(lines) == 1
         error = json.loads(lines[0])
         assert error["error"] == "ConfigError"
-        assert override.split(".")[1].split("=")[0] in error["message"]
+        assert override.split("=")[0] in error["message"]
         assert not (tmp_path / "enc").exists()
+
+    @pytest.mark.parametrize("command", [
+        "gen-drift", "ingest", "summarize", "train-encoder", "embed",
+        "index", "train", "predict", "evaluate", "ablate"])
+    @pytest.mark.parametrize("fault", [
+        "no.such.key=1", "encoder.batch_size=1", "retrieval.k=0",
+        "train.batch_size=0", "unreadable-config"])
+    def test_bad_config_exits_1_before_any_work(
+            self, suffixless, tmp_path, command, fault):
+        _, p = suffixless
+        out = str(tmp_path / "out")
+        corpus = ["--corpus", p["corpus"]]
+        argv = [command, *{
+            "gen-drift": ["--output", out, "--labels-output", out + ".txt",
+                          "--n", "160", "--vocab-size", "400"],
+            "ingest": ["--input", p["raw"], "--output", out],
+            "summarize": ["--input", p["corpus"], "--output", out],
+            "train-encoder": [*corpus, "--output", out],
+            "embed": [*corpus, "--encoder", p["enc"], "--output", out],
+            "index": [*corpus, "--embeddings", p["emb"], "--output", out],
+            "train": [*corpus, "--index", p["idx"], "--output", out],
+            "predict": [*corpus, "--index", p["idx"], "--model",
+                        p["model"], "--output", out],
+            "evaluate": [*corpus, "--index", p["idx"], "--model",
+                         p["model"], "--output", out],
+            "ablate": [*corpus, "--out-dir", out, "--seeds", "0"],
+        }[command]]
+        if fault == "unreadable-config":
+            named = str(tmp_path / "absent.cfg")
+            argv += ["--config", named]
+        else:
+            named = fault.split("=")[0]
+            argv += ["--set", fault]
+        code, lines = run_in_process(argv, p["labels"])
+        assert code == 1
+        assert len(lines) == 1, lines
+        error = json.loads(lines[0])
+        assert error["error"] == ("IoFailureError"
+                                  if fault == "unreadable-config"
+                                  else "ConfigError")
+        assert named in error["message"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_training_exits_1(self, suffixless, tmp_path):
         _, p = suffixless

@@ -125,6 +125,11 @@ class TestOverrides:
 
 
 class TestHash:
+    def test_default_hash_is_pinned(self):
+        # Artifacts record this hash: a changed key, type or default of
+        # the stage dataclasses changes it.
+        assert load_run_config().config_hash() == "f08fa39d4c0fd834"
+
     def test_sixteen_hex_chars(self):
         h = load_run_config().config_hash()
         assert re.fullmatch(r"[0-9a-f]{16}", h)
@@ -180,6 +185,29 @@ class TestTypedViews:
         cfg = load_run_config(None, ["summarizer.endpoint=http://x",
                                      "summarizer.model=m"])
         assert cfg.summarizer_config().model == "m"
+
+    @pytest.mark.parametrize("override", [
+        "encoder.batch_size=1", "train.batch_size=0", "encoder.dropout=1.0",
+        "train.dropout=1.0", "encoder.temperature=0", "retrieval.k=0",
+        "retrieval.alpha=0", "split.val_size=0"])
+    def test_load_rejects_a_bad_value_by_its_key(self, override):
+        key = override.split("=")[0]
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_run_config(None, [override])
+
+    def test_file_value_checked_at_load(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("train.patience = 0\n")
+        with pytest.raises(ConfigError, match=r"train\.patience"):
+            load_run_config(path)
+
+    def test_summarizer_section_checked_only_by_its_view(self):
+        cfg = load_run_config(None, ["summarizer.endpoint=http://x",
+                                     "summarizer.model=m",
+                                     "summarizer.max_output_tokens=0"])
+        with pytest.raises(ConfigError,
+                           match=r"summarizer\.max_output_tokens"):
+            cfg.summarizer_config()
 
     def test_split_sizes(self):
         cfg = load_run_config(None, ["split.val_size=20",

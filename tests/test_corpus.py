@@ -27,7 +27,7 @@ from caseline.errors import (
     MalformedRecordError,
     UnknownLabelError,
 )
-from conftest import make_case
+from case_factory import make_case
 
 
 class TestRecordRoundTrip:

@@ -122,23 +122,13 @@ class TestEncode:
     def test_unit_norm_and_dim(self):
         params = init_encoder_params(SMALL_CFG)
         emb = encode(featurize("liberty and security", 1024), params)
-        assert emb.vector.shape == (8,)
-        assert math.isclose(np.linalg.norm(emb.vector), 1.0, rel_tol=1e-9)
+        assert emb.shape == (8,)
+        assert math.isclose(np.linalg.norm(emb), 1.0, rel_tol=1e-9)
 
     def test_infer_deterministic(self):
         params = init_encoder_params(SMALL_CFG)
         f = featurize("due process of law", 1024)
-        np.testing.assert_array_equal(encode(f, params).vector,
-                                      encode(f, params).vector)
-
-    def test_train_mode_seeded(self):
-        params = init_encoder_params(SMALL_CFG)
-        f = featurize("fair trial guarantee", 1024)
-        a = encode(f, params, mode="train", seed=3).vector
-        b = encode(f, params, mode="train", seed=3).vector
-        c = encode(f, params, mode="train", seed=4).vector
-        np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, c)
+        np.testing.assert_array_equal(encode(f, params), encode(f, params))
 
     def test_dim_mismatch_rejected(self):
         params = init_encoder_params(SMALL_CFG)

@@ -44,7 +44,7 @@ from caseline.retrieval import (
     retrieve_precedents,
 )
 from caseline.store import EmbeddingStore
-from conftest import make_case
+from case_factory import make_case
 
 RETR = RetrievalConfig(k=5, alpha=2.0, val_size=40)
 

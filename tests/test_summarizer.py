@@ -21,7 +21,7 @@ from caseline.summarizer import (
     summarize_case,
     summarize_corpus,
 )
-from conftest import make_case
+from case_factory import make_case
 
 
 def _chat_body(content):
