@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,8 +25,10 @@ from .encoder import ContrastiveConfig, train_encoder, embed_corpus
 from .errors import ConfigError
 from .features import featurize
 from .metrics import (
+    SUMMARY_METRICS,
     MetricsReport,
     format_report_table,
+    mean_std,
     micro_confusion,
     micro_f1,
 )
@@ -126,27 +127,16 @@ class AblationResult:
         return [r for name, _, r in self.rows if name == cell]
 
     def mean_f1(self, cell: str) -> float:
-        reports = self.reports_for(cell)
-        return sum(r.micro_f1 for r in reports) / len(reports)
+        return mean_std(self.reports_for(cell), "micro_f1")[0]
 
     def summary(self) -> list[dict]:
         out = []
         for cell in self.cell_names():
             reports = self.reports_for(cell)
             entry: dict = {"cell": cell, "runs": len(reports)}
-            for attr in ("micro_f1", "micro_jaccard", "micro_pr_auc",
-                         "micro_roc_auc"):
-                vals = [getattr(r, attr) for r in reports]
-                if any(v is None for v in vals):
-                    entry[f"{attr}_mean"] = None
-                    entry[f"{attr}_std"] = None
-                    continue
-                mean = sum(vals) / len(vals)
-                std = math.sqrt(sum((v - mean) ** 2 for v in vals)
-                                / (len(vals) - 1)) if len(vals) > 1 \
-                    else 0.0
-                entry[f"{attr}_mean"] = mean
-                entry[f"{attr}_std"] = std
+            for attr in SUMMARY_METRICS:
+                entry[f"{attr}_mean"], entry[f"{attr}_std"] = \
+                    mean_std(reports, attr) or (None, None)
             out.append(entry)
         return out
 

@@ -2,10 +2,12 @@
 
 Every file the pipeline writes goes through ``atomic_write``, so a
 failed write leaves the previous file, or none, at the path.
-Checkpoints are ``.npz`` archives of named arrays plus ``meta``, one
-canonical-JSON record with the ``kind`` and ``format_version``.  Loading
-one of another kind or version is a ``ConfigError``; any other fault is
-an ``IoFailureError`` naming the array.
+Checkpoints (the encoder, embedding store, index and model) are
+``.npz`` archives of named arrays plus ``meta``, one canonical-JSON
+record with the ``kind``, the ``format_version`` and the provenance of
+the stage that wrote it.  Loading one of another kind or version is a
+``ConfigError``; any other fault is an ``IoFailureError`` naming the
+array.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def save_text(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
-def require_finite(what: str, arr: np.ndarray) -> None:
+def _require_finite(what: str, arr: np.ndarray) -> None:
     """IoFailureError naming ``what`` and the first non-finite index,
     if the float array has one."""
     finite = np.isfinite(arr)
@@ -134,5 +136,5 @@ def load_npz(path: str | Path, kind: str, version: int,
         if not _DTYPE_OK[dtype](arr):
             raise IoFailureError(f"{what} is {arr.dtype}, not {dtype}")
         if dtype == "float":
-            require_finite(what, arr)
+            _require_finite(what, arr)
     return arrays, meta

@@ -156,9 +156,7 @@ def cmd_embed(args: argparse.Namespace, cfg: RunConfig) -> int:
     corpus = load_corpus(args.corpus, catalog)
     enc, _ = load_encoder(args.encoder)
     store = embed_corpus(corpus, enc)
-    store.save(args.output)
-    save_text(f"{args.output}.meta.json",
-              canonical_json(_provenance(cfg, "embed")) + "\n")
+    store.save(args.output, _provenance(cfg, "embed"))
     print(f"embedded {len(store)} cases -> {args.output}")
     return 0
 

@@ -180,4 +180,7 @@ def load_run_config(path: str | Path | None = None,
         cfg = cfg.with_overrides(overrides)
     for section in ("encoder", "retrieval", "train"):
         cfg._view(section)
+    n_test = cfg.get("split.test_size")
+    if n_test < 1:
+        raise ConfigError(f"split.test_size must be >= 1, got {n_test}")
     return cfg

@@ -70,6 +70,10 @@ class LabelCatalog:
             raise ConfigError("label catalog must not be empty")
         if len(set(names)) != len(names):
             raise ConfigError("label catalog contains duplicate names")
+        for name in names:
+            if "\x00" in name:
+                # text arrays in checkpoints drop trailing NULs
+                raise ConfigError(f"label name {name!r} contains U+0000")
         self.names = names
         self._index = {n: i for i, n in enumerate(names)}
 
@@ -151,6 +155,9 @@ def parse_case_record(line: str, catalog: LabelCatalog) -> CaseRecord:
     case_id = obj["case_id"]
     if not isinstance(case_id, str) or not case_id:
         raise MalformedRecordError("case_id must be a non-empty string")
+    if "\x00" in case_id:
+        # text arrays in checkpoints drop trailing NULs
+        raise MalformedRecordError(f"case_id {case_id!r} contains U+0000")
     title = obj["title"]
     if not isinstance(title, str):
         raise MalformedRecordError("title must be a string")

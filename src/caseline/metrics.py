@@ -29,6 +29,7 @@ __all__ = [
     "micro_pr_auc",
     "MetricsReport",
     "compute_report",
+    "mean_std",
     "format_report_table",
 ]
 
@@ -201,6 +202,25 @@ def compute_report(probabilities, decisions, truth,
         seed=seed)
 
 
+# The metrics a summary over several reports covers, in table order.
+SUMMARY_METRICS = ("micro_f1", "micro_jaccard", "micro_pr_auc",
+                   "micro_roc_auc")
+
+
+def mean_std(reports: Sequence[MetricsReport], attr: str
+             ) -> tuple[float, float] | None:
+    """Mean and sample (n - 1) std of one metric over ``reports``, the
+    std 0 for a single report; None if any report lacks the metric."""
+    vals = [getattr(r, attr) for r in reports]
+    if any(v is None for v in vals):
+        return None
+    mean = sum(vals) / len(vals)
+    if len(vals) < 2:
+        return mean, 0.0
+    return mean, math.sqrt(sum((v - mean) ** 2 for v in vals)
+                           / (len(vals) - 1))
+
+
 def format_report_table(rows: Sequence[tuple[str, Sequence[MetricsReport]]]
                         ) -> str:
     """Aligned text table: one line per named configuration with
@@ -210,18 +230,14 @@ def format_report_table(rows: Sequence[tuple[str, Sequence[MetricsReport]]]
     lines = []
     for name, reports in rows:
         cells = [name]
-        for attr in ("micro_f1", "micro_jaccard", "micro_pr_auc",
-                     "micro_roc_auc"):
-            vals = [getattr(r, attr) for r in reports]
-            if any(v is None for v in vals):
+        for attr in SUMMARY_METRICS:
+            stats = mean_std(reports, attr)
+            if stats is None:
                 cells.append("absent")
-                continue
-            mean = sum(vals) / len(vals)
-            if len(vals) > 1:
-                var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
-                cells.append(f"{mean:.3f} +/- {math.sqrt(var):.3f}")
+            elif len(reports) > 1:
+                cells.append(f"{stats[0]:.3f} +/- {stats[1]:.3f}")
             else:
-                cells.append(f"{mean:.3f}")
+                cells.append(f"{stats[0]:.3f}")
         cells.append(str(len(reports)))
         lines.append(cells)
     widths = [max(len(h), *(len(row[i]) for row in lines)) if lines

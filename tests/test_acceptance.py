@@ -489,10 +489,10 @@ def _full_pipeline_run(d: Path) -> tuple[bytes, float]:
         "--labels-file", str(d / "labels.txt"), *_SETS)
     cli("embed", "--corpus", str(d / "cases.jsonl"),
         "--encoder", str(d / "encoder.npz"),
-        "--output", str(d / "embeddings.bin"),
+        "--output", str(d / "embeddings.npz"),
         "--labels-file", str(d / "labels.txt"), *_SETS)
     cli("index", "--corpus", str(d / "cases.jsonl"),
-        "--embeddings", str(d / "embeddings.bin"),
+        "--embeddings", str(d / "embeddings.npz"),
         "--output", str(d / "index.npz"),
         "--labels-file", str(d / "labels.txt"), *_SETS)
     cli("train", "--corpus", str(d / "cases.jsonl"),

@@ -89,12 +89,15 @@ class TestCheckpoint:
         with pytest.raises(IoFailureError):
             artifacts.load_npz(path, "demo", 3, SCHEMA)
 
-    def test_require_finite_names_the_first_bad_index(self):
-        big = np.full((2, 3), 1e308)  # finite entries whose sum overflows
-        artifacts.require_finite("big", big)
-        big[1, 1:] = [-np.inf, np.nan]
-        with pytest.raises(IoFailureError, match=r"big.*\(1, 1\)"):
-            artifacts.require_finite("big", big)
+    def test_require_finite_names_the_first_bad_index(self, tmp_path):
+        path = tmp_path / "ck"
+        big = np.full((3, 2), 1e308)  # finite entries whose sum overflows
+        artifacts.save_npz(path, "demo", 3, {**_arrays(), "w1": big}, {})
+        artifacts.load_npz(path, "demo", 3, SCHEMA)
+        big[1, 1], big[2, 0] = -np.inf, np.nan
+        artifacts.save_npz(path, "demo", 3, {**_arrays(), "w1": big}, {})
+        with pytest.raises(IoFailureError, match=r"'w1'.*\(1, 1\)"):
+            artifacts.load_npz(path, "demo", 3, SCHEMA)
 
 
 def _failing_savez(fh, **arrays):

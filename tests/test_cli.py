@@ -7,7 +7,6 @@ import io
 import json
 import os
 import re
-import struct
 import subprocess
 import sys
 import tempfile
@@ -18,9 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caseline import cli
+from caseline.artifacts import load_npz
 from caseline.config import load_run_config
 from caseline.corpus import chronological_split, load_corpus
 from caseline.model import infer, load_model
+from caseline.store import EmbeddingStore
 
 # small-profile overrides so the whole pipeline stays in seconds
 SETS = [
@@ -101,7 +102,7 @@ class TestPipeline:
         d, art, _ = pipeline
         for path in art.values():
             assert os.path.exists(path), path
-        assert (d / "embeddings.npz.meta.json").exists()
+        assert sorted(f.name for f in d.iterdir()) == sorted(art)
 
     def test_stage_messages(self, pipeline):
         _, _, outs = pipeline
@@ -134,8 +135,10 @@ class TestPipeline:
                 assert set(ev) == {"case_id", "score"}
 
     def test_sidecar_provenance(self, pipeline):
-        d, _, _ = pipeline
-        meta = json.loads((d / "embeddings.npz.meta.json").read_text())
+        """The store carries its provenance in its own meta record."""
+        d, art, _ = pipeline
+        _, meta = load_npz(art["embeddings.npz"], "store", 1, {})
+        assert not list(d.glob("*.meta.json"))
         assert meta["stage"] == "embed"
         assert len(meta["config_hash"]) == 16
         assert meta["stage_version"] == 1
@@ -408,8 +411,7 @@ def edit_npz(src: str, dst: str, damage: str) -> None:
 class TestArtifactFiles:
     def test_outputs_land_on_the_exact_paths(self, suffixless):
         d, p = suffixless
-        assert sorted(f.name for f in d.iterdir()
-                      if not f.name.endswith(".meta.json")) \
+        assert sorted(f.name for f in d.iterdir()) \
             == ["corpus", "emb", "enc", "idx", "labels", "model", "preds",
                 "raw"]
         assert p["train_encoder_stdout"].strip().endswith(f"-> {p['enc']}")
@@ -418,7 +420,9 @@ class TestArtifactFiles:
         ("enc", "truncate"), ("enc", "zero-middle"),
         ("enc", "w2:flatten"), ("enc", "b1:short"), ("enc", "w1:nan"),
         ("enc", "version"), ("enc", "model-file"),
-        ("emb", "truncate"), ("emb", "inflate-count"), ("emb", "row-nan"),
+        ("emb", "truncate"), ("emb", "flip-matrix-bit"),
+        ("emb", "matrix:nan"), ("emb", "case_ids:short"), ("emb", "version"),
+        ("emb", "model-file"),
         ("idx", "truncate"), ("idx", "zero-middle"), ("idx", "version"),
         ("idx", "matrix:nan"), ("idx", "labels:two"),
         ("idx", "labels:drop-column"),
@@ -443,12 +447,10 @@ class TestArtifactFiles:
         elif damage == "zero-middle":
             mid = len(raw) // 2
             raw[mid:mid + 64] = bytes(64)
-        elif damage == "inflate-count":
-            # the store's row count, a u64 after magic, version, dtype
-            raw[16:24] = (10 ** 9).to_bytes(8, "little")
-        elif damage == "row-nan":
-            # the first float of the matrix, after the 32-byte header
-            raw[32:40] = struct.pack("<d", float("nan"))
+        elif damage == "flip-matrix-bit":
+            # a finite but wrong value, caught by the member's CRC-32
+            data = EmbeddingStore.load(p["emb"]).matrix.tobytes()
+            raw[raw.find(data) + len(data) // 2] ^= 1
         elif damage == "model-file":
             raw = bytearray(open(p["model"], "rb").read())
         if damage == "version" or ":" in damage:
@@ -462,6 +464,36 @@ class TestArtifactFiles:
             assert json.loads(lines[0])["error"] \
                 == ("ConfigError" if damage in ("version", "model-file")
                     else "IoFailureError"), lines[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where", ["case_id", "label"])
+    def test_nul_in_case_id_or_label_name_exits_1(
+            self, suffixless, tmp_path, where):
+        """Text arrays drop trailing NULs, so ingest rejects them."""
+        _, p = suffixless
+        raw, labels = tmp_path / "raw", tmp_path / "labels"
+        lines = open(p["raw"], encoding="utf-8").read().splitlines()
+        names = open(p["labels"], encoding="utf-8").read().splitlines()
+        if where == "case_id":
+            rec = json.loads(lines[1])
+            rec["case_id"] += "\x00"
+            lines[1] = json.dumps(rec)
+        else:
+            names[0] += "\x00"
+        raw.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        labels.write_text("\n".join(names) + "\n", encoding="utf-8")
+        code, err = run_in_process(
+            ["ingest", "--input", str(raw), "--output",
+             str(tmp_path / "out")], str(labels))
+        assert code == 1
+        assert len(err) == 1
+        error = json.loads(err[0])
+        if where == "case_id":
+            assert error["error"] == "MalformedRecordError"
+            assert f"{raw}:2:" in error["message"]
+        else:
+            assert error["error"] == "ConfigError"
+        assert "U+0000" in error["message"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("artifact", [
@@ -514,7 +546,7 @@ class TestArtifactFiles:
         "index", "train", "predict", "evaluate", "ablate"])
     @pytest.mark.parametrize("fault", [
         "no.such.key=1", "encoder.batch_size=1", "retrieval.k=0",
-        "train.batch_size=0", "unreadable-config"])
+        "train.batch_size=0", "split.test_size=0", "unreadable-config"])
     def test_bad_config_exits_1_before_any_work(
             self, suffixless, tmp_path, command, fault):
         _, p = suffixless
