@@ -34,7 +34,7 @@ from .encoder import (
     train_encoder,
 )
 from .errors import CaselineError
-from .features import SparseFeatures, featurize, tokenize
+from .features import SparseBatch, featurize, tokenize
 from .metrics import (
     MetricsReport,
     compute_report,
@@ -76,7 +76,7 @@ __all__ = [
     "ContrastiveConfig", "EncoderParams", "embed_corpus", "encode",
     "info_nce_loss", "load_encoder", "save_encoder", "train_encoder",
     "CaselineError",
-    "SparseFeatures", "featurize", "tokenize",
+    "SparseBatch", "featurize", "tokenize",
     "MetricsReport", "compute_report", "micro_confusion", "micro_f1",
     "micro_jaccard", "micro_pr_auc", "micro_roc_auc",
     "ModelParams", "Prediction", "TrainConfig", "drift_input",

@@ -229,14 +229,6 @@ def plain_probabilities(x: np.ndarray, w: np.ndarray,
     return _sigmoid(x @ w + b)
 
 
-def _dense_features(corpus, hash_dim: int) -> np.ndarray:
-    x = np.zeros((len(corpus), hash_dim))
-    for i, f in enumerate(featurize([case.text for case in corpus],
-                                    hash_dim)):
-        x[i, f.indices] = f.weights
-    return x
-
-
 def drift_gap_experiment(base_cfg: DriftCorpusConfig,
                          n_seeds: int = 5, hash_dim: int = 4096,
                          train_frac: float = 0.8, lr: float = 0.1,
@@ -255,7 +247,7 @@ def drift_gap_experiment(base_cfg: DriftCorpusConfig,
         cfg = replace(base_cfg, seed=base_cfg.seed + 997 * i)
         corpus = generate_drift_corpus(cfg)
         catalog = synthetic_catalog(cfg.n_labels)
-        x = _dense_features(corpus, hash_dim)
+        x = featurize([case.text for case in corpus], hash_dim).to_dense()
         y = corpus.label_matrix(catalog)
         n = len(corpus)
         k = int(n * train_frac)

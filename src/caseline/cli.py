@@ -35,11 +35,13 @@ from .encoder import embed_corpus, load_encoder, save_encoder, train_encoder
 from .errors import (
     CaselineError,
     ConfigError,
+    DimensionMismatchError,
     MalformedRecordError,
     UnknownLabelError,
 )
 from .metrics import MetricsReport, compute_report, format_report_table
 from .model import (
+    ModelParams,
     evaluate_split,
     infer,
     load_model,
@@ -120,6 +122,19 @@ def _indexed_splits(args: argparse.Namespace, cfg: RunConfig
         corpus, *cfg.split_sizes(len(corpus)))
 
 
+def _fitting_model(args: argparse.Namespace, store: EmbeddingStore,
+                   catalog: LabelCatalog) -> ModelParams:
+    """The model of ``--model``, checked to take the embeddings and
+    labels of ``--index``."""
+    params = load_model(args.model)
+    if (params.embed_dim, params.n_labels) != (store.dim, len(catalog)):
+        raise DimensionMismatchError(
+            f"model {args.model} takes {params.embed_dim}-dim embeddings "
+            f"and {params.n_labels} labels, but index {args.index} holds "
+            f"{store.dim}-dim embeddings and {len(catalog)} labels")
+    return params
+
+
 # ----------------------------------------------------------- subcommands
 
 def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -186,7 +201,7 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_predict(args: argparse.Namespace, cfg: RunConfig) -> int:
     store, catalog, splits = _indexed_splits(args, cfg)
     corpus = splits.corpus
-    params = load_model(args.model)
+    params = _fitting_model(args, store, catalog)
     ranks = list(splits.ranks(args.split))
     pred, evidence = infer(params, ranks, store,
                            corpus.label_matrix(catalog).astype(np.float64),
@@ -249,7 +264,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
                 "evaluate needs either --predictions or both "
                 "--index and --model")
         store, catalog, splits = _indexed_splits(args, cfg)
-        params = load_model(args.model)
+        params = _fitting_model(args, store, catalog)
         report = evaluate_split(params, splits, store, catalog,
                                 cfg.retrieval_config(), args.split,
                                 seed=cfg.get("seed"))
@@ -262,6 +277,8 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> int:
+    if not args.seeds:
+        raise ConfigError("at least one seed required")
     catalog = _catalog_from(args)
     corpus = load_corpus(args.corpus, catalog)
     splits = chronological_split(corpus, *cfg.split_sizes(len(corpus)))
@@ -269,10 +286,7 @@ def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> int:
             "k": AblationSpec.k_sweep,
             "alpha": AblationSpec.alpha_sweep,
             "lambda": AblationSpec.lam_sweep}[args.experiment]()
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    if not seeds:
-        raise ConfigError("at least one seed required")
-    result = run_ablation(spec, splits, catalog, seeds,
+    result = run_ablation(spec, splits, catalog, args.seeds,
                           cfg.encoder_config(), cfg.retrieval_config(),
                           cfg.train_config())
     out_dir = Path(args.out_dir)
@@ -300,6 +314,15 @@ def cmd_gen_drift(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 # --------------------------------------------------------------- parser
+
+def _seed_list(text: str) -> list[int]:
+    """``--seeds``: comma-separated non-negative integers."""
+    items = [s.strip() for s in text.split(",") if s.strip()]
+    if not all(s.isascii() and s.isdigit() for s in items):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated non-negative integers, got {text!r}")
+    return [int(s) for s in items]
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -392,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--experiment", default="flags",
                    choices=["flags", "k", "alpha", "lambda"])
-    p.add_argument("--seeds", default="0,1,2,3,4",
+    p.add_argument("--seeds", default="0,1,2,3,4", type=_seed_list,
                    help="comma-separated seed list")
     p.set_defaults(func=cmd_ablate)
 

@@ -5,17 +5,19 @@ The format is deliberately diff-friendly: one ``key = value`` per
 line, ``#`` comments, no nesting.  Each key's type and default are
 those of its stage dataclass field (``encoder.*`` is
 ``ContrastiveConfig``, ``retrieval.*`` ``RetrievalConfig``,
-``train.*`` ``TrainConfig``, ``summarizer.*`` ``SummarizerConfig``).
-Loading checks the whole configuration, except the summarizer section,
-so every subcommand rejects a bad key or value before it does any
-work; only ``summarize`` needs the summarizer's endpoint.  The
-canonical rendering of the effective configuration is hashed so
-artifacts can assert they were produced under the same settings.
+``train.*`` ``TrainConfig``, ``summarizer.*`` ``SummarizerConfig``);
+a float value must be finite.  Loading checks the whole configuration,
+except the summarizer section, so every subcommand rejects a bad key
+or value before it does any work; only ``summarize`` needs the
+summarizer's endpoint.  The canonical rendering of the effective
+configuration is hashed so artifacts can assert they were produced
+under the same settings.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -70,7 +72,10 @@ def _parse_value(key: str, text: str):
             if low not in ("true", "false"):
                 raise ValueError("expected true or false")
             return low == "true"
-        return typ(text)
+        value = typ(text)
+        if typ is float and not math.isfinite(value):
+            raise ValueError("not a finite number")
+        return value
     except ValueError as exc:
         raise ConfigError(
             f"bad value for {key}: {text!r} ({exc})") from exc

@@ -7,6 +7,11 @@ dropout masks and the two views form the positive pair of a
 temperature-scaled softmax contrastive objective over in-batch
 negatives (cosine similarities).  Inference disables dropout and
 unit-normalizes the output.
+
+Both run a batch at a time: a batch's rows of a features.SparseBatch
+become one dense block over the union of their buckets, so the
+forward and backward passes are matrix products over that block and
+the gathered w1 rows, and the w1 gradient covers those rows only.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import kernels
 from .artifacts import load_npz, save_npz
 from .corpus import CaseRecord, Corpus
 from .errors import (
@@ -28,7 +32,7 @@ from .errors import (
     NonFiniteError,
     NonPositiveTemperatureError,
 )
-from .features import DEFAULT_HASH_DIM, SparseFeatures, featurize
+from .features import DEFAULT_HASH_DIM, SparseBatch, featurize
 from .optim import AdamW
 from .store import EmbeddingStore
 
@@ -89,6 +93,8 @@ class ContrastiveConfig:
                 f"dropout must be in [0, 1), got {self.dropout}")
         if self.epochs < 0 or not self.learning_rate > 0:
             raise ConfigError("epochs must be >= 0 and learning_rate > 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("hash_dim", "hidden_dim", "out_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(
@@ -124,48 +130,47 @@ def _dropout_mask(shape: int | tuple[int, ...], rate: float,
     return keep / (1.0 - rate)
 
 
-def _forward(feats: SparseFeatures, params: EncoderParams,
-             mask: np.ndarray | None):
-    """Raw output vector plus the cache needed for the backward pass."""
+def _forward(x: np.ndarray, rows: np.ndarray, params: EncoderParams,
+             masks: np.ndarray | None):
+    """Raw outputs of a block x (B, U) of features over the w1 rows
+    ``rows``, plus the cache for _backward.  masks (V, B, H) gives V
+    dropout views and outputs (V, B, out); None means no dropout and
+    outputs (B, out)."""
+    z1 = x @ params.w1[rows] + params.b1
+    h = np.maximum(z1, 0.0)
+    hd = h if masks is None else h * masks
+    z2 = hd @ params.w2 + params.b2
+    return z2, (x, z1, hd, masks)
+
+
+def _backward(dz2: np.ndarray, cache,
+              params: EncoderParams) -> dict[str, np.ndarray]:
+    """Parameter gradients from dz2 (V, B, out), the gradient of
+    _forward's outputs under masks.  The w1 gradient holds one row per
+    row of the block's union."""
+    x, z1, hd, masks = cache
+    d = dz2.reshape(-1, params.out_dim)
+    dh = (dz2 @ params.w2.T) * masks
+    # summed over the views, which share z1
+    dz1 = np.where(z1 > 0.0, dh, 0.0).sum(axis=0)
+    return {"w1": x.T @ dz1, "b1": dz1.sum(axis=0),
+            "w2": hd.reshape(-1, params.hidden_dim).T @ d,
+            "b2": d.sum(axis=0)}
+
+
+def encode(feats: SparseBatch, params: EncoderParams) -> np.ndarray:
+    """Unit-normalized embeddings of a batch of hashed features, one
+    row each, dropout off."""
     if feats.hash_dim != params.hash_dim:
         raise DimensionMismatchError(
             f"features hashed to {feats.hash_dim} buckets but encoder "
             f"expects {params.hash_dim}")
-    rows = params.w1[feats.indices]
-    z1 = feats.weights @ rows + params.b1
-    h = np.maximum(z1, 0.0)
-    hd = h if mask is None else h * mask
-    z2 = hd @ params.w2 + params.b2
-    return z2, (feats, z1, hd, mask)
-
-
-def _backward(dz2: np.ndarray, cache, params: EncoderParams,
-              grads: dict[str, np.ndarray], w1_rows: np.ndarray,
-              positions: np.ndarray) -> None:
-    """Accumulate parameter gradients for one example into grads.
-
-    The w1 gradient is row-sparse: w1_rows holds the rows of the batch's
-    union of feature buckets, and positions maps this example's buckets
-    into it.  Adding onto zeros in example order gives the same bits as
-    the dense accumulation.
-    """
-    feats, z1, hd, mask = cache
-    grads["b2"] += dz2
-    grads["w2"] += np.outer(hd, dz2)
-    dhd = params.w2 @ dz2
-    dh = dhd if mask is None else dhd * mask
-    dz1 = np.where(z1 > 0.0, dh, 0.0)
-    grads["b1"] += dz1
-    kernels.add_outer(w1_rows, positions, feats.weights, dz1)
-
-
-def encode(feats: SparseFeatures, params: EncoderParams) -> np.ndarray:
-    """Unit-normalized embedding of hashed features, dropout off."""
-    z2, _ = _forward(feats, params, None)
-    norm = np.linalg.norm(z2)
-    if norm == 0.0:
+    rows, x = feats.block(np.arange(len(feats)))
+    z2, _ = _forward(x, rows, params, None)
+    norms = np.linalg.norm(z2, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
         raise DimensionMismatchError("encoder produced a zero vector")
-    return z2 / norm
+    return z2 / norms
 
 
 def info_nce_loss(view0: np.ndarray, view1: np.ndarray, temperature: float):
@@ -215,15 +220,13 @@ def info_nce_loss(view0: np.ndarray, view1: np.ndarray, temperature: float):
     return loss, dv0, dv1
 
 
-def _fit(feats: list[SparseFeatures],
+def _fit(feats: SparseBatch,
          cfg: ContrastiveConfig) -> tuple[EncoderParams, list[float]]:
     """Seeded mini-batch contrastive training; returns params and the
     mean loss of each epoch."""
     params = init_encoder_params(cfg)
     opt = AdamW(params.arrays(), lr=cfg.learning_rate,
                 weight_decay=cfg.weight_decay)
-    grads = {k: np.zeros_like(v) for k, v in params.arrays().items()
-             if k != "w1"}
     order_rng = np.random.default_rng(cfg.seed + 1)
     n = len(feats)
     epoch_losses = []
@@ -233,40 +236,26 @@ def _fit(feats: list[SparseFeatures],
         total, count = 0.0, 0
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            caches0, caches1 = [], []
-            e0 = np.empty((len(batch), cfg.out_dim))
-            e1 = np.empty((len(batch), cfg.out_dim))
-            for j, i in enumerate(batch):
-                base = ((cfg.seed * 1000003 + epoch * 9973 + start) * 131
-                        + int(i)) * 2
-                e0[j], c0 = _forward(feats[i], params, _dropout_mask(
-                    params.hidden_dim, params.dropout, base))
-                e1[j], c1 = _forward(feats[i], params, _dropout_mask(
-                    params.hidden_dim, params.dropout, base + 1))
-                caches0.append(c0)
-                caches1.append(c1)
+            # view v of example i draws its mask from seed 2 * (s + i) + v
+            s = (cfg.seed * 1000003 + epoch * 9973 + start) * 131
+            masks = np.ones((2, len(batch), params.hidden_dim))
+            if params.dropout > 0.0:
+                masks[:] = [[_dropout_mask(params.hidden_dim, params.dropout,
+                                           2 * (s + i) + view)
+                             for i in batch.tolist()] for view in (0, 1)]
+            rows, x = feats.block(batch)
+            views, cache = _forward(x, rows, params, masks)
             where = f"epoch {epoch} batch {start // cfg.batch_size}"
-            if not (np.isfinite(e0).all() and np.isfinite(e1).all()):
+            if not np.isfinite(views).all():
                 raise NonFiniteError(
                     f"contrastive training: non-finite views at {where}")
-            loss, d0, d1 = info_nce_loss(e0, e1, cfg.temperature)
+            loss, d0, d1 = info_nce_loss(views[0], views[1],
+                                         cfg.temperature)
             if not math.isfinite(loss):
                 raise NonFiniteError(
                     f"contrastive training: non-finite loss at {where}")
-            for g in grads.values():
-                g.fill(0.0)
-            # the batch's union of w1 rows; plain np.unique would import
-            # numpy.ma, about 3 MB resident
-            rows = np.sort(np.concatenate([feats[i].indices for i in batch]))
-            rows = rows[np.concatenate(([True], rows[1:] != rows[:-1]))]
-            w1_rows = np.zeros((len(rows), cfg.hidden_dim))
-            for j, i in enumerate(batch):
-                positions = np.searchsorted(rows, feats[i].indices)
-                _backward(d0[j], caches0[j], params, grads, w1_rows,
-                          positions)
-                _backward(d1[j], caches1[j], params, grads, w1_rows,
-                          positions)
-            opt.step({**grads, "w1": w1_rows}, rows={"w1": rows})
+            opt.step(_backward(np.stack((d0, d1)), cache, params),
+                     rows={"w1": rows})
             total += loss
             count += 1
             log.debug("contrastive epoch %d batch %d loss %.6f",
@@ -287,24 +276,12 @@ def train_encoder(train_cases: Sequence[CaseRecord],
     """
     if not train_cases:
         raise ValueError("train_cases must be non-empty")
-    feats = featurize([c.text for c in train_cases], cfg.hash_dim)
-    params, _ = _fit(feats, cfg)
-    return params
+    return _fit(featurize([c.text for c in train_cases], cfg.hash_dim),
+                cfg)[0]
 
 
-def contrastive_epoch_losses(train_cases: Sequence[CaseRecord],
-                             cfg: ContrastiveConfig) -> list[float]:
-    """Mean training loss per epoch, for loss-trend diagnostics."""
-    if not train_cases:
-        raise ValueError("train_cases must be non-empty")
-    feats = featurize([c.text for c in train_cases], cfg.hash_dim)
-    _, losses = _fit(feats, cfg)
-    return losses
-
-
-# Texts featurized per call in embed_corpus; bounds the features held
-# at once on large corpora.  16 embedded 3,000 paper-default texts as
-# fast as 64 did, and 64 left the heap about 0.3 MB larger.
+# Texts featurized and encoded per call in embed_corpus; bounds the
+# features and the dense block held at once on large corpora.
 _EMBED_CHUNK = 16
 
 
@@ -313,10 +290,9 @@ def embed_corpus(corpus: Corpus, params: EncoderParams) -> EmbeddingStore:
     matrix = np.empty((len(corpus), params.out_dim))
     texts = [case.text for case in corpus]
     for start in range(0, len(texts), _EMBED_CHUNK):
-        chunk = featurize(texts[start:start + _EMBED_CHUNK],
-                          params.hash_dim)
-        for rank, feats in enumerate(chunk, start=start):
-            matrix[rank] = encode(feats, params)
+        matrix[start:start + _EMBED_CHUNK] = encode(
+            featurize(texts[start:start + _EMBED_CHUNK], params.hash_dim),
+            params)
     return EmbeddingStore(corpus.case_ids(), matrix)
 
 

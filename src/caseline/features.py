@@ -5,17 +5,20 @@ bigrams into a fixed number of buckets (64-bit FNV-1a mod hash_dim)
 and L2-normalizes the bucket counts.  Deterministic for fixed text and
 hash_dim on any machine; no vocabulary is stored.
 
-featurize takes one text or a sequence of them and tokenizes and
-hashes many texts per vectorized numpy pass (runs of token bytes, then
-uint64 FNV-1a one byte position at a time), bit-for-bit equal to
-tokenize followed by the per-token reference kernels.hash_ngrams.
+featurize takes one text or a sequence of them and returns one CSR
+SparseBatch, a row per text.  It tokenizes and hashes many texts per
+vectorized numpy pass (runs of token bytes, then uint64 FNV-1a one
+byte position at a time), bit-for-bit equal to tokenize followed by
+the per-token reference kernels.hash_ngrams.  The batch is the only
+code that makes hashed features dense: block() over the union of some
+rows' buckets, to_dense() over all hash_dim buckets.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence, overload
+from typing import Sequence
 
 import numpy as np
 
@@ -50,17 +53,42 @@ def tokenize(text: str) -> list[str]:
 
 
 @dataclass(frozen=True)
-class SparseFeatures:
-    """Hashed text features: sorted unique bucket indices with L2-normalized
-    weights."""
+class SparseBatch:
+    """Hashed features of n texts in CSR form.  Row i holds the sorted
+    unique bucket indices indices[indptr[i]:indptr[i + 1]] and their
+    weights, which have unit L2 norm."""
 
-    indices: np.ndarray  # int64, strictly increasing, < hash_dim
-    weights: np.ndarray  # float64, unit L2 norm
+    indptr: np.ndarray   # int64, (n + 1,), starts at 0
+    indices: np.ndarray  # int64, strictly increasing per row, < hash_dim
+    weights: np.ndarray  # float64
     hash_dim: int
 
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def block(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted union of the given rows' buckets, and the dense
+        (len(rows), len(union)) matrix of their weights over it."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        # positions of every entry of the rows, row by row
+        at = np.repeat(starts - np.cumsum(counts) + counts, counts) \
+            + np.arange(counts.sum())
+        buckets = self.indices[at]
+        # plain np.unique would import numpy.ma, about 3 MB resident
+        union = np.sort(buckets)
+        union = union[np.concatenate(([True], union[1:] != union[:-1]))]
+        dense = np.zeros((len(rows), len(union)))
+        dense[np.repeat(np.arange(len(rows)), counts),
+              np.searchsorted(union, buckets)] = self.weights[at]
+        return union, dense
+
     def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.hash_dim)
-        dense[self.indices] = self.weights
+        """The (n, hash_dim) matrix of all rows."""
+        dense = np.zeros((len(self), self.hash_dim))
+        dense[np.repeat(np.arange(len(self)), np.diff(self.indptr)),
+              self.indices] = self.weights
         return dense
 
 
@@ -113,64 +141,49 @@ def _hash_ngrams(texts: Sequence[bytes],
     return buckets.astype(np.int64), np.concatenate((owner, owner[first]))
 
 
-@overload
-def featurize(text: str, hash_dim: int = ...) -> SparseFeatures: ...
+def featurize(text: str | Sequence[str],
+              hash_dim: int = DEFAULT_HASH_DIM) -> SparseBatch:
+    """Hash one text, or each text of a sequence, into a batch of
+    normalized sparse features, one row per text.
 
-
-@overload
-def featurize(text: Sequence[str],
-              hash_dim: int = ...) -> list[SparseFeatures]: ...
-
-
-def featurize(text, hash_dim=DEFAULT_HASH_DIM):
-    """Hash a text into normalized sparse features, or each text of a
-    sequence into a list of them.
-
-    A sequence is tokenized and hashed together in vectorized passes of
-    about _PASS_BYTES bytes each; a single text is a pass of its own.
-    Raises EmptyTextError when a text contains no tokens.
+    Texts are tokenized and hashed together in vectorized passes of
+    about _PASS_BYTES bytes each.  Raises EmptyTextError when a text
+    contains no tokens.
     """
-    if isinstance(text, str):
-        return _featurize_pass([_utf8(text)], hash_dim)[0]
-    out: list[SparseFeatures] = []
+    texts = [text] if isinstance(text, str) else text
+    counts, indices, weights = [np.zeros(1, dtype=np.int64)], [], []
     pending: list[bytes] = []
     n_pending = 0
-    for one in text:
-        pending.append(_utf8(one))
+    for one in texts:
+        pending.append(one.lower().encode("utf-8", "surrogatepass"))
         n_pending += len(pending[-1])
         if n_pending >= _PASS_BYTES:
-            out += _featurize_pass(pending, hash_dim)
+            _featurize_pass(pending, hash_dim, counts, indices, weights)
             pending, n_pending = [], 0
-    out += _featurize_pass(pending, hash_dim)
-    return out
+    _featurize_pass(pending, hash_dim, counts, indices, weights)
+    return SparseBatch(indptr=np.cumsum(np.concatenate(counts)),
+                       indices=np.concatenate(indices),
+                       weights=np.concatenate(weights), hash_dim=hash_dim)
 
 
-def _utf8(text: str) -> bytes:
-    return text.lower().encode("utf-8", "surrogatepass")
-
-
-def _featurize_pass(texts: Sequence[bytes],
-                    hash_dim: int) -> list[SparseFeatures]:
-    """One pass: hash, then count each text's distinct buckets with one
-    sort by (text, bucket).  The texts' indices and weights are views
-    of two arrays per pass, so the pass leaves no small allocation per
-    text between its temporaries."""
+def _featurize_pass(texts: Sequence[bytes], hash_dim: int,
+                    counts: list, indices: list, weights: list) -> None:
+    """One pass: hash, count each text's distinct buckets with one sort
+    by (text, bucket), and append the pass's CSR parts to the lists."""
     buckets, owner = _hash_ngrams(texts, hash_dim)
     order = np.lexsort((buckets, owner))
     buckets, owner = buckets[order], owner[order]
     new = np.ones(len(buckets), dtype=bool)
     new[1:] = (buckets[1:] != buckets[:-1]) | (owner[1:] != owner[:-1])
     starts = np.flatnonzero(new)
-    indices = buckets[starts]
-    weights = np.diff(np.append(starts, len(buckets))).astype(np.float64)
+    w = np.diff(np.append(starts, len(buckets))).astype(np.float64)
     bounds = np.searchsorted(owner[starts], np.arange(len(texts) + 1))
-    out = []
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        w = weights[lo:hi]
-        w /= np.linalg.norm(w)
-        out.append(SparseFeatures(indices=indices[lo:hi], weights=w,
-                                  hash_dim=hash_dim))
-    return out
+        row = w[lo:hi]
+        row /= np.linalg.norm(row)
+    counts.append(np.diff(bounds))
+    indices.append(buckets[starts])
+    weights.append(w)
 
 
 def ngram_strings(text: str) -> list[str]:

@@ -1,9 +1,9 @@
 """NumPy implementations of the hot kernels.
 
-``adamw_step`` and ``add_outer`` are the per-element optimizer update
-and the sparse row accumulation that training runs.  ``hash_ngrams``
-is the per-token FNV-1a reference that ``features.featurize`` must
-match bit for bit; the pipeline itself hashes through ``featurize``.
+``adamw_step`` is the per-element optimizer update that training
+runs.  ``hash_ngrams`` is the per-token FNV-1a reference that
+``features.featurize`` must match bit for bit; the pipeline itself
+hashes through ``featurize``.
 """
 
 from __future__ import annotations
@@ -71,13 +71,3 @@ def adamw_step(
     v[:] = beta2 * v + omb2 * (grad * grad)
     param -= lr * ((m / bias_c1) / (np.sqrt(v / bias_c2) + eps)
                    + weight_decay * param)
-
-
-def add_outer(out: np.ndarray, idx: np.ndarray, vals: np.ndarray,
-              vec: np.ndarray) -> None:
-    """out[idx[i], :] += vals[i] * vec for each i, in place.
-
-    idx entries must be unique (feature buckets are deduplicated
-    upstream); the numpy fancy-index update silently drops duplicates.
-    """
-    out[idx] += vals[:, None] * vec

@@ -549,7 +549,7 @@ def predict_with_evidence(case: CaseRecord, rank: int,
     if case.case_id in store:
         vec = store.vector(case.case_id)
     elif encoder is not None:
-        vec = encode(featurize(case.text, encoder.hash_dim), encoder)
+        vec = encode(featurize(case.text, encoder.hash_dim), encoder)[0]
     else:
         raise ConfigError(
             f"case {case.case_id} not in the embedding store and no "

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from caseline import cli
 from caseline.artifacts import load_npz
 from caseline.config import load_run_config
-from caseline.corpus import chronological_split, load_corpus
+from caseline.corpus import LabelCatalog, chronological_split, load_corpus
 from caseline.model import infer, load_model
 from caseline.store import EmbeddingStore
 
@@ -300,6 +300,26 @@ class TestErrors:
         assert payload["error"] == "MalformedRecordError"
         assert f"{bad}:" in payload["message"]
 
+    @pytest.mark.parametrize("seeds", ["a", "1.5", "0,x", "-1", "0,,-2"])
+    def test_bad_seed_list_is_usage_error(self, tmp_path, capsys, seeds):
+        """Rejected while parsing, before the (absent) corpus is read."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ablate", "--corpus", str(tmp_path / "absent.jsonl"),
+                      "--out-dir", str(tmp_path / "out"), "--seeds", seeds])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "argument --seeds" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_seed_list_is_config_error(self, tmp_path, capsys):
+        code = cli.main(["ablate", "--corpus", str(tmp_path / "absent.jsonl"),
+                         "--out-dir", str(tmp_path / "out"), "--seeds", ","])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
+        assert list(tmp_path.iterdir()) == []
+
     def test_version_flag(self):
         proc = run_cli("--version")
         assert proc.stdout.startswith("caseline ")
@@ -466,6 +486,34 @@ class TestArtifactFiles:
                     else "IoFailureError"), lines[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("fault", ["embed-dim", "extra-label"])
+    def test_model_that_does_not_fit_its_index_exits_1(
+            self, suffixless, tmp_path, fault):
+        """An index of other embeddings or labels than the model was
+        trained on fails at load, naming both files."""
+        _, p = suffixless
+        store, labels, catalog, meta = cli.load_index(p["idx"])
+        if fault == "embed-dim":
+            half = store.matrix[:, :store.dim // 2]
+            store = EmbeddingStore(
+                store.case_ids, half / np.linalg.norm(half, axis=1)[:, None])
+        else:
+            catalog = LabelCatalog([*catalog.names, "extra"])
+            labels = np.hstack([labels, np.zeros((len(labels), 1), np.uint8)])
+        idx, out = str(tmp_path / "idx"), str(tmp_path / "out")
+        cli.save_index(idx, store, labels, catalog, meta)
+        given = ["--corpus", p["corpus"], "--index", idx, "--model",
+                 p["model"], "--output", out]
+        for argv in (["predict", *given], ["evaluate", *given]):
+            code, lines = run_in_process(argv, p["labels"])
+            assert code == 1, argv[0]
+            assert len(lines) == 1, lines
+            error = json.loads(lines[0])
+            assert error["error"] == "DimensionMismatchError"
+            assert p["model"] in error["message"]
+            assert idx in error["message"]
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("where", ["case_id", "label"])
     def test_nul_in_case_id_or_label_name_exits_1(
             self, suffixless, tmp_path, where):
@@ -526,6 +574,7 @@ class TestArtifactFiles:
         "encoder.batch_size=1", "encoder.dropout=1.0",
         "encoder.learning_rate=0", "encoder.epochs=-1",
         "encoder.hash_dim=0", "encoder.hidden_dim=0", "encoder.out_dim=0",
+        "encoder.weight_decay=nan", "encoder.learning_rate=inf", "seed=-1",
     ])
     def test_bad_encoder_setting_exits_1_with_one_json_line(
             self, suffixless, tmp_path, override):

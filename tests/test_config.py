@@ -189,7 +189,9 @@ class TestTypedViews:
     @pytest.mark.parametrize("override", [
         "encoder.batch_size=1", "train.batch_size=0", "encoder.dropout=1.0",
         "train.dropout=1.0", "encoder.temperature=0", "retrieval.k=0",
-        "retrieval.alpha=0", "split.val_size=0"])
+        "retrieval.alpha=0", "split.val_size=0", "seed=-1",
+        "encoder.weight_decay=nan", "encoder.learning_rate=inf",
+        "summarizer.timeout=inf"])
     def test_load_rejects_a_bad_value_by_its_key(self, override):
         key = override.split("=")[0]
         with pytest.raises(ConfigError, match=re.escape(key)):

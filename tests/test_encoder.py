@@ -10,9 +10,10 @@ import pytest
 from caseline import kernels
 from caseline.encoder import (
     ContrastiveConfig,
+    _backward,
     _dropout_mask,
+    _fit,
     _forward,
-    contrastive_epoch_losses,
     embed_corpus,
     encode,
     info_nce_loss,
@@ -26,7 +27,7 @@ from caseline.errors import (
     NonFiniteError,
     NonPositiveTemperatureError,
 )
-from caseline.features import SparseFeatures, featurize, tokenize
+from caseline.features import featurize
 from caseline.synthetic import generate_cluster_corpus
 
 SMALL_CFG = ContrastiveConfig(hash_dim=1024, hidden_dim=16, out_dim=8,
@@ -121,9 +122,11 @@ class TestInfoNceGradients:
 class TestEncode:
     def test_unit_norm_and_dim(self):
         params = init_encoder_params(SMALL_CFG)
-        emb = encode(featurize("liberty and security", 1024), params)
-        assert emb.shape == (8,)
-        assert math.isclose(np.linalg.norm(emb), 1.0, rel_tol=1e-9)
+        emb = encode(featurize(["liberty and security", "due process"],
+                               1024), params)
+        assert emb.shape == (2, 8)
+        np.testing.assert_allclose(np.linalg.norm(emb, axis=1), 1.0,
+                                   rtol=1e-9)
 
     def test_infer_deterministic(self):
         params = init_encoder_params(SMALL_CFG)
@@ -178,7 +181,8 @@ class TestTraining:
                                     out_dim=8, epochs=3,
                                     learning_rate=1e-3, batch_size=4,
                                     seed=seed)
-            losses = contrastive_epoch_losses(corpus.cases, cfg)
+            _, losses = _fit(featurize([c.text for c in corpus.cases],
+                                       cfg.hash_dim), cfg)
             assert len(losses) == 3
             firsts.append(losses[0])
             lasts.append(losses[-1])
@@ -201,28 +205,57 @@ class TestTraining:
         assert intra > inter
 
 
-def _reference_features(text: str, hash_dim: int) -> SparseFeatures:
-    buckets = kernels.hash_ngrams(tokenize(text), hash_dim)
-    indices, counts = np.unique(buckets, return_counts=True)
-    weights = counts.astype(np.float64)
-    weights /= np.linalg.norm(weights)
-    return SparseFeatures(indices, weights, hash_dim)
+class TestBackwardFiniteDifferences:
+    """_backward against central differences of a random linear
+    functional of _forward's outputs, with fixed dropout masks."""
 
+    def test_matches_central_differences(self, rng):
+        cfg = ContrastiveConfig(hash_dim=32, hidden_dim=5, out_dim=4,
+                                dropout=0.3, seed=2)
+        params = init_encoder_params(cfg)
+        params.b1[:] = rng.uniform(-0.2, 0.2, 5)
+        params.b2[:] = rng.uniform(-0.2, 0.2, 4)
+        feats = featurize(["alpha bravo charlie alpha", "bravo delta",
+                           "echo foxtrot alpha golf"], cfg.hash_dim)
+        rows, x = feats.block([2, 0, 1])
+        masks = np.stack([np.stack([_dropout_mask(5, 0.3, 2 * j + view)
+                                    for j in range(3)])
+                          for view in (0, 1)])
+        probe = rng.standard_normal((2, 3, 4))
 
-def _reference_backward(dz2, cache, params, grads):
-    feats, z1, hd, mask = cache
-    grads["b2"] += dz2
-    grads["w2"] += np.outer(hd, dz2)
-    dz1 = np.where(z1 > 0.0, (params.w2 @ dz2) * mask, 0.0)
-    grads["b1"] += dz1
-    kernels.add_outer(grads["w1"], feats.indices, feats.weights, dz1)
+        def objective():
+            z2, _ = _forward(x, rows, params, masks)
+            return float((probe * z2).sum())
+
+        _, cache = _forward(x, rows, params, masks)
+        grads = _backward(probe, cache, params)
+        eps = 1e-6
+        for name, param, coords in (
+                ("w1", params.w1, [(r, h) for r in rows
+                                   for h in range(5)]),
+                ("b1", params.b1, [(h,) for h in range(5)]),
+                ("w2", params.w2, list(np.ndindex(params.w2.shape))),
+                ("b2", params.b2, [(o,) for o in range(4)])):
+            numeric = np.empty(len(coords))
+            for n, at in enumerate(coords):
+                keep = param[at]
+                param[at] = keep + eps
+                up = objective()
+                param[at] = keep - eps
+                down = objective()
+                param[at] = keep
+                numeric[n] = (up - down) / (2 * eps)
+            analytic = grads[name].reshape(-1)
+            np.testing.assert_allclose(analytic, numeric, rtol=1e-6,
+                                       atol=1e-8, err_msg=name)
 
 
 def _dense_reference_train(cases, cfg: ContrastiveConfig):
-    """The contrastive loop with a dense hash_dim x hidden w1 gradient
-    accumulated by kernels.add_outer and a dense AdamW update of
-    every parameter (AdamW defaults: beta 0.9/0.999, eps 1e-8)."""
-    feats = [_reference_features(c.text, cfg.hash_dim) for c in cases]
+    """The contrastive loop with each batch's w1 block gradient
+    scattered into a dense hash_dim x hidden gradient and a dense AdamW
+    update of every parameter (AdamW defaults: beta 0.9/0.999, eps
+    1e-8)."""
+    feats = featurize([c.text for c in cases], cfg.hash_dim)
     params = init_encoder_params(cfg)
     arrays = params.arrays()
     m = {k: np.zeros_like(a) for k, a in arrays.items()}
@@ -233,20 +266,17 @@ def _dense_reference_train(cases, cfg: ContrastiveConfig):
         order = order_rng.permutation(len(feats))
         for start in range(0, len(feats), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            views = ([], [])
-            for i in batch:
-                base = ((cfg.seed * 1000003 + epoch * 9973 + start) * 131
-                        + int(i)) * 2
-                for view, out in enumerate(views):
-                    out.append(_forward(feats[i], params, _dropout_mask(
-                        params.hidden_dim, params.dropout, base + view)))
-            _, d0, d1 = info_nce_loss(np.array([z for z, _ in views[0]]),
-                                      np.array([z for z, _ in views[1]]),
-                                      cfg.temperature)
-            grads = {k: np.zeros_like(a) for k, a in arrays.items()}
-            for j in range(len(batch)):
-                _reference_backward(d0[j], views[0][j][1], params, grads)
-                _reference_backward(d1[j], views[1][j][1], params, grads)
+            masks = np.stack([np.stack([_dropout_mask(
+                params.hidden_dim, params.dropout,
+                ((cfg.seed * 1000003 + epoch * 9973 + start) * 131
+                 + int(i)) * 2 + view) for i in batch]) for view in (0, 1)])
+            rows, x = feats.block(batch)
+            views, cache = _forward(x, rows, params, masks)
+            _, d0, d1 = info_nce_loss(views[0], views[1], cfg.temperature)
+            grads = _backward(np.stack((d0, d1)), cache, params)
+            w1_grad = np.zeros_like(params.w1)
+            w1_grad[rows] = grads["w1"]
+            grads["w1"] = w1_grad
             t += 1
             for k, a in arrays.items():
                 kernels.adamw_step(
@@ -271,8 +301,8 @@ class TestDenseReference:
         cfg = ContrastiveConfig(hash_dim=hash_dim, hidden_dim=16, out_dim=8,
                                 epochs=2, learning_rate=1e-3, batch_size=4,
                                 dropout=0.2, weight_decay=0.05, seed=3)
-        union = np.unique(np.concatenate(
-            [_reference_features(c.text, hash_dim).indices for c in cases]))
+        union, _ = featurize([c.text for c in cases], hash_dim).block(
+            np.arange(len(cases)))
         assert (2 * len(union) >= hash_dim) == crosses
         got = train_encoder(cases, cfg)
         want = _dense_reference_train(cases, cfg)

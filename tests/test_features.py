@@ -18,6 +18,12 @@ from caseline.features import (
 )
 
 
+def _row(batch, i):
+    """Indices and weights of row i of a batch."""
+    lo, hi = batch.indptr[i], batch.indptr[i + 1]
+    return batch.indices[lo:hi], batch.weights[lo:hi]
+
+
 class TestTokenize:
     def test_lowercases_and_splits(self):
         assert tokenize("The COURT held; Art. 5(1)!") == \
@@ -52,18 +58,35 @@ class TestFeaturize:
         np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_repetition_raises_weight(self):
-        f = featurize("rare rare common", hash_dim=1 << 16)
-        dense = f.to_dense()
+        dense = featurize("rare rare common", hash_dim=1 << 16).to_dense()[0]
         toks = ["rare", "common"]
         buckets = [featurize(t, hash_dim=1 << 16).indices[0] for t in toks]
         assert dense[buckets[0]] > dense[buckets[1]]
 
-    def test_to_dense_round_trip(self):
+    def test_one_text_is_a_one_row_batch(self):
         f = featurize("x y z", hash_dim=64)
+        assert len(f) == 1
+        assert f.indptr.tolist() == [0, len(f.indices)]
+
+    def test_to_dense_round_trip(self):
+        f = featurize(["x y z", "z w", "x x"], hash_dim=64)
         dense = f.to_dense()
-        assert dense.shape == (64,)
-        np.testing.assert_allclose(dense[f.indices], f.weights)
-        assert np.count_nonzero(dense) == len(f.indices)
+        assert dense.shape == (3, 64)
+        for i in range(3):
+            indices, weights = _row(f, i)
+            assert dense[i, indices].tobytes() == weights.tobytes()
+            assert np.count_nonzero(dense[i]) == len(indices)
+
+    def test_block_is_to_dense_over_the_union(self):
+        f = featurize(["x y z", "z w", "x x", "v w x"], hash_dim=64)
+        rows = [3, 0, 3, 1]
+        union, block = f.block(rows)
+        assert (np.diff(union) > 0).all()
+        assert set(union.tolist()) == set(np.concatenate(
+            [_row(f, i)[0] for i in rows]).tolist())
+        dense = f.to_dense()
+        assert block.tobytes() == dense[rows][:, union].tobytes()
+        assert not dense[rows][:, np.setdiff1d(np.arange(64), union)].any()
 
     def test_case_insensitive(self):
         a = featurize("Liberty AND security")
@@ -150,12 +173,13 @@ def test_featurize_sequence_matches_reference_hash(token_lists, hash_dim):
     hashing each text alone."""
     texts = [" ".join(tokens) for tokens in token_lists]
     batch = featurize(texts, hash_dim)
-    assert len(batch) == len(texts)
-    for tokens, text, got in zip(token_lists, texts, batch):
+    assert len(batch) == len(texts) and batch.hash_dim == hash_dim
+    assert batch.indptr.dtype == batch.indices.dtype == np.int64
+    for i, (tokens, text) in enumerate(zip(token_lists, texts)):
         indices, weights = _reference_features(tokens, hash_dim)
-        assert got.indices.dtype == np.int64 and got.hash_dim == hash_dim
-        assert got.indices.tobytes() == indices.tobytes()
-        assert got.weights.tobytes() == weights.tobytes()
+        got_indices, got_weights = _row(batch, i)
+        assert got_indices.tobytes() == indices.tobytes()
+        assert got_weights.tobytes() == weights.tobytes()
         single = featurize(text, hash_dim)
         assert single.indices.tobytes() == indices.tobytes()
         assert single.weights.tobytes() == weights.tobytes()
@@ -170,10 +194,11 @@ def test_featurize_sequence_spans_several_passes():
              for n in rng.integers(1, 80, size=3 * _PASS_BYTES // 100)]
     batch = featurize(texts, 1 << 12)
     assert len(batch) == len(texts)
-    for text, got in zip(texts, batch):
+    for i, text in enumerate(texts):
         indices, weights = _reference_features(tokenize(text), 1 << 12)
-        assert got.indices.tobytes() == indices.tobytes()
-        assert got.weights.tobytes() == weights.tobytes()
+        got_indices, got_weights = _row(batch, i)
+        assert got_indices.tobytes() == indices.tobytes()
+        assert got_weights.tobytes() == weights.tobytes()
 
 
 def _check_against_reference(texts, hash_dim):
@@ -183,11 +208,11 @@ def _check_against_reference(texts, hash_dim):
             featurize(texts, hash_dim)
         return
     batch = featurize(texts, hash_dim)
-    for text, tokens, got in zip(texts, token_lists, batch):
+    for i, (text, tokens) in enumerate(zip(texts, token_lists)):
         indices, weights = _reference_features(tokens, hash_dim)
-        for f in (got, featurize(text, hash_dim)):
-            assert f.indices.tobytes() == indices.tobytes()
-            assert f.weights.tobytes() == weights.tobytes()
+        for got in (_row(batch, i), _row(featurize(text, hash_dim), 0)):
+            assert got[0].tobytes() == indices.tobytes()
+            assert got[1].tobytes() == weights.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -210,6 +235,7 @@ def test_featurize_sequence_tricky_characters(text):
 
 
 def test_featurize_sequence_empty_text_raises():
-    assert featurize([], 64) == []
+    empty = featurize([], 64)
+    assert len(empty) == 0 and empty.to_dense().shape == (0, 64)
     with pytest.raises(EmptyTextError):
         featurize(["fine words", " ?! "], 64)

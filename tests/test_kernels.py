@@ -1,6 +1,5 @@
-"""Hot kernels: the FNV-1a n-gram hashing reference, the AdamW update
-against its formula, and the sparse row accumulation against a dense
-outer product."""
+"""Hot kernels: the FNV-1a n-gram hashing reference and the AdamW
+update against its formula."""
 from __future__ import annotations
 
 import numpy as np
@@ -76,27 +75,3 @@ class TestAdamwStep:
         np.testing.assert_allclose(m, m_ref, rtol=1e-12)
         np.testing.assert_allclose(v, v_ref, rtol=1e-12)
         np.testing.assert_allclose(p, p_ref, rtol=1e-12)
-
-
-class TestAddOuter:
-    def test_matches_dense_outer(self, rng):
-        out = np.zeros((16, 5))
-        idx = np.array([2, 5, 11], dtype=np.int64)
-        vals = np.array([0.5, -1.0, 2.0])
-        vec = rng.standard_normal(5)
-        kernels.add_outer(out, idx, vals, vec)
-        dense = np.zeros(16)
-        dense[idx] = vals
-        np.testing.assert_allclose(out, np.outer(dense, vec), atol=1e-15)
-
-    def test_accumulates_into_existing(self, rng):
-        out = rng.standard_normal((8, 3))
-        before = out.copy()
-        idx = np.array([1, 6], dtype=np.int64)
-        vals = np.array([1.0, -2.0])
-        vec = np.array([0.5, 0.25, -1.0])
-        kernels.add_outer(out, idx, vals, vec)
-        np.testing.assert_array_equal(out[[0, 2, 3, 4, 5, 7]],
-                                      before[[0, 2, 3, 4, 5, 7]])
-        np.testing.assert_allclose(out[1], before[1] + 1.0 * vec)
-        np.testing.assert_allclose(out[6], before[6] - 2.0 * vec)
