@@ -5,9 +5,10 @@ failed write leaves the previous file, or none, at the path.
 Checkpoints (the encoder, embedding store, index and model) are
 ``.npz`` archives of named arrays plus ``meta``, one canonical-JSON
 record with the ``kind``, the ``format_version`` and the provenance of
-the stage that wrote it.  Loading one of another kind or version is a
-``ConfigError``; any other fault is an ``IoFailureError`` naming the
-array.
+the stage that wrote it.  Every float array must be finite: saving a
+non-finite one is a ``NonFiniteError`` and writes nothing.  Loading a
+checkpoint of another kind or version is a ``ConfigError``; any other
+fault is an ``IoFailureError`` naming the array.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, IoFailureError
+from .errors import ConfigError, IoFailureError, NonFiniteError
 
 # What np.load and its zip reader raise on a missing, truncated or
 # corrupt .npz.  A flipped header bit can name an unknown compression
@@ -70,18 +71,25 @@ def save_text(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
-def _require_finite(what: str, arr: np.ndarray) -> None:
-    """IoFailureError naming ``what`` and the first non-finite index,
-    if the float array has one."""
+def _require_finite(what: str, arr: np.ndarray,
+                    error: type[Exception]) -> None:
+    """``error`` naming ``what`` and the first non-finite index, if the
+    float array has one."""
     finite = np.isfinite(arr)
     if not finite.all():
         where = np.unravel_index(np.argmin(finite), arr.shape)
-        raise IoFailureError(f"{what}: non-finite value at index "
-                             f"{tuple(map(int, where))}")
+        raise error(f"{what}: non-finite value at index "
+                    f"{tuple(map(int, where))}")
 
 
 def save_npz(path: str | Path, kind: str, version: int,
              arrays: dict[str, np.ndarray], meta: dict) -> None:
+    """Write the arrays and meta record as one checkpoint; a non-finite
+    float array is a NonFiniteError before any file is opened."""
+    for name, arr in arrays.items():
+        if arr.dtype.kind == "f":
+            _require_finite(f"{kind} checkpoint {path}: array {name!r}",
+                            arr, NonFiniteError)
     record = canonical_json({**meta, "kind": kind,
                              "format_version": version}).encode("utf-8")
     with atomic_write(path) as fh:
@@ -96,9 +104,9 @@ def load_npz(path: str | Path, kind: str, version: int,
 
     ``schema`` maps each array name to its kind (``"float"``: float64,
     all finite; ``"bits"``: uint8 of 0 and 1; ``"text"``: unicode) and
-    one symbol per axis; a symbol has one size across all arrays.  A
-    name ending in ``?`` is optional.  ``meta_schema`` maps the meta
-    fields the caller reads to their JSON types.
+    one symbol per axis; a symbol has one size across all arrays.
+    ``meta_schema`` maps the meta fields the caller reads to their JSON
+    types.
     """
     try:
         data = np.load(path)
@@ -112,9 +120,7 @@ def load_npz(path: str | Path, kind: str, version: int,
             if found != (kind, version):
                 raise ConfigError(f"{path} is not a {kind} checkpoint of "
                                   f"version {version}: found {found}")
-            arrays = {name.rstrip("?"): data[name.rstrip("?")]
-                      for name in schema
-                      if not name.endswith("?") or name[:-1] in data}
+            arrays = {name: data[name] for name in schema}
     except NPZ_READ_ERRORS as exc:
         raise IoFailureError(
             f"cannot read {kind} checkpoint {path}: {exc}") from exc
@@ -124,10 +130,7 @@ def load_npz(path: str | Path, kind: str, version: int,
                                  f"{key!r} is {meta.get(key)!r}")
     sizes: dict[str, int] = {}
     for name, (dtype, dims) in schema.items():
-        name = name.rstrip("?")
-        arr = arrays.get(name)
-        if arr is None:
-            continue
+        arr = arrays[name]
         what = f"{kind} checkpoint {path}: array {name!r}"
         if arr.ndim != len(dims) or any(
                 sizes.setdefault(d, n) != n for d, n in zip(dims, arr.shape)):
@@ -136,5 +139,5 @@ def load_npz(path: str | Path, kind: str, version: int,
         if not _DTYPE_OK[dtype](arr):
             raise IoFailureError(f"{what} is {arr.dtype}, not {dtype}")
         if dtype == "float":
-            _require_finite(what, arr)
+            _require_finite(what, arr, IoFailureError)
     return arrays, meta

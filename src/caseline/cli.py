@@ -316,12 +316,16 @@ def cmd_gen_drift(args: argparse.Namespace, cfg: RunConfig) -> int:
 # --------------------------------------------------------------- parser
 
 def _seed_list(text: str) -> list[int]:
-    """``--seeds``: comma-separated non-negative integers."""
+    """``--seeds``: comma-separated distinct non-negative integers."""
     items = [s.strip() for s in text.split(",") if s.strip()]
     if not all(s.isascii() and s.isdigit() for s in items):
         raise argparse.ArgumentTypeError(
             f"expected comma-separated non-negative integers, got {text!r}")
-    return [int(s) for s in items]
+    seeds = [int(s) for s in items]
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(
+            f"a seed is repeated in {text!r}; each run needs its own seed")
+    return seeds
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -11,7 +11,9 @@ past the training range — without retraining the classifier.
 Training minimizes ``(1 - lam) * BCE(sigmoid(y_final), labels)
 + lam * ||drift||^2``: the served logits ``y_final = y_orig + drift``
 carry the classification loss while the quadratic penalty keeps the
-correction anchored to the plain prediction.
+correction anchored to the plain prediction.  A model checkpoint
+(format 2) holds the classifier and the drift head, whose input is
+that one scalar coordinate.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ __all__ = [
     "Prediction",
     "fuse_evidence",
     "drift_input",
-    "drift_features",
     "init_model_params",
     "forward",
     "infer",
@@ -73,10 +74,8 @@ class TrainConfig:
 
     ``lam`` balances classification against the drift penalty; the
     classifier gets its own (larger) learning rate while the drift
-    head and any encoder adapter train at ``other_lr``.  Early
-    stopping watches validation micro-F1 with the given patience.
-    ``drift_frequencies`` > 0 augments the scalar drift input with
-    that many sinusoid pairs for non-smooth drift shapes.
+    head trains at ``other_lr``.  Early stopping watches validation
+    micro-F1 with the given patience.
     """
 
     lam: float = 0.10
@@ -88,10 +87,8 @@ class TrainConfig:
     max_epochs: int = 20
     seed: int = 0
     drift_hidden: int = 64
-    drift_frequencies: int = 0
     retrieval_on: bool = True
     drift_on: bool = True
-    finetune_encoder: bool = False
     weight_decay: float = 0.01
 
     def __post_init__(self) -> None:
@@ -111,8 +108,6 @@ class TrainConfig:
             raise ConfigError("max_epochs must be >= 0")
         if self.drift_hidden < 1:
             raise ConfigError("drift_hidden must be >= 1")
-        if self.drift_frequencies < 0:
-            raise ConfigError("drift_frequencies must be >= 0")
 
 
 @dataclass
@@ -121,12 +116,10 @@ class ModelParams:
 
     ``w``/``b`` form the linear classifier over the concatenated
     [case embedding, evidence embedding] input; ``drift_*`` form the
-    two-layer ReLU MLP from the drift-input features to one logit
-    correction per label.  ``adapter``, when present, is a square
-    matrix applied to the case embedding before concatenation (the
-    trainable stand-in for encoder fine-tuning).  ``train_rank_range``
-    is the (min, max) chronological rank of the training split, the
-    normalization frame for the drift input.
+    two-layer ReLU MLP from the scalar drift input to one logit
+    correction per label.  ``train_rank_range`` is the (min, max)
+    chronological rank of the training split, the normalization frame
+    for the drift input.
     """
 
     w: np.ndarray
@@ -136,10 +129,8 @@ class ModelParams:
     drift_w2: np.ndarray
     drift_b2: np.ndarray
     train_rank_range: tuple[int, int]
-    drift_frequencies: int = 0
     retrieval_on: bool = True
     drift_on: bool = True
-    adapter: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -150,28 +141,10 @@ class ModelParams:
     def embed_dim(self) -> int:
         return self.w.shape[0] - self.n_labels
 
-    @property
-    def drift_in_dim(self) -> int:
-        return self.drift_w1.shape[0]
-
-    def other_arrays(self) -> dict[str, np.ndarray]:
-        arrays: dict[str, np.ndarray] = {}
-        if self.drift_on:
-            arrays.update({"drift_w1": self.drift_w1,
-                           "drift_b1": self.drift_b1,
-                           "drift_w2": self.drift_w2,
-                           "drift_b2": self.drift_b2})
-        if self.adapter is not None:
-            arrays["adapter"] = self.adapter
-        return arrays
-
     def all_arrays(self) -> dict[str, np.ndarray]:
-        arrays = {"w": self.w, "b": self.b,
-                  "drift_w1": self.drift_w1, "drift_b1": self.drift_b1,
-                  "drift_w2": self.drift_w2, "drift_b2": self.drift_b2}
-        if self.adapter is not None:
-            arrays["adapter"] = self.adapter
-        return arrays
+        return {"w": self.w, "b": self.b,
+                "drift_w1": self.drift_w1, "drift_b1": self.drift_b1,
+                "drift_w2": self.drift_w2, "drift_b2": self.drift_b2}
 
 
 @dataclass(frozen=True)
@@ -228,16 +201,6 @@ def drift_input(rank: int, train_rank_range: tuple[int, int]) -> float:
     return (rank - lo) / (hi - lo)
 
 
-def drift_features(x: float, n_frequencies: int = 0) -> np.ndarray:
-    """Feature vector for the drift head: the scalar itself, plus
-    optional sin/cos pairs at doubling frequencies."""
-    feats = [x]
-    for j in range(n_frequencies):
-        feats.append(math.sin((2.0 ** j) * math.pi * x))
-        feats.append(math.cos((2.0 ** j) * math.pi * x))
-    return np.array(feats)
-
-
 def init_model_params(embed_dim: int, n_labels: int, cfg: TrainConfig,
                       train_rank_range: tuple[int, int]) -> ModelParams:
     """Seeded initialization.
@@ -250,17 +213,15 @@ def init_model_params(embed_dim: int, n_labels: int, cfg: TrainConfig,
     """
     rng = np.random.default_rng(cfg.seed)
     in_dim = embed_dim + n_labels
-    drift_in = 1 + 2 * cfg.drift_frequencies
 
     def xavier(n_in: int, n_out: int) -> np.ndarray:
         bound = math.sqrt(6.0 / (n_in + n_out))
         return rng.uniform(-bound, bound, size=(n_in, n_out))
 
     w = xavier(in_dim, n_labels)
-    drift_w1 = xavier(drift_in, cfg.drift_hidden)
+    drift_w1 = xavier(1, cfg.drift_hidden)
     if not cfg.drift_on:
         drift_w1 = np.zeros_like(drift_w1)
-    adapter = np.eye(embed_dim) if cfg.finetune_encoder else None
     return ModelParams(
         w=w, b=np.zeros(n_labels),
         drift_w1=drift_w1,
@@ -268,10 +229,8 @@ def init_model_params(embed_dim: int, n_labels: int, cfg: TrainConfig,
         drift_w2=np.zeros((cfg.drift_hidden, n_labels)),
         drift_b2=np.zeros(n_labels),
         train_rank_range=train_rank_range,
-        drift_frequencies=cfg.drift_frequencies,
         retrieval_on=cfg.retrieval_on,
-        drift_on=cfg.drift_on,
-        adapter=adapter)
+        drift_on=cfg.drift_on)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -295,19 +254,14 @@ def _batch_forward(e_case: np.ndarray, e_ev: np.ndarray, t: np.ndarray,
     if e_ev.shape[1] != params.n_labels:
         raise DimensionMismatchError(
             f"evidence dim {e_ev.shape[1]} != {params.n_labels}")
-    if t.shape[1] != params.drift_in_dim:
-        raise DimensionMismatchError(
-            f"drift input dim {t.shape[1]} != {params.drift_in_dim}")
-    adapted = e_case @ params.adapter if params.adapter is not None \
-        else e_case
-    x = np.concatenate([adapted, e_ev], axis=1)
+    x = np.concatenate([e_case, e_ev], axis=1)
     xd = x * mask if mask is not None else x
     y_orig = xd @ params.w + params.b
     z1 = t @ params.drift_w1 + params.drift_b1
     h = np.maximum(z1, 0.0)
     drift = h @ params.drift_w2 + params.drift_b2
     y_final = y_orig + drift
-    cache = (e_case, xd, t, z1, h, mask)
+    cache = (xd, t, z1, h)
     return y_orig, drift, y_final, cache
 
 
@@ -321,7 +275,7 @@ def _batch_backward(d_y_final: np.ndarray, d_drift: np.ndarray, cache,
     output (the anchoring penalty); the drift head receives both
     since y_final = y_orig + drift.
     """
-    e_case, xd, t, z1, h, mask = cache
+    xd, t, z1, h = cache
     grads["w"] += xd.T @ d_y_final
     grads["b"] += d_y_final.sum(axis=0)
     dd = d_y_final + d_drift
@@ -331,11 +285,6 @@ def _batch_backward(d_y_final: np.ndarray, d_drift: np.ndarray, cache,
     dh[z1 <= 0] = 0.0
     grads["drift_w1"] += t.T @ dh
     grads["drift_b1"] += dh.sum(axis=0)
-    if params.adapter is not None:
-        dx = d_y_final @ params.w.T
-        if mask is not None:
-            dx = dx * mask
-        grads["adapter"] += e_case.T @ dx[:, :params.embed_dim]
 
 
 def _decide(params: ModelParams, e_case: np.ndarray, e_ev: np.ndarray,
@@ -401,10 +350,8 @@ def _precompute_inputs(ranks, store: EmbeddingStore,
         e_ev[i] = fuse_evidence(ev, n_labels)
         if evidence is not None:
             evidence.append(ev)
-    t = np.stack([
-        drift_features(drift_input(r, params.train_rank_range),
-                       params.drift_frequencies)
-        for r in ranks])
+    t = np.array([drift_input(r, params.train_rank_range)
+                  for r in ranks]).reshape(-1, 1)
     return e_case, e_ev, t
 
 
@@ -412,7 +359,7 @@ def infer(params: ModelParams, ranks, store: EmbeddingStore,
           labels: np.ndarray, retr_cfg: RetrievalConfig
           ) -> tuple[Prediction, list[EvidenceSet]]:
     """The one inference path: retrieve and fuse evidence for the store
-    rows at ``ranks``, build the drift features, and run one batched
+    rows at ``ranks``, build the drift input, and run one batched
     forward with the sigmoid and the 0.5 threshold.  Returns one
     prediction row and one EvidenceSet per rank; ``labels`` has one row
     per store row."""
@@ -429,7 +376,7 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
     """Supervised training loop; returns the best-on-validation
     checkpoint plus per-epoch mean loss and validation micro-F1.
 
-    Two AdamW groups (classifier fast, drift head and adapter slow);
+    Two AdamW groups (classifier fast, drift head slow);
     evidence for training queries is restricted to training-split
     precedents; early stop after ``patience`` epochs without a strict
     validation micro-F1 improvement.  ``max_epochs`` 0 returns the
@@ -454,9 +401,10 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
     opt_classifier = AdamW({"w": params.w, "b": params.b},
                            lr=cfg.classifier_lr,
                            weight_decay=cfg.weight_decay)
-    other = params.other_arrays()
-    opt_other = AdamW(other, lr=cfg.other_lr,
-                      weight_decay=cfg.weight_decay) if other else None
+    drift_head = {k: v for k, v in params.all_arrays().items()
+                  if k.startswith("drift_")}
+    opt_other = AdamW(drift_head, lr=cfg.other_lr,
+                      weight_decay=cfg.weight_decay) if cfg.drift_on else None
     grads = {k: np.zeros_like(v) for k, v in params.all_arrays().items()}
     lam = cfg.lam if cfg.drift_on else 0.0
 
@@ -496,7 +444,7 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
             _batch_backward(d_y_final, d_drift, cache, params, grads)
             opt_classifier.step({k: grads[k] for k in ("w", "b")})
             if opt_other is not None:
-                opt_other.step({k: grads[k] for k in other})
+                opt_other.step({k: grads[k] for k in opt_other.params})
         f1 = val_f1(params)
         history["train_loss"].append(total / max(batches, 1))
         history["val_f1"].append(f1)
@@ -580,16 +528,14 @@ def prediction_record(case_id: str, pred: Prediction,
     }
 
 
-_MODEL_FORMAT_VERSION = 1
+_MODEL_FORMAT_VERSION = 2
 _MODEL_SCHEMA = {
     "w": ("float", ("I", "L")), "b": ("float", ("L",)),
     "drift_w1": ("float", ("T", "K")), "drift_b1": ("float", ("K",)),
     "drift_w2": ("float", ("K", "L")), "drift_b2": ("float", ("L",)),
-    "adapter?": ("float", ("E", "E")),
 }
-_MODEL_META_SCHEMA = {"train_rank_range": list, "drift_frequencies": int,
-                      "retrieval_on": bool, "drift_on": bool,
-                      "has_adapter": bool, "config": dict}
+_MODEL_META_SCHEMA = {"train_rank_range": list, "retrieval_on": bool,
+                      "drift_on": bool, "config": dict}
 
 
 def save_model(params: ModelParams, path: str | Path) -> None:
@@ -597,10 +543,8 @@ def save_model(params: ModelParams, path: str | Path) -> None:
     the training-split rank range needed at inference."""
     save_npz(path, "model", _MODEL_FORMAT_VERSION, params.all_arrays(), {
         "train_rank_range": list(params.train_rank_range),
-        "drift_frequencies": params.drift_frequencies,
         "retrieval_on": params.retrieval_on,
         "drift_on": params.drift_on,
-        "has_adapter": params.adapter is not None,
         "config": params.meta,
     })
 
@@ -608,9 +552,11 @@ def save_model(params: ModelParams, path: str | Path) -> None:
 def load_model(path: str | Path) -> ModelParams:
     arrays, meta = load_npz(path, "model", _MODEL_FORMAT_VERSION,
                             _MODEL_SCHEMA, _MODEL_META_SCHEMA)
-    if meta["has_adapter"] != ("adapter" in arrays):
-        raise IoFailureError(f"model checkpoint {path}: has_adapter is "
-                             f"{meta['has_adapter']} but the arrays differ")
+    if arrays["drift_w1"].shape[0] != 1:
+        raise IoFailureError(
+            f"model checkpoint {path}: array 'drift_w1' has "
+            f"{arrays['drift_w1'].shape[0]} rows, expected 1 (the drift "
+            "input is one scalar)")
     rank_range = meta["train_rank_range"]
     if not (len(rank_range) == 2
             and all(type(r) is int for r in rank_range)
@@ -618,15 +564,7 @@ def load_model(path: str | Path) -> ModelParams:
         raise IoFailureError(
             f"model checkpoint {path}: train_rank_range {rank_range!r} "
             "is not two integers lo < hi")
-    params = ModelParams(
+    return ModelParams(
         **arrays, train_rank_range=tuple(rank_range),
-        drift_frequencies=meta["drift_frequencies"],
         retrieval_on=meta["retrieval_on"], drift_on=meta["drift_on"],
         meta=meta["config"])
-    if params.adapter is not None \
-            and params.adapter.shape[0] != params.embed_dim:
-        raise IoFailureError(
-            f"model checkpoint {path}: adapter is "
-            f"{params.adapter.shape[0]}x{params.adapter.shape[1]} but the "
-            f"classifier takes {params.embed_dim}-dim embeddings")
-    return params

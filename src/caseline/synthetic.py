@@ -66,9 +66,9 @@ class DriftCorpusConfig:
             raise ConfigError("n_cases must be >= 1")
         if self.n_labels < 2:
             raise ConfigError("n_labels must be >= 2")
-        if self.rotation_rate < 0:
-            raise ConfigError(
-                f"rotation_rate must be >= 0, got {self.rotation_rate}")
+        if not 0 <= self.rotation_rate < math.inf:
+            raise ConfigError("rotation_rate must be finite and >= 0, "
+                              f"got {self.rotation_rate}")
         if not 0.0 <= self.noise_rate < 1.0:
             raise ConfigError("noise_rate must be in [0,1)")
         if not 0 <= self.policy_labels <= self.n_labels - 2:

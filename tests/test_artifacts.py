@@ -18,17 +18,24 @@ from caseline.encoder import (
     load_encoder,
     save_encoder,
 )
-from caseline.errors import ConfigError, IoFailureError
+from caseline.errors import ConfigError, IoFailureError, NonFiniteError
 
 SCHEMA = {"w1": ("float", ("V", "H")), "b1": ("float", ("H",)),
-          "labels": ("bits", ("V", "L")), "names": ("text", ("L",)),
-          "extra?": ("float", ("H", "H"))}
+          "labels": ("bits", ("V", "L")), "names": ("text", ("L",))}
 
 
 def _arrays():
     return {"w1": np.arange(6.0).reshape(3, 2), "b1": np.zeros(2),
             "labels": np.eye(3, 4, dtype=np.uint8),
             "names": np.array(["a", "b", "c", "d"])}
+
+
+def _save_unchecked(path, arrays):
+    """A demo checkpoint as ``save_npz`` lays it out, without its
+    finiteness check, to damage what a loader reads."""
+    meta = artifacts.canonical_json({"kind": "demo", "format_version": 3})
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays, meta=np.frombuffer(meta.encode(), np.uint8))
 
 
 class TestCheckpoint:
@@ -63,11 +70,10 @@ class TestCheckpoint:
         ("labels", np.full((3, 4), 2, np.uint8)),    # not 0/1
         ("labels", np.eye(3, 4)),                    # not uint8
         ("names", np.arange(4.0)),                   # not text
-        ("extra", np.zeros((2, 3))),                 # optional, checked
     ])
     def test_schema_violation_names_the_array(self, tmp_path, name, bad):
         path = tmp_path / "ck"
-        artifacts.save_npz(path, "demo", 3, {**_arrays(), name: bad}, {})
+        _save_unchecked(path, {**_arrays(), name: bad})
         with pytest.raises(IoFailureError, match=repr(name)):
             artifacts.load_npz(path, "demo", 3, SCHEMA)
 
@@ -95,9 +101,23 @@ class TestCheckpoint:
         artifacts.save_npz(path, "demo", 3, {**_arrays(), "w1": big}, {})
         artifacts.load_npz(path, "demo", 3, SCHEMA)
         big[1, 1], big[2, 0] = -np.inf, np.nan
-        artifacts.save_npz(path, "demo", 3, {**_arrays(), "w1": big}, {})
+        _save_unchecked(path, {**_arrays(), "w1": big})
         with pytest.raises(IoFailureError, match=r"'w1'.*\(1, 1\)"):
             artifacts.load_npz(path, "demo", 3, SCHEMA)
+
+    @pytest.mark.parametrize("name, bad", [
+        ("w1", np.array([[0.0, 1.0], [2.0, np.inf], [np.nan, 0.0]])),
+        ("b1", np.array([0.0, -np.inf])),
+        ("extra", np.full(1, np.nan, dtype=np.float32)),
+    ])
+    def test_save_refuses_a_non_finite_array(self, tmp_path, name, bad):
+        path = tmp_path / "ck"
+        artifacts.save_npz(path, "demo", 3, _arrays(), {})
+        before = path.read_bytes()
+        with pytest.raises(NonFiniteError, match=f"{name!r}.*non-finite"):
+            artifacts.save_npz(path, "demo", 3, {**_arrays(), name: bad}, {})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["ck"]
 
 
 def _failing_savez(fh, **arrays):

@@ -300,7 +300,8 @@ class TestErrors:
         assert payload["error"] == "MalformedRecordError"
         assert f"{bad}:" in payload["message"]
 
-    @pytest.mark.parametrize("seeds", ["a", "1.5", "0,x", "-1", "0,,-2"])
+    @pytest.mark.parametrize("seeds", ["a", "1.5", "0,x", "-1", "0,,-2",
+                                       "0,0", "1,2,1"])
     def test_bad_seed_list_is_usage_error(self, tmp_path, capsys, seeds):
         """Rejected while parsing, before the (absent) corpus is read."""
         with pytest.raises(SystemExit) as exc:
@@ -318,6 +319,18 @@ class TestErrors:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ConfigError"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("rotation", ["nan", "inf", "-1"])
+    def test_bad_rotation_is_config_error(self, tmp_path, capsys, rotation):
+        code = cli.main(["gen-drift", "--output", str(tmp_path / "out"),
+                         "--n", "50", "--rotation", rotation])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "ConfigError"
+        assert "rotation_rate" in error["message"]
         assert list(tmp_path.iterdir()) == []
 
     def test_version_flag(self):
@@ -407,9 +420,8 @@ def edit_npz(src: str, dst: str, damage: str) -> None:
     elif name == "meta":
         key, _, value = how.partition("=")
         meta[key] = json.loads(value)
-    elif how == "oversize":
-        arrays[name] = np.eye(arrays["w"].shape[0])
-        meta[f"has_{name}"] = True
+    elif how == "double":
+        arrays[name] = np.vstack([arrays[name]] * 2)
     elif how == "flatten":
         arrays[name] = arrays[name].ravel()
     elif how == "short":
@@ -449,7 +461,7 @@ class TestArtifactFiles:
         ("model", "truncate"), ("model", "zero-middle"),
         ("model", "w:flatten"), ("model", "b:short"),
         ("model", "drift_w2:transpose"), ("model", "w:nan"),
-        ("model", "version"), ("model", "adapter:oversize"),
+        ("model", "version"), ("model", "drift_w1:double"),
         ("model", "meta:train_rank_range=[5]"),
         ("model", "meta:train_rank_range=[9, 3]"),
         ("model", "meta:train_rank_range=[4, 4]"),
@@ -595,7 +607,8 @@ class TestArtifactFiles:
         "index", "train", "predict", "evaluate", "ablate"])
     @pytest.mark.parametrize("fault", [
         "no.such.key=1", "encoder.batch_size=1", "retrieval.k=0",
-        "train.batch_size=0", "split.test_size=0", "unreadable-config"])
+        "train.batch_size=0", "split.test_size=0", "unreadable-config",
+        "train.finetune_encoder=true", "train.drift_frequencies=1"])
     def test_bad_config_exits_1_before_any_work(
             self, suffixless, tmp_path, command, fault):
         _, p = suffixless
@@ -645,3 +658,30 @@ class TestArtifactFiles:
         assert error["error"] == "NonFiniteError"
         assert re.search(r"loss at epoch \d+ batch \d+", error["message"])
         assert not (tmp_path / "model").exists()
+
+    @pytest.mark.parametrize("command", ["train-encoder", "train"])
+    def test_non_finite_weights_are_never_written(self, suffixless, tmp_path,
+                                                  command):
+        """One huge step per run: every loss is finite, the weights it
+        leaves are not, and the save refuses them."""
+        _, p = suffixless
+        out = str(tmp_path / "out")
+        sets = {"train-encoder": ["encoder.batch_size=80",
+                                  "encoder.weight_decay=1e300",
+                                  "encoder.learning_rate=1e10"],
+                "train": ["train.batch_size=80", "train.weight_decay=1e300",
+                          "train.classifier_lr=1e10", "train.max_epochs=1"],
+                }[command]
+        argv = [command, "--corpus", p["corpus"], "--output", out]
+        if command == "train":
+            argv += ["--index", p["idx"]]
+        for item in sets:
+            argv += ["--set", item]
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, lines = run_in_process(argv, p["labels"])
+        assert code == 1
+        assert len(lines) == 1, lines
+        error = json.loads(lines[0])
+        assert error["error"] == "NonFiniteError"
+        assert out in error["message"]
+        assert list(tmp_path.iterdir()) == []

@@ -128,7 +128,7 @@ class TestHash:
     def test_default_hash_is_pinned(self):
         # Artifacts record this hash: a changed key, type or default of
         # the stage dataclasses changes it.
-        assert load_run_config().config_hash() == "f08fa39d4c0fd834"
+        assert load_run_config().config_hash() == "af581ce7799e23a3"
 
     def test_sixteen_hex_chars(self):
         h = load_run_config().config_hash()

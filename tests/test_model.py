@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from caseline.artifacts import save_npz
 from caseline.corpus import Corpus, LabelCatalog, chronological_split
 from caseline.errors import (
     ConfigError,
@@ -23,7 +24,6 @@ from caseline.model import (
     _batch_forward,
     _batch_loss,
     _precompute_inputs,
-    drift_features,
     drift_input,
     evaluate_split,
     fuse_evidence,
@@ -121,16 +121,6 @@ class TestDriftInput:
         with pytest.raises(DegenerateRangeError):
             drift_input(5, (7, 7))
 
-    def test_features_plain(self):
-        np.testing.assert_array_equal(drift_features(0.25, 0), [0.25])
-
-    def test_features_sinusoidal(self):
-        x = 0.3
-        out = drift_features(x, 2)
-        want = [x, math.sin(math.pi * x), math.cos(math.pi * x),
-                math.sin(2 * math.pi * x), math.cos(2 * math.pi * x)]
-        np.testing.assert_allclose(out, want, atol=1e-15)
-
 
 def _random_store(rng, n, d, L):
     """Unit-vector store of n cases with random multi-hot labels."""
@@ -143,8 +133,8 @@ def _random_store(rng, n, d, L):
 def _oracle_row(rank, store, labels, params, cfg):
     """Straight-line reference for one query: brute-force top-k over
     the strictly-earlier cases, softmax fusion of their labels, the
-    affine drift coordinate with its sinusoids, concat -> linear, MLP
-    drift, additive correction, logistic probability."""
+    affine drift coordinate, concat -> linear, MLP drift, additive
+    correction, logistic probability."""
     q = store.matrix[rank]
     scored = []
     for j in range(rank):
@@ -162,14 +152,9 @@ def _oracle_row(rank, store, labels, params, cfg):
         e_evid /= sum(weights)
     lo, hi = params.train_rank_range
     x = (rank - lo) / (hi - lo)
-    feats = [x]
-    for f in range(params.drift_frequencies):
-        feats += [math.sin(2 ** f * math.pi * x),
-                  math.cos(2 ** f * math.pi * x)]
     concat = np.concatenate([q, e_evid])
     y_orig = concat @ params.w + params.b
-    hidden = np.maximum(np.array(feats) @ params.drift_w1
-                        + params.drift_b1, 0.0)
+    hidden = np.maximum(x * params.drift_w1[0] + params.drift_b1, 0.0)
     drift = hidden @ params.drift_w2 + params.drift_b2
     y_final = y_orig + drift
     probs = 1.0 / (1.0 + np.exp(-y_final))
@@ -204,8 +189,7 @@ class TestForward:
         for _ in range(10):
             n = int(rng.integers(3, 14))
             d, L = int(rng.integers(2, 8)), int(rng.integers(2, 5))
-            cfg = TrainConfig(drift_frequencies=int(rng.integers(0, 3)))
-            params = _random_params(rng, d, L, cfg, rank_range=(0, n - 2))
+            params = _random_params(rng, d, L, rank_range=(0, n - 2))
             store, labels = _random_store(rng, n, d, L)
             retr = RetrievalConfig(k=int(rng.integers(1, 5)),
                                    alpha=float(rng.uniform(0.5, 3.0)),
@@ -675,21 +659,17 @@ class TestCheckpoint:
         assert loaded.retrieval_on == params.retrieval_on
         assert loaded.drift_on == params.drift_on
 
-    def test_adapter_round_trip_and_flag_check(self, rng, tmp_path):
-        _, catalog, splits, store = _toy_setup(rng)
-        params = train(splits, store, catalog, RETR,
-                       TrainConfig(max_epochs=1, seed=8,
-                                   finetune_encoder=True))
+    def test_drift_input_is_one_scalar_in_format_2(self, rng, tmp_path):
+        """A second drift input row is damage; a version-1 model (which
+        could carry one) is another format, to be retrained."""
+        params = _random_params(rng, 4, 3)
         path = tmp_path / "model.npz"
-        save_model(params, path)
-        np.testing.assert_array_equal(load_model(path).adapter,
-                                      params.adapter)
-        with np.load(path) as data:  # drop the adapter, keep the flag
-            arrays = dict(data)
-        del arrays["adapter"]
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
-        with pytest.raises(IoFailureError, match="has_adapter"):
+        save_model(dataclasses.replace(
+            params, drift_w1=np.vstack([params.drift_w1] * 2)), path)
+        with pytest.raises(IoFailureError, match="'drift_w1' has 2 rows"):
+            load_model(path)
+        save_npz(path, "model", 1, params.all_arrays(), {})
+        with pytest.raises(ConfigError, match="version 2"):
             load_model(path)
 
     def test_loaded_model_predicts_identically(self, rng, tmp_path):

@@ -38,6 +38,8 @@ class TestConfigValidation:
         dict(words_per_case=0),
         dict(base_prevalence=0.0),
         dict(base_prevalence=1.0),
+        dict(rotation_rate=float("nan")),
+        dict(rotation_rate=float("inf")),
     ])
     def test_rejects(self, kw):
         with pytest.raises(ConfigError):
