@@ -64,7 +64,6 @@ from .retrieval import (
     retrieve_precedents,
 )
 from .store import EmbeddingStore
-from .summarizer import SummarizerConfig, summarize_case
 from .synthetic import DriftCorpusConfig, generate_drift_corpus
 
 __version__ = "0.1.0"
@@ -85,7 +84,6 @@ __all__ = [
     "Evidence", "EvidenceSet", "RetrievalConfig", "decayed_similarity",
     "retrieve_precedents",
     "EmbeddingStore",
-    "SummarizerConfig", "summarize_case",
     "DriftCorpusConfig", "generate_drift_corpus",
     "__version__",
 ]

@@ -50,7 +50,6 @@ from .model import (
     train,
 )
 from .store import EmbeddingStore
-from .summarizer import summarize_corpus
 from .synthetic import DriftCorpusConfig, generate_drift_corpus, \
     synthetic_catalog
 
@@ -122,11 +121,18 @@ def _indexed_splits(args: argparse.Namespace, cfg: RunConfig
         corpus, *cfg.split_sizes(len(corpus)))
 
 
-def _fitting_model(args: argparse.Namespace, store: EmbeddingStore,
-                   catalog: LabelCatalog) -> ModelParams:
-    """The model of ``--model``, checked to take the embeddings and
-    labels of ``--index``."""
+def _fitting_model(args: argparse.Namespace, cfg: RunConfig,
+                   store: EmbeddingStore, catalog: LabelCatalog
+                   ) -> ModelParams:
+    """The model of ``--model``, checked to have been trained under this
+    run's split and to take the embeddings and labels of ``--index``."""
     params = load_model(args.model)
+    for name in ("val_size", "test_size"):
+        trained, wanted = getattr(params, name), cfg.get(f"split.{name}")
+        if trained != wanted:
+            raise ConfigError(
+                f"model {args.model} was trained with split.{name} = "
+                f"{trained}, but this run has split.{name} = {wanted}")
     if (params.embed_dim, params.n_labels) != (store.dim, len(catalog)):
         raise DimensionMismatchError(
             f"model {args.model} takes {params.embed_dim}-dim embeddings "
@@ -142,15 +148,6 @@ def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
     corpus = load_corpus(args.input, catalog)
     corpus.save_jsonl(args.output)
     print(f"ingested {len(corpus)} cases -> {args.output}")
-    return 0
-
-
-def cmd_summarize(args: argparse.Namespace, cfg: RunConfig) -> int:
-    catalog = _catalog_from(args)
-    corpus = load_corpus(args.input, catalog)
-    summarized = summarize_corpus(corpus, cfg.summarizer_config())
-    summarized.save_jsonl(args.output)
-    print(f"summarized {len(summarized)} cases -> {args.output}")
     return 0
 
 
@@ -201,7 +198,7 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_predict(args: argparse.Namespace, cfg: RunConfig) -> int:
     store, catalog, splits = _indexed_splits(args, cfg)
     corpus = splits.corpus
-    params = _fitting_model(args, store, catalog)
+    params = _fitting_model(args, cfg, store, catalog)
     ranks = list(splits.ranks(args.split))
     pred, evidence = infer(params, ranks, store,
                            corpus.label_matrix(catalog).astype(np.float64),
@@ -264,7 +261,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
                 "evaluate needs either --predictions or both "
                 "--index and --model")
         store, catalog, splits = _indexed_splits(args, cfg)
-        params = _fitting_model(args, store, catalog)
+        params = _fitting_model(args, cfg, store, catalog)
         report = evaluate_split(params, splits, store, catalog,
                                 cfg.retrieval_config(), args.split,
                                 seed=cfg.get("seed"))
@@ -354,13 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("summarize", parents=[common],
-                       help="summarize case texts via the remote "
-                            "service")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_summarize)
-
     p = sub.add_parser("train-encoder", parents=[common],
                        help="contrastive-train the case encoder")
     p.add_argument("--corpus", required=True)
@@ -444,7 +434,10 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
     try:
-        return args.func(args, _config_from(args))
+        # Every non-finite result is checked and reported, so numpy's
+        # floating-point warnings would only precede the JSON error line.
+        with np.errstate(all="ignore"):
+            return args.func(args, _config_from(args))
     except CaselineError as exc:
         print(json.dumps({"error": type(exc).__name__,
                           "message": str(exc)}), file=sys.stderr)

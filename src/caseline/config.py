@@ -5,11 +5,9 @@ The format is deliberately diff-friendly: one ``key = value`` per
 line, ``#`` comments, no nesting.  Each key's type and default are
 those of its stage dataclass field (``encoder.*`` is
 ``ContrastiveConfig``, ``retrieval.*`` ``RetrievalConfig``,
-``train.*`` ``TrainConfig``, ``summarizer.*`` ``SummarizerConfig``);
-a float value must be finite.  Loading checks the whole configuration,
-except the summarizer section, so every subcommand rejects a bad key
-or value before it does any work; only ``summarize`` needs the
-summarizer's endpoint.  The canonical rendering of the effective
+``train.*`` ``TrainConfig``); a float value must be finite.  Loading
+checks every section, so every subcommand rejects a bad key or value
+before it does any work.  The canonical rendering of the effective
 configuration is hashed so artifacts can assert they were produced
 under the same settings.
 """
@@ -19,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -27,13 +25,12 @@ from .encoder import ContrastiveConfig
 from .errors import CaselineError, ConfigError, IoFailureError
 from .model import TrainConfig
 from .retrieval import RetrievalConfig
-from .summarizer import SummarizerConfig
 
 __all__ = ["RunConfig", "load_run_config", "SCHEMA"]
 
 # The stage configs, by the key prefix of their settings.
 _SECTIONS = {"encoder": ContrastiveConfig, "retrieval": RetrievalConfig,
-             "train": TrainConfig, "summarizer": SummarizerConfig}
+             "train": TrainConfig}
 
 # Stage fields filled from a key that belongs to no section.
 _SHARED = {"seed": "seed", "val_size": "split.val_size"}
@@ -51,11 +48,8 @@ def _schema() -> dict[str, tuple[type, object]]:
     for section, cls in _SECTIONS.items():
         hints = get_type_hints(cls)
         for f in fields(cls):
-            # A field without a default (the summarizer's endpoint and
-            # model) gets "", which its view rejects until it is set.
             if f.name not in _SHARED:
-                schema[f"{section}.{f.name}"] = (
-                    hints[f.name], "" if f.default is MISSING else f.default)
+                schema[f"{section}.{f.name}"] = (hints[f.name], f.default)
     return schema
 
 
@@ -150,9 +144,6 @@ class RunConfig:
     def train_config(self) -> TrainConfig:
         return self._view("train")
 
-    def summarizer_config(self) -> SummarizerConfig:
-        return self._view("summarizer")
-
     def split_sizes(self, n_total: int) -> tuple[int, int, int]:
         """(n_train, n_val, n_test) for a corpus of n_total cases;
         train is whatever the configured val/test sizes leave over."""
@@ -183,7 +174,7 @@ def load_run_config(path: str | Path | None = None,
     cfg = RunConfig(tuple(sorted(values.items())))
     if overrides:
         cfg = cfg.with_overrides(overrides)
-    for section in ("encoder", "retrieval", "train"):
+    for section in _SECTIONS:
         cfg._view(section)
     n_test = cfg.get("split.test_size")
     if n_test < 1:

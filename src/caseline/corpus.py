@@ -113,7 +113,7 @@ class LabelCatalog:
 @dataclass(frozen=True)
 class CaseRecord:
     """One legal case: identifier, title, decision date, violated-article
-    labels, and the (already summarized) fact text."""
+    labels, and the fact text."""
 
     case_id: str
     title: str

@@ -35,29 +35,6 @@ class IoFailureError(CaselineError):
     """Reading or writing an artifact failed."""
 
 
-# -- summarizer client --
-
-class SummarizerError(CaselineError):
-    """Base class for summarizer client failures."""
-
-
-class NetworkFailureError(SummarizerError):
-    """Endpoint unreachable or connection dropped."""
-
-
-class RemoteError(SummarizerError):
-    """Endpoint answered with a non-success status."""
-
-    def __init__(self, status: int, body: str):
-        super().__init__(f"summarizer endpoint returned {status}: {body[:500]}")
-        self.status = status
-        self.body = body
-
-
-class EmptyResponseError(SummarizerError):
-    """Endpoint answered but produced no output text."""
-
-
 # -- encoder / features --
 
 class EmptyTextError(CaselineError):

@@ -119,7 +119,9 @@ class ModelParams:
     two-layer ReLU MLP from the scalar drift input to one logit
     correction per label.  ``train_rank_range`` is the (min, max)
     chronological rank of the training split, the normalization frame
-    for the drift input.
+    for the drift input.  ``val_size`` and ``test_size`` are those of
+    the split it was trained on (0, which no run configures, before
+    training); only a run with that split may evaluate it.
     """
 
     w: np.ndarray
@@ -131,6 +133,8 @@ class ModelParams:
     train_rank_range: tuple[int, int]
     retrieval_on: bool = True
     drift_on: bool = True
+    val_size: int = 0
+    test_size: int = 0
     meta: dict = field(default_factory=dict)
 
     @property
@@ -392,6 +396,7 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
         raise ConfigError("need at least 2 training cases")
     params = init_model_params(store.dim, n_labels, cfg,
                                (train_ranks[0], train_ranks[-1]))
+    params.val_size, params.test_size = splits.n_val, splits.n_test
     e_case_train, e_ev_train, t_train = _precompute_inputs(
         train_ranks, store, labels_all, retr_cfg, params)
     e_case_val, e_ev_val, t_val = _precompute_inputs(
@@ -528,23 +533,26 @@ def prediction_record(case_id: str, pred: Prediction,
     }
 
 
-_MODEL_FORMAT_VERSION = 2
+_MODEL_FORMAT_VERSION = 3
 _MODEL_SCHEMA = {
     "w": ("float", ("I", "L")), "b": ("float", ("L",)),
     "drift_w1": ("float", ("T", "K")), "drift_b1": ("float", ("K",)),
     "drift_w2": ("float", ("K", "L")), "drift_b2": ("float", ("L",)),
 }
 _MODEL_META_SCHEMA = {"train_rank_range": list, "retrieval_on": bool,
-                      "drift_on": bool, "config": dict}
+                      "drift_on": bool, "val_size": int, "test_size": int,
+                      "config": dict}
 
 
 def save_model(params: ModelParams, path: str | Path) -> None:
-    """Versioned checkpoint with both parameter groups, the flags, and
-    the training-split rank range needed at inference."""
+    """Versioned checkpoint with both parameter groups, the flags, the
+    training-split rank range needed at inference, and the split sizes
+    it was trained under."""
     save_npz(path, "model", _MODEL_FORMAT_VERSION, params.all_arrays(), {
         "train_rank_range": list(params.train_rank_range),
         "retrieval_on": params.retrieval_on,
         "drift_on": params.drift_on,
+        "val_size": params.val_size, "test_size": params.test_size,
         "config": params.meta,
     })
 
@@ -567,4 +575,5 @@ def load_model(path: str | Path) -> ModelParams:
     return ModelParams(
         **arrays, train_rank_range=tuple(rank_range),
         retrieval_on=meta["retrieval_on"], drift_on=meta["drift_on"],
+        val_size=meta["val_size"], test_size=meta["test_size"],
         meta=meta["config"])

@@ -2,6 +2,7 @@
 determinism, exit codes, and error formatting."""
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -338,6 +339,11 @@ class TestErrors:
         assert proc.stdout.startswith("caseline ")
 
 
+# Every subcommand, in the order the parser declares them.
+COMMANDS = ["ingest", "train-encoder", "embed", "index", "train", "predict",
+            "evaluate", "ablate", "gen-drift"]
+
+
 def main_quiet(*argv) -> int:
     with contextlib.redirect_stdout(io.StringIO()):
         return cli.main([*argv, *SETS])
@@ -468,6 +474,7 @@ class TestArtifactFiles:
         ("model", "meta:train_rank_range=[0.5, 200]"),
         ("model", "meta:train_rank_range=[false, 200]"),
         ("model", "meta:train_rank_range=[0, 100, 200]"),
+        ("model", 'meta:val_size="40"'), ("model", "meta:test_size=null"),
     ])
     def test_damaged_artifact_exits_1_with_one_json_line(
             self, suffixless, tmp_path, artifact, damage):
@@ -602,9 +609,13 @@ class TestArtifactFiles:
         assert override.split("=")[0] in error["message"]
         assert not (tmp_path / "enc").exists()
 
-    @pytest.mark.parametrize("command", [
-        "gen-drift", "ingest", "summarize", "train-encoder", "embed",
-        "index", "train", "predict", "evaluate", "ablate"])
+    def test_command_list_is_every_subcommand(self):
+        parser = cli._build_parser()
+        assert COMMANDS == list(next(
+            action.choices for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)))
+
+    @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("fault", [
         "no.such.key=1", "encoder.batch_size=1", "retrieval.k=0",
         "train.batch_size=0", "split.test_size=0", "unreadable-config",
@@ -618,7 +629,6 @@ class TestArtifactFiles:
             "gen-drift": ["--output", out, "--labels-output", out + ".txt",
                           "--n", "160", "--vocab-size", "400"],
             "ingest": ["--input", p["raw"], "--output", out],
-            "summarize": ["--input", p["corpus"], "--output", out],
             "train-encoder": [*corpus, "--output", out],
             "embed": [*corpus, "--encoder", p["enc"], "--output", out],
             "index": [*corpus, "--embeddings", p["emb"], "--output", out],
@@ -663,7 +673,9 @@ class TestArtifactFiles:
     def test_non_finite_weights_are_never_written(self, suffixless, tmp_path,
                                                   command):
         """One huge step per run: every loss is finite, the weights it
-        leaves are not, and the save refuses them."""
+        leaves are not, and the save refuses them.  Run as a process,
+        since numpy's overflow warnings must not reach its stderr
+        (pytest would capture them in-process)."""
         _, p = suffixless
         out = str(tmp_path / "out")
         sets = {"train-encoder": ["encoder.batch_size=80",
@@ -672,16 +684,53 @@ class TestArtifactFiles:
                 "train": ["train.batch_size=80", "train.weight_decay=1e300",
                           "train.classifier_lr=1e10", "train.max_epochs=1"],
                 }[command]
-        argv = [command, "--corpus", p["corpus"], "--output", out]
+        argv = [command, *SETS, "--corpus", p["corpus"], "--output", out,
+                "--labels-file", p["labels"]]
         if command == "train":
             argv += ["--index", p["idx"]]
         for item in sets:
             argv += ["--set", item]
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, lines = run_in_process(argv, p["labels"])
-        assert code == 1
+        proc = run_cli(*argv, check=False)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
         assert len(lines) == 1, lines
         error = json.loads(lines[0])
+        assert set(error) == {"error", "message"}
         assert error["error"] == "NonFiniteError"
         assert out in error["message"]
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("override", ["split.test_size=60",
+                                          "split.val_size=20"])
+    def test_model_scored_under_another_split_exits_1(
+            self, suffixless, tmp_path, command, override):
+        """Another split could score the model on its own training
+        cases; the model records the split it was trained under."""
+        _, p = suffixless
+        out = str(tmp_path / "out")
+        code, lines = run_in_process(
+            [command, "--corpus", p["corpus"], "--index", p["idx"],
+             "--model", p["model"], "--output", out, "--set", override],
+            p["labels"])
+        assert code == 1
+        assert len(lines) == 1, lines
+        error = json.loads(lines[0])
+        assert error["error"] == "ConfigError"
+        key, value = override.split("=")
+        assert f"{key} = 40," in error["message"]
+        assert error["message"].endswith(f"{key} = {value}")
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_imports_nothing_beyond_numpy():
+    """Importing the CLI adds no top-level package but caseline and
+    numpy to what the interpreter had already loaded (site hooks may
+    load some)."""
+    probe = ("import json, sys; before = set(sys.modules); "
+             "import caseline.cli; "
+             "added = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+             "print(json.dumps(sorted(added - set(sys.stdlib_module_names))))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert json.loads(proc.stdout) == ["caseline", "numpy"]

@@ -28,7 +28,6 @@ class TestDefaults:
         assert cfg.get("split.test_size") == 3000
         assert cfg.get("encoder.hash_dim") == 262144
         assert cfg.get("encoder.out_dim") == 256
-        assert cfg.get("summarizer.max_output_tokens") == 512
 
     def test_every_schema_key_present(self):
         cfg = load_run_config()
@@ -128,7 +127,7 @@ class TestHash:
     def test_default_hash_is_pinned(self):
         # Artifacts record this hash: a changed key, type or default of
         # the stage dataclasses changes it.
-        assert load_run_config().config_hash() == "af581ce7799e23a3"
+        assert load_run_config().config_hash() == "09f9a444cb7aa95e"
 
     def test_sixteen_hex_chars(self):
         h = load_run_config().config_hash()
@@ -179,19 +178,11 @@ class TestTypedViews:
         assert train.max_epochs == 7
         assert train.lam == 0.10
 
-    def test_summarizer_config_requires_endpoint(self):
-        with pytest.raises(ConfigError):
-            load_run_config().summarizer_config()
-        cfg = load_run_config(None, ["summarizer.endpoint=http://x",
-                                     "summarizer.model=m"])
-        assert cfg.summarizer_config().model == "m"
-
     @pytest.mark.parametrize("override", [
         "encoder.batch_size=1", "train.batch_size=0", "encoder.dropout=1.0",
         "train.dropout=1.0", "encoder.temperature=0", "retrieval.k=0",
         "retrieval.alpha=0", "split.val_size=0", "seed=-1",
-        "encoder.weight_decay=nan", "encoder.learning_rate=inf",
-        "summarizer.timeout=inf"])
+        "encoder.weight_decay=nan", "encoder.learning_rate=inf"])
     def test_load_rejects_a_bad_value_by_its_key(self, override):
         key = override.split("=")[0]
         with pytest.raises(ConfigError, match=re.escape(key)):
@@ -202,14 +193,6 @@ class TestTypedViews:
         path.write_text("train.patience = 0\n")
         with pytest.raises(ConfigError, match=r"train\.patience"):
             load_run_config(path)
-
-    def test_summarizer_section_checked_only_by_its_view(self):
-        cfg = load_run_config(None, ["summarizer.endpoint=http://x",
-                                     "summarizer.model=m",
-                                     "summarizer.max_output_tokens=0"])
-        with pytest.raises(ConfigError,
-                           match=r"summarizer\.max_output_tokens"):
-            cfg.summarizer_config()
 
     def test_split_sizes(self):
         cfg = load_run_config(None, ["split.val_size=20",

@@ -656,21 +656,25 @@ class TestCheckpoint:
         for key, arr in params.all_arrays().items():
             np.testing.assert_array_equal(arr, loaded.all_arrays()[key])
         assert loaded.train_rank_range == params.train_rank_range
+        assert (loaded.val_size, loaded.test_size) \
+            == (splits.n_val, splits.n_test)
         assert loaded.retrieval_on == params.retrieval_on
         assert loaded.drift_on == params.drift_on
 
-    def test_drift_input_is_one_scalar_in_format_2(self, rng, tmp_path):
+    def test_drift_input_is_one_scalar_in_format_3(self, rng, tmp_path):
         """A second drift input row is damage; a version-1 model (which
-        could carry one) is another format, to be retrained."""
+        could carry one) and a version-2 model (which records no split
+        sizes) are other formats, to be retrained."""
         params = _random_params(rng, 4, 3)
         path = tmp_path / "model.npz"
         save_model(dataclasses.replace(
             params, drift_w1=np.vstack([params.drift_w1] * 2)), path)
         with pytest.raises(IoFailureError, match="'drift_w1' has 2 rows"):
             load_model(path)
-        save_npz(path, "model", 1, params.all_arrays(), {})
-        with pytest.raises(ConfigError, match="version 2"):
-            load_model(path)
+        for version in (1, 2):
+            save_npz(path, "model", version, params.all_arrays(), {})
+            with pytest.raises(ConfigError, match="version 3"):
+                load_model(path)
 
     def test_loaded_model_predicts_identically(self, rng, tmp_path):
         corpus, catalog, splits, store = _toy_setup(rng)
