@@ -334,6 +334,15 @@ class TestErrors:
         assert "rotation_rate" in error["message"]
         assert list(tmp_path.iterdir()) == []
 
+    def test_summarize_is_no_longer_a_subcommand(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["summarize", "--input", str(tmp_path / "in.jsonl"),
+                      "--output", str(tmp_path / "out.jsonl")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "'summarize'" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_version_flag(self):
         proc = run_cli("--version")
         assert proc.stdout.startswith("caseline ")
@@ -475,6 +484,7 @@ class TestArtifactFiles:
         ("model", "meta:train_rank_range=[false, 200]"),
         ("model", "meta:train_rank_range=[0, 100, 200]"),
         ("model", 'meta:val_size="40"'), ("model", "meta:test_size=null"),
+        ("model", "meta:val_size=40.0"), ("model", "meta:test_size=40.0"),
     ])
     def test_damaged_artifact_exits_1_with_one_json_line(
             self, suffixless, tmp_path, artifact, damage):

@@ -182,11 +182,24 @@ class TestTypedViews:
         "encoder.batch_size=1", "train.batch_size=0", "encoder.dropout=1.0",
         "train.dropout=1.0", "encoder.temperature=0", "retrieval.k=0",
         "retrieval.alpha=0", "split.val_size=0", "seed=-1",
-        "encoder.weight_decay=nan", "encoder.learning_rate=inf"])
+        "encoder.weight_decay=nan", "encoder.learning_rate=inf",
+        "encoder.epochs=-1", "encoder.learning_rate=0", "encoder.hash_dim=0",
+        "encoder.hidden_dim=0", "encoder.out_dim=0", "train.lam=1.5",
+        "train.lam=-0.1", "train.classifier_lr=0", "train.other_lr=-1",
+        "train.max_epochs=-1", "train.drift_hidden=0", "split.test_size=0",
+        "train.weight_decay=inf"])
     def test_load_rejects_a_bad_value_by_its_key(self, override):
         key = override.split("=")[0]
         with pytest.raises(ConfigError, match=re.escape(key)):
             load_run_config(None, [override])
+
+    @pytest.mark.parametrize("key", sorted(SCHEMA))
+    def test_every_key_rejects_a_value_not_of_its_type(self, key):
+        """Every key parses to its own type: none takes free text."""
+        text = {int: "1.5", float: "two", bool: "1"}[SCHEMA[key][0]]
+        with pytest.raises(ConfigError,
+                           match=f"bad value for {re.escape(key)}:"):
+            load_run_config(None, [f"{key}={text}"])
 
     def test_file_value_checked_at_load(self, tmp_path):
         path = tmp_path / "run.cfg"
