@@ -13,8 +13,10 @@ errors exit 1.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -36,6 +38,7 @@ from .errors import (
     CaselineError,
     ConfigError,
     DimensionMismatchError,
+    IoFailureError,
     MalformedRecordError,
     UnknownLabelError,
 )
@@ -80,41 +83,60 @@ def _provenance(cfg: RunConfig, stage: str) -> dict:
 
 # ---------------------------------------------------------------- index
 
-_INDEX_FORMAT_VERSION = 1
-_INDEX_SCHEMA = {"matrix": ("float", ("N", "D")),
-                 "case_ids": ("text", ("N",)),
-                 "labels": ("bits", ("N", "L")),
+_INDEX_FORMAT_VERSION = 2
+_INDEX_SCHEMA = {"labels": ("bits", ("N", "L")),
                  "label_names": ("text", ("L",))}
+_INDEX_META = {"store": str, "store_sha256": str}
 
 
-def save_index(path: str | Path, store: EmbeddingStore,
+def save_index(path: str | Path, store_path: str | Path,
                labels: np.ndarray, catalog: LabelCatalog,
                provenance: dict) -> None:
-    """Bundle embeddings, aligned label vectors, and the label names
-    into one retrieval-ready artifact."""
+    """Write the label vectors and names of the store at ``store_path``,
+    naming that store by its path relative to the index's directory and
+    by its sha256 instead of copying it."""
     save_npz(path, "index", _INDEX_FORMAT_VERSION, {
-        "matrix": store.matrix,
-        "case_ids": np.array(store.case_ids, dtype=str),
         "labels": labels.astype(np.uint8),
         "label_names": np.array(list(catalog.names), dtype=str),
-    }, provenance)
+    }, {**provenance,
+        "store": os.path.relpath(store_path, Path(path).parent),
+        "store_sha256": hashlib.sha256(
+            Path(store_path).read_bytes()).hexdigest()})
 
 
 def load_index(path: str | Path
                ) -> tuple[EmbeddingStore, np.ndarray, LabelCatalog, dict]:
+    """The store an index names, checked to be the file the index was
+    built from, with the index's labels, catalog and meta record."""
     arrays, meta = load_npz(path, "index", _INDEX_FORMAT_VERSION,
-                            _INDEX_SCHEMA)
-    return (EmbeddingStore([str(c) for c in arrays["case_ids"]],
-                           arrays["matrix"]),
-            arrays["labels"],
+                            _INDEX_SCHEMA, _INDEX_META)
+    store_path = Path(path).parent / meta["store"]
+    try:
+        digest = hashlib.sha256(store_path.read_bytes()).hexdigest()
+    except OSError as exc:
+        raise ConfigError(f"cannot read store {store_path} named by index "
+                          f"{path}: {exc}") from None
+    if digest != meta["store_sha256"]:
+        raise ConfigError(f"store {store_path} has changed since index "
+                          f"{path} was built from it; rerun index")
+    store = EmbeddingStore.load(store_path)
+    if len(store) != len(arrays["labels"]):
+        raise IoFailureError(f"store {store_path} has {len(store)} rows, "
+                             f"but index {path} labels "
+                             f"{len(arrays['labels'])}")
+    return (store, arrays["labels"],
             LabelCatalog([str(n) for n in arrays["label_names"]]), meta)
 
 
 def _indexed_splits(args: argparse.Namespace, cfg: RunConfig
                     ) -> tuple[EmbeddingStore, LabelCatalog, SplitCorpus]:
     """The store and catalog of ``--index``, and the chronological
-    split of ``--corpus``, checked to be aligned with the store."""
+    split of ``--corpus``, checked to be aligned with the store.  A
+    ``--labels-file`` must list the index's labels."""
     store, _, catalog, _ = load_index(args.index)
+    if args.labels_file and _catalog_from(args) != catalog:
+        raise ConfigError(f"labels file {args.labels_file} does not list "
+                          f"the labels of index {args.index}")
     corpus = load_corpus(args.corpus, catalog)
     store.check_alignment(corpus)
     return store, catalog, chronological_split(
@@ -174,11 +196,14 @@ def cmd_embed(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_index(args: argparse.Namespace, cfg: RunConfig) -> int:
+    if Path(args.output).resolve() == Path(args.embeddings).resolve():
+        raise ConfigError(f"index --output {args.output} would replace "
+                          f"the store {args.embeddings} it names")
     catalog = _catalog_from(args)
     corpus = load_corpus(args.corpus, catalog)
     store = EmbeddingStore.load(args.embeddings)
     store.check_alignment(corpus)
-    save_index(args.output, store, corpus.label_matrix(catalog),
+    save_index(args.output, args.embeddings, corpus.label_matrix(catalog),
                catalog, _provenance(cfg, "index"))
     print(f"indexed {len(store)} cases -> {args.output}")
     return 0
@@ -253,13 +278,13 @@ def _report_from_predictions(args: argparse.Namespace, cfg: RunConfig
 
 
 def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
+    sources = (bool(args.predictions), bool(args.index), bool(args.model))
+    if sources not in ((True, False, False), (False, True, True)):
+        raise ConfigError("evaluate needs either --predictions or both "
+                          "--index and --model")
     if args.predictions:
         report = _report_from_predictions(args, cfg)
     else:
-        if not (args.index and args.model):
-            raise ConfigError(
-                "evaluate needs either --predictions or both "
-                "--index and --model")
         store, catalog, splits = _indexed_splits(args, cfg)
         params = _fitting_model(args, cfg, store, catalog)
         report = evaluate_split(params, splits, store, catalog,
@@ -365,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("index", parents=[common],
-                       help="bundle embeddings and labels for "
+                       help="label an embedding store for "
                             "retrieval")
     p.add_argument("--corpus", required=True)
     p.add_argument("--embeddings", required=True)

@@ -203,10 +203,9 @@ class Corpus:
     in decision date are broken by case_id so ranks are deterministic.
     """
 
-    def __init__(self, cases: Sequence[CaseRecord], *, _presorted: bool = False):
-        if not _presorted:
-            cases = sorted(cases, key=lambda c: (c.decision_date, c.case_id))
-        self.cases: tuple[CaseRecord, ...] = tuple(cases)
+    def __init__(self, cases: Sequence[CaseRecord]):
+        self.cases: tuple[CaseRecord, ...] = tuple(
+            sorted(cases, key=lambda c: (c.decision_date, c.case_id)))
         seen: dict[str, int] = {}
         for rank, case in enumerate(self.cases):
             if case.case_id in seen:

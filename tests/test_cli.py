@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caseline import cli
-from caseline.artifacts import load_npz
+from caseline.artifacts import load_npz, save_npz
 from caseline.config import load_run_config
 from caseline.corpus import LabelCatalog, chronological_split, load_corpus
 from caseline.model import infer, load_model
@@ -471,8 +473,7 @@ class TestArtifactFiles:
         ("emb", "matrix:nan"), ("emb", "case_ids:short"), ("emb", "version"),
         ("emb", "model-file"),
         ("idx", "truncate"), ("idx", "zero-middle"), ("idx", "version"),
-        ("idx", "matrix:nan"), ("idx", "labels:two"),
-        ("idx", "labels:drop-column"),
+        ("idx", "labels:two"), ("idx", "labels:drop-column"),
         ("model", "truncate"), ("model", "zero-middle"),
         ("model", "w:flatten"), ("model", "b:short"),
         ("model", "drift_w2:transpose"), ("model", "w:nan"),
@@ -522,25 +523,155 @@ class TestArtifactFiles:
         trained on fails at load, naming both files."""
         _, p = suffixless
         store, labels, catalog, meta = cli.load_index(p["idx"])
+        store_path, labels_path = p["emb"], p["labels"]
         if fault == "embed-dim":
             half = store.matrix[:, :store.dim // 2]
-            store = EmbeddingStore(
-                store.case_ids, half / np.linalg.norm(half, axis=1)[:, None])
+            store_path = str(tmp_path / "emb")
+            EmbeddingStore(store.case_ids,
+                           half / np.linalg.norm(half, axis=1)[:, None]
+                           ).save(store_path, meta)
         else:
             catalog = LabelCatalog([*catalog.names, "extra"])
             labels = np.hstack([labels, np.zeros((len(labels), 1), np.uint8)])
+            labels_path = str(tmp_path / "labels")
+            catalog.to_file(labels_path)
         idx, out = str(tmp_path / "idx"), str(tmp_path / "out")
-        cli.save_index(idx, store, labels, catalog, meta)
+        cli.save_index(idx, store_path, labels, catalog, meta)
         given = ["--corpus", p["corpus"], "--index", idx, "--model",
                  p["model"], "--output", out]
         for argv in (["predict", *given], ["evaluate", *given]):
-            code, lines = run_in_process(argv, p["labels"])
+            code, lines = run_in_process(argv, labels_path)
             assert code == 1, argv[0]
             assert len(lines) == 1, lines
             error = json.loads(lines[0])
             assert error["error"] == "DimensionMismatchError"
             assert p["model"] in error["message"]
             assert idx in error["message"]
+        assert not os.path.exists(out)
+
+    def test_index_holds_labels_and_names_its_store(self, suffixless):
+        _, p = suffixless
+        with np.load(p["idx"]) as data:
+            assert sorted(data.files) == ["label_names", "labels", "meta"]
+        _, meta = load_npz(p["idx"], "index", 2, {})
+        assert meta["store"] == "emb"
+        assert meta["store_sha256"] == hashlib.sha256(
+            open(p["emb"], "rb").read()).hexdigest()
+
+    def test_index_and_store_moved_together_still_work(
+            self, suffixless, tmp_path):
+        """The index names its store relative to its own directory."""
+        _, p = suffixless
+        for name in ("idx", "emb"):
+            shutil.copy(p[name], tmp_path / name)
+        idx, model = str(tmp_path / "idx"), str(tmp_path / "model")
+        for argv in (["train", "--corpus", p["corpus"], "--index", idx,
+                      "--output", model],
+                     ["evaluate", "--corpus", p["corpus"], "--index", idx,
+                      "--model", model]):
+            assert run_in_process(argv, p["labels"]) == (0, [])
+        assert open(model, "rb").read() == open(p["model"], "rb").read()
+
+    @pytest.mark.parametrize("fault", ["missing", "re-embedded"])
+    def test_missing_or_changed_store_is_config_error(
+            self, suffixless, tmp_path, fault):
+        _, p = suffixless
+        idx, store = str(tmp_path / "idx"), str(tmp_path / "emb")
+        shutil.copy(p["idx"], idx)
+        if fault == "re-embedded":
+            assert main_quiet("embed", "--corpus", p["corpus"], "--encoder",
+                              p["enc"], "--output", store, "--seed", "5",
+                              "--labels-file", p["labels"]) == 0
+        for argv in consumers(p, idx, "idx", str(tmp_path / "out")):
+            code, lines = run_in_process(argv, p["labels"])
+            assert code == 1, argv[0]
+            assert len(lines) == 1, lines
+            error = json.loads(lines[0])
+            assert error["error"] == "ConfigError"
+            assert store in error["message"] and idx in error["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fault", ["version-1", "short-labels"])
+    def test_index_that_does_not_match_its_store_exits_1(
+            self, suffixless, tmp_path, fault):
+        """A version-1 index (which copied the store) must be rebuilt;
+        an index with other rows than its store is damaged."""
+        _, p = suffixless
+        idx = str(tmp_path / "idx")
+        shutil.copy(p["emb"], tmp_path / "emb")
+        if fault == "version-1":
+            store, labels, catalog, meta = cli.load_index(p["idx"])
+            save_npz(idx, "index", 1, {
+                "matrix": store.matrix,
+                "case_ids": np.array(store.case_ids, dtype=str),
+                "labels": labels,
+                "label_names": np.array(catalog.names, dtype=str)}, meta)
+        else:
+            edit_npz(p["idx"], idx, "labels:short")
+        for argv in consumers(p, idx, "idx", str(tmp_path / "out")):
+            code, lines = run_in_process(argv, p["labels"])
+            assert code == 1, argv[0]
+            assert len(lines) == 1, lines
+            assert json.loads(lines[0])["error"] \
+                == ("ConfigError" if fault == "version-1"
+                    else "IoFailureError")
+        assert not (tmp_path / "out").exists()
+
+    def test_labels_file_other_than_the_index_catalog_exits_1(
+            self, suffixless, tmp_path):
+        _, p = suffixless
+        labels, out = tmp_path / "labels", str(tmp_path / "out")
+        labels.write_text("X0\nX1\n", encoding="utf-8")
+        given = ["--corpus", p["corpus"], "--index", p["idx"],
+                 "--output", out]
+        for argv in (["train", *given],
+                     ["predict", *given, "--model", p["model"]],
+                     ["evaluate", *given, "--model", p["model"]]):
+            code, lines = run_in_process(argv, str(labels))
+            assert code == 1, argv[0]
+            assert len(lines) == 1, lines
+            error = json.loads(lines[0])
+            assert error["error"] == "ConfigError"
+            assert str(labels) in error["message"]
+            assert p["idx"] in error["message"]
+        assert not os.path.exists(out)
+
+    def test_index_output_onto_its_store_is_refused(
+            self, suffixless, tmp_path):
+        _, p = suffixless
+        store = tmp_path / "emb"
+        shutil.copy(p["emb"], store)
+        (tmp_path / "link").symlink_to(store)
+        before = store.read_bytes()
+        for out in (store, tmp_path / "link"):
+            code, lines = run_in_process(
+                ["index", "--corpus", p["corpus"], "--embeddings",
+                 str(store), "--output", str(out)], p["labels"])
+            assert code == 1
+            assert len(lines) == 1, lines
+            assert json.loads(lines[0])["error"] == "ConfigError"
+        assert store.read_bytes() == before
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["emb", "link"]
+
+    @pytest.mark.parametrize("given", [
+        ["--predictions", "--index", "--model"], ["--predictions", "--index"],
+        ["--predictions", "--model"], ["--index"], ["--model"]])
+    def test_evaluate_takes_predictions_or_index_and_model(
+            self, suffixless, tmp_path, given):
+        _, p = suffixless
+        path = {"--predictions": p["preds"], "--index": p["idx"],
+                "--model": p["model"]}
+        out = str(tmp_path / "out")
+        code, lines = run_in_process(
+            ["evaluate", "--corpus", p["corpus"], "--output", out,
+             *[a for flag in given for a in (flag, path[flag])]],
+            p["labels"])
+        assert code == 1
+        assert len(lines) == 1, lines
+        error = json.loads(lines[0])
+        assert error["error"] == "ConfigError"
+        assert "either --predictions or both --index and --model" \
+            in error["message"]
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("where", ["case_id", "label"])
