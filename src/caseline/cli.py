@@ -76,6 +76,23 @@ def _catalog_from(args: argparse.Namespace) -> LabelCatalog:
     return LabelCatalog.default()
 
 
+# The options that name a file a subcommand reads.
+_INPUT_OPTIONS = ("config", "labels_file", "corpus", "encoder", "embeddings",
+                  "index", "model", "predictions")
+
+
+def _check_output(args: argparse.Namespace, *also: str | Path) -> None:
+    """Refuse an ``--output`` that resolves (symlinks included) to a file
+    the run reads: one that its options name, or one of ``also``."""
+    if not args.output:
+        return
+    out = Path(args.output).resolve()
+    for path in [getattr(args, o, None) for o in _INPUT_OPTIONS] + [*also]:
+        if path and Path(path).resolve() == out:
+            raise ConfigError(f"{args.command} --output {args.output} "
+                              f"would replace its input {path}")
+
+
 def _provenance(cfg: RunConfig, stage: str) -> dict:
     return {"config_hash": cfg.config_hash(), "stage": stage,
             "stage_version": STAGE_VERSION, "tool_version": __version__}
@@ -132,8 +149,10 @@ def _indexed_splits(args: argparse.Namespace, cfg: RunConfig
                     ) -> tuple[EmbeddingStore, LabelCatalog, SplitCorpus]:
     """The store and catalog of ``--index``, and the chronological
     split of ``--corpus``, checked to be aligned with the store.  A
-    ``--labels-file`` must list the index's labels."""
-    store, _, catalog, _ = load_index(args.index)
+    ``--labels-file`` must list the index's labels.  ``--output`` may
+    be none of these files, nor the store the index names."""
+    store, _, catalog, meta = load_index(args.index)
+    _check_output(args, Path(args.index).parent / meta["store"])
     if args.labels_file and _catalog_from(args) != catalog:
         raise ConfigError(f"labels file {args.labels_file} does not list "
                           f"the labels of index {args.index}")
@@ -174,6 +193,7 @@ def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_train_encoder(args: argparse.Namespace, cfg: RunConfig) -> int:
+    _check_output(args)
     catalog = _catalog_from(args)
     corpus = load_corpus(args.corpus, catalog)
     splits = chronological_split(corpus, *cfg.split_sizes(len(corpus)))
@@ -186,6 +206,7 @@ def cmd_train_encoder(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_embed(args: argparse.Namespace, cfg: RunConfig) -> int:
+    _check_output(args)
     catalog = _catalog_from(args)
     corpus = load_corpus(args.corpus, catalog)
     enc, _ = load_encoder(args.encoder)
@@ -196,9 +217,7 @@ def cmd_embed(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_index(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if Path(args.output).resolve() == Path(args.embeddings).resolve():
-        raise ConfigError(f"index --output {args.output} would replace "
-                          f"the store {args.embeddings} it names")
+    _check_output(args)
     catalog = _catalog_from(args)
     corpus = load_corpus(args.corpus, catalog)
     store = EmbeddingStore.load(args.embeddings)
@@ -240,6 +259,7 @@ def cmd_predict(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def _report_from_predictions(args: argparse.Namespace, cfg: RunConfig
                              ) -> MetricsReport:
+    _check_output(args)
     catalog = _catalog_from(args)
     corpus = load_corpus(args.corpus, catalog)
     rows, seen = [], set()

@@ -299,15 +299,6 @@ class SplitCorpus:
         return self.corpus.cases[:self.n_train]
 
     @property
-    def val(self) -> tuple[CaseRecord, ...]:
-        return self.corpus.cases[self.n_train:self.n_train + self.n_val]
-
-    @property
-    def test(self) -> tuple[CaseRecord, ...]:
-        start = self.n_train + self.n_val
-        return self.corpus.cases[start:start + self.n_test]
-
-    @property
     def train_ranks(self) -> range:
         return range(0, self.n_train)
 

@@ -85,19 +85,14 @@ def _flatten_scores(scores, truth) -> tuple[np.ndarray, np.ndarray]:
     return s, t
 
 
-def _average_ranks(s: np.ndarray) -> np.ndarray:
-    """1-based ranks of s, tied values sharing their average rank."""
+def _runs(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Size and positive count of each run of equal scores, in
+    ascending score order (-0.0 and 0.0 are one run)."""
     order = np.argsort(s, kind="stable")
-    ranks = np.empty(s.shape[0], dtype=np.float64)
-    i = 0
-    while i < s.shape[0]:
-        j = i
-        while j + 1 < s.shape[0] and s[order[j + 1]] == s[order[i]]:
-            j += 1
-        # positions i..j (0-based) share the average of ranks i+1..j+1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    s = s[order]
+    ends = np.append(np.flatnonzero(s[1:] != s[:-1]) + 1, s.shape[0])
+    pos_seen = np.cumsum(t[order])[ends - 1]
+    return np.diff(ends, prepend=0), np.diff(pos_seen, prepend=0)
 
 
 def micro_roc_auc(scores, truth) -> float:
@@ -113,8 +108,12 @@ def micro_roc_auc(scores, truth) -> float:
         raise SingleClassError(
             f"ROC-AUC undefined with {n_pos} positives and {n_neg} "
             "negatives")
-    ranks = _average_ranks(s)
-    rank_sum_pos = float(ranks[t == 1].sum())
+    sizes, pos = _runs(s, t)
+    end = np.cumsum(sizes)
+    start = end - sizes
+    # A run's members share the average of its 1-based ranks.  Every
+    # term is a half-integer, so the sum is exact in any order.
+    rank_sum_pos = float(((start + end - 1) / 2.0 + 1.0) @ pos)
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 
@@ -127,24 +126,11 @@ def micro_pr_auc(scores, truth) -> float:
     n_pos = int(t.sum())
     if n_pos == 0:
         raise NoPositivesError("PR-AUC undefined without positives")
-    order = np.argsort(-s, kind="stable")
-    s, t = s[order], t[order]
-    ap = 0.0
-    tp = 0
-    seen = 0
-    i = 0
-    n = s.shape[0]
-    while i < n:
-        j = i
-        while j + 1 < n and s[j + 1] == s[i]:
-            j += 1
-        group_tp = int(t[i:j + 1].sum())
-        tp += group_tp
-        seen += j - i + 1
-        if group_tp:
-            ap += (group_tp / n_pos) * (tp / seen)
-        i = j + 1
-    return ap
+    sizes, pos = (a[::-1] for a in _runs(s, t))
+    terms = (pos / n_pos) * (np.cumsum(pos) / np.cumsum(sizes))
+    # Added strictly left to right: np.sum adds pairwise, which can
+    # change the last bits of the reported value.
+    return float(np.add.accumulate(terms)[-1])
 
 
 @dataclass(frozen=True)

@@ -653,6 +653,48 @@ class TestArtifactFiles:
         assert store.read_bytes() == before
         assert sorted(f.name for f in tmp_path.iterdir()) == ["emb", "link"]
 
+    # Each subcommand that writes --output, with the options naming the
+    # files it reads besides --config and --labels-file; a run taking
+    # --index also reads the store the index names ("emb").
+    READS = {"train-encoder": ["--corpus"],
+             "embed": ["--corpus", "--encoder"],
+             "index": ["--corpus", "--embeddings"],
+             "train": ["--corpus", "--index"],
+             "predict": ["--corpus", "--index", "--model"],
+             "evaluate": ["--corpus", "--index", "--model"],
+             "evaluate-predictions": ["--corpus", "--predictions"]}
+    FILE = {"--config": "config", "--labels-file": "labels",
+            "--corpus": "corpus", "--encoder": "enc", "--embeddings": "emb",
+            "--index": "idx", "--model": "model", "--predictions": "preds",
+            "store": "emb"}
+
+    @pytest.mark.parametrize("run,target", [
+        pytest.param(run, target, id=f"{run}:{target.lstrip('-')}")
+        for run, opts in READS.items()
+        for target in ["--config", "--labels-file", *opts]
+        + (["store"] if "--index" in opts else [])])
+    def test_output_onto_an_input_is_refused(
+            self, suffixless, tmp_path, run, target):
+        _, p = suffixless
+        for name in ("labels", "corpus", "enc", "emb", "idx", "model",
+                     "preds"):
+            shutil.copy(p[name], tmp_path / name)
+        (tmp_path / "config").write_text("seed=0\n")
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        argv = [run.removesuffix("-predictions"), "--config",
+                str(tmp_path / "config")]
+        for opt in self.READS[run]:
+            argv += [opt, str(tmp_path / self.FILE[opt])]
+        code, lines = run_in_process(
+            [*argv, "--output", str(tmp_path / self.FILE[target])],
+            str(tmp_path / "labels"))
+        assert code == 1
+        assert len(lines) == 1, lines
+        error = json.loads(lines[0])
+        assert error["error"] == "ConfigError"
+        assert "would replace its input" in error["message"]
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
     @pytest.mark.parametrize("given", [
         ["--predictions", "--index", "--model"], ["--predictions", "--index"],
         ["--predictions", "--model"], ["--index"], ["--model"]])

@@ -128,8 +128,8 @@ class TestSplit:
     def test_partition_boundaries(self, tiny_corpus):
         s = chronological_split(tiny_corpus, 3, 2, 1)
         assert [c.case_id for c in s.train] == ["c0", "c1", "c2"]
-        assert [c.case_id for c in s.val] == ["c3", "c4"]
-        assert [c.case_id for c in s.test] == ["c5"]
+        assert [tiny_corpus[r].case_id for r in s.val_ranks] == ["c3", "c4"]
+        assert [tiny_corpus[r].case_id for r in s.test_ranks] == ["c5"]
 
     def test_ranges(self, tiny_corpus):
         s = chronological_split(tiny_corpus, 3, 2, 1)
@@ -138,10 +138,10 @@ class TestSplit:
 
     def test_temporal_order_across_splits(self, tiny_corpus):
         s = chronological_split(tiny_corpus, 2, 2, 2)
-        assert max(c.decision_date for c in s.train) <= \
-            min(c.decision_date for c in s.val)
-        assert max(c.decision_date for c in s.val) <= \
-            min(c.decision_date for c in s.test)
+        dates = [[tiny_corpus[r].decision_date for r in ranks]
+                 for ranks in (s.train_ranks, s.val_ranks, s.test_ranks)]
+        assert max(dates[0]) <= min(dates[1])
+        assert max(dates[1]) <= min(dates[2])
 
     def test_oversized_split_rejected(self, tiny_corpus):
         with pytest.raises(InsufficientDataError):

@@ -125,9 +125,9 @@ class TestRocAuc:
     @given(st.data())
     def test_matches_pairwise_oracle(self, data):
         n = data.draw(st.integers(2, 40))
-        # coarse grid forces frequent ties
+        # coarse grid forces frequent ties; -0.0 must tie with 0.0
         scores = data.draw(st.lists(
-            st.sampled_from([round(x * 0.1, 1) for x in range(11)]),
+            st.sampled_from([-0.0] + [round(x * 0.1, 1) for x in range(11)]),
             min_size=n, max_size=n))
         truth = data.draw(st.lists(st.integers(0, 1),
                                    min_size=n, max_size=n))
@@ -177,7 +177,7 @@ class TestPrAuc:
     def test_matches_threshold_sweep_oracle(self, data):
         n = data.draw(st.integers(1, 40))
         scores = data.draw(st.lists(
-            st.sampled_from([round(x * 0.1, 1) for x in range(11)]),
+            st.sampled_from([-0.0] + [round(x * 0.1, 1) for x in range(11)]),
             min_size=n, max_size=n))
         truth = data.draw(st.lists(st.integers(0, 1),
                                    min_size=n, max_size=n))
