@@ -17,7 +17,6 @@ from .corpus import (
     LabelCatalog,
     SplitCorpus,
     chronological_split,
-    decode_labels,
     encode_labels,
     load_corpus,
     parse_case_record,
@@ -58,7 +57,6 @@ from .model import (
 )
 from .retrieval import (
     Evidence,
-    EvidenceSet,
     RetrievalConfig,
     decayed_similarity,
     retrieve_precedents,
@@ -70,7 +68,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CaseRecord", "Corpus", "LabelCatalog", "SplitCorpus",
-    "chronological_split", "decode_labels", "encode_labels",
+    "chronological_split", "encode_labels",
     "load_corpus", "parse_case_record", "serialize_case_record",
     "ContrastiveConfig", "EncoderParams", "embed_corpus", "encode",
     "info_nce_loss", "load_encoder", "save_encoder", "train_encoder",
@@ -81,7 +79,7 @@ __all__ = [
     "ModelParams", "Prediction", "TrainConfig", "drift_input",
     "forward", "fuse_evidence", "infer", "load_model", "save_model",
     "train",
-    "Evidence", "EvidenceSet", "RetrievalConfig", "decayed_similarity",
+    "Evidence", "RetrievalConfig", "decayed_similarity",
     "retrieve_precedents",
     "EmbeddingStore",
     "DriftCorpusConfig", "generate_drift_corpus",

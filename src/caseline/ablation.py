@@ -247,7 +247,10 @@ def drift_gap_experiment(base_cfg: DriftCorpusConfig,
         cfg = replace(base_cfg, seed=base_cfg.seed + 997 * i)
         corpus = generate_drift_corpus(cfg)
         catalog = synthetic_catalog(cfg.n_labels)
-        x = featurize([case.text for case in corpus], hash_dim).to_dense()
+        feats = featurize([case.text for case in corpus], hash_dim)
+        # Columns are the buckets some text hits: a bucket no text hits
+        # keeps a zero weight in the zero-initialized classifier.
+        _, x = feats.block(np.arange(len(feats)))
         y = corpus.label_matrix(catalog)
         n = len(corpus)
         k = int(n * train_frac)

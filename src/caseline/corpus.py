@@ -131,14 +131,6 @@ def encode_labels(articles: Sequence[str] | frozenset[str],
     return vec
 
 
-def decode_labels(vector: np.ndarray, catalog: LabelCatalog) -> frozenset[str]:
-    """Inverse of encode_labels: names at the nonzero positions."""
-    if len(vector) != len(catalog):
-        raise UnknownLabelError(
-            f"label vector length {len(vector)} != catalog size {len(catalog)}")
-    return frozenset(catalog.names[i] for i in np.flatnonzero(vector))
-
-
 def parse_case_record(line: str, catalog: LabelCatalog) -> CaseRecord:
     """Parse one JSONL record; reject unknown labels and bad dates."""
     try:

@@ -101,18 +101,20 @@ class ContrastiveConfig:
                     f"{name} must be >= 1, got {getattr(self, name)}")
 
 
+def _xavier(rng: np.random.Generator, fan_in: int,
+            fan_out: int) -> np.ndarray:
+    """Xavier-uniform (fan_in, fan_out) weights drawn from rng."""
+    bound = math.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+
+
 def init_encoder_params(cfg: ContrastiveConfig) -> EncoderParams:
     """Xavier-uniform weights, zero biases, seeded by cfg.seed."""
     rng = np.random.default_rng(cfg.seed)
-
-    def xavier(fan_in, fan_out):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, size=(fan_in, fan_out))
-
     return EncoderParams(
-        w1=xavier(cfg.hash_dim, cfg.hidden_dim),
+        w1=_xavier(rng, cfg.hash_dim, cfg.hidden_dim),
         b1=np.zeros(cfg.hidden_dim),
-        w2=xavier(cfg.hidden_dim, cfg.out_dim),
+        w2=_xavier(rng, cfg.hidden_dim, cfg.out_dim),
         b2=np.zeros(cfg.out_dim),
         dropout=cfg.dropout,
     )

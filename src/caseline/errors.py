@@ -52,7 +52,7 @@ class NonPositiveTemperatureError(CaselineError):
 # -- training --
 
 class NonFiniteError(CaselineError):
-    """A training batch produced a non-finite loss or activation."""
+    """A non-finite loss, activation, embedding or metric score."""
 
 
 # -- retrieval --

@@ -9,9 +9,9 @@ featurize takes one text or a sequence of them and returns one CSR
 SparseBatch, a row per text.  It tokenizes and hashes many texts per
 vectorized numpy pass (runs of token bytes, then uint64 FNV-1a one
 byte position at a time), bit-for-bit equal to tokenize followed by
-the per-token reference kernels.hash_ngrams.  The batch is the only
-code that makes hashed features dense: block() over the union of some
-rows' buckets, to_dense() over all hash_dim buckets.
+the per-token reference kernels.hash_ngrams.  SparseBatch.block() is
+the only code that makes hashed features dense, over the union of the
+given rows' buckets.
 """
 
 from __future__ import annotations
@@ -83,13 +83,6 @@ class SparseBatch:
         dense[np.repeat(np.arange(len(rows)), counts),
               np.searchsorted(union, buckets)] = self.weights[at]
         return union, dense
-
-    def to_dense(self) -> np.ndarray:
-        """The (n, hash_dim) matrix of all rows."""
-        dense = np.zeros((len(self), self.hash_dim))
-        dense[np.repeat(np.arange(len(self)), np.diff(self.indptr)),
-              self.indices] = self.weights
-        return dense
 
 
 def _fnv1a(h: np.ndarray, data: np.ndarray, starts: np.ndarray,

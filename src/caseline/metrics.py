@@ -10,7 +10,6 @@ at a single threshold.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -18,7 +17,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .artifacts import canonical_json
-from .errors import LengthMismatchError, NoPositivesError, SingleClassError
+from .errors import (
+    LengthMismatchError,
+    NonFiniteError,
+    NoPositivesError,
+    SingleClassError,
+)
 
 __all__ = [
     "ConfusionCounts",
@@ -77,11 +81,17 @@ def micro_jaccard(counts: ConfusionCounts) -> float:
 
 
 def _flatten_scores(scores, truth) -> tuple[np.ndarray, np.ndarray]:
+    """Flat float scores and int truth bits; a NaN or infinite score
+    has no place in a ranking and is a NonFiniteError."""
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
     t = np.asarray(truth).reshape(-1).astype(np.int64)
     if s.shape[0] != t.shape[0]:
         raise LengthMismatchError(
             f"{s.shape[0]} scores for {t.shape[0]} truth bits")
+    bad = np.flatnonzero(~np.isfinite(s))
+    if bad.size:
+        raise NonFiniteError(
+            f"score at flat index {bad[0]} is {s[bad[0]]}, not finite")
     return s, t
 
 
@@ -158,13 +168,6 @@ class MetricsReport:
     def to_json(self) -> str:
         """Canonical single-line JSON (stable key order, no spaces)."""
         return canonical_json({k: getattr(self, k) for k in (
-            "micro_f1", "micro_jaccard", "micro_pr_auc", "micro_roc_auc",
-            "tp", "fp", "fn", "tn", "n_cases", "seed")})
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsReport":
-        obj = json.loads(text)
-        return cls(**{k: obj[k] for k in (
             "micro_f1", "micro_jaccard", "micro_pr_auc", "micro_roc_auc",
             "tp", "fp", "fn", "tn", "n_cases", "seed")})
 

@@ -12,8 +12,12 @@ Training minimizes ``(1 - lam) * BCE(sigmoid(y_final), labels)
 + lam * ||drift||^2``: the served logits ``y_final = y_orig + drift``
 carry the classification loss while the quadratic penalty keeps the
 correction anchored to the plain prediction.  A model checkpoint
-(format 2) holds the classifier and the drift head, whose input is
-that one scalar coordinate.
+(format 3) holds the classifier and the drift head, whose input is
+that one scalar coordinate, plus the split sizes it was trained under.
+
+Evidence for a case is the tuple of ``retrieval.Evidence`` that
+``retrieve_precedents`` returns, scored through
+``retrieval.decayed_similarity``; it is empty when retrieval is off.
 """
 
 from __future__ import annotations
@@ -23,12 +27,13 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .artifacts import load_npz, save_npz
 from .corpus import CaseRecord, LabelCatalog, SplitCorpus
-from .encoder import EncoderParams, _dropout_mask, encode
+from .encoder import EncoderParams, _dropout_mask, _xavier, encode
 from .errors import (
     ConfigError,
     DegenerateRangeError,
@@ -40,11 +45,7 @@ from .errors import (
 from .features import featurize
 from .metrics import MetricsReport, compute_report, micro_confusion, micro_f1
 from .optim import AdamW
-from .retrieval import (
-    EvidenceSet,
-    RetrievalConfig,
-    retrieve_precedents,
-)
+from .retrieval import Evidence, RetrievalConfig, retrieve_precedents
 from .store import EmbeddingStore
 
 log = logging.getLogger(__name__)
@@ -168,7 +169,8 @@ class Prediction:
                           self.probabilities[i], self.decisions[i])
 
 
-def fuse_evidence(evidence: EvidenceSet, n_labels: int) -> np.ndarray:
+def fuse_evidence(evidence: Sequence[Evidence],
+                  n_labels: int) -> np.ndarray:
     """Similarity-softmax-weighted average of evidence label vectors.
 
     Empty evidence yields the zero vector: absence of precedent is
@@ -216,14 +218,8 @@ def init_model_params(embed_dim: int, n_labels: int, cfg: TrainConfig,
     ``drift_on`` False the whole head is zero and stays frozen.
     """
     rng = np.random.default_rng(cfg.seed)
-    in_dim = embed_dim + n_labels
-
-    def xavier(n_in: int, n_out: int) -> np.ndarray:
-        bound = math.sqrt(6.0 / (n_in + n_out))
-        return rng.uniform(-bound, bound, size=(n_in, n_out))
-
-    w = xavier(in_dim, n_labels)
-    drift_w1 = xavier(1, cfg.drift_hidden)
+    w = _xavier(rng, embed_dim + n_labels, n_labels)
+    drift_w1 = _xavier(rng, 1, cfg.drift_hidden)
     if not cfg.drift_on:
         drift_w1 = np.zeros_like(drift_w1)
     return ModelParams(
@@ -270,9 +266,8 @@ def _batch_forward(e_case: np.ndarray, e_ev: np.ndarray, t: np.ndarray,
 
 
 def _batch_backward(d_y_final: np.ndarray, d_drift: np.ndarray, cache,
-                    params: ModelParams,
-                    grads: dict[str, np.ndarray]) -> None:
-    """Accumulate parameter gradients for the batch.
+                    params: ModelParams) -> dict[str, np.ndarray]:
+    """Parameter gradients for the batch, keyed like ``all_arrays``.
 
     ``d_y_final`` is the loss gradient at the served logits and
     ``d_drift`` the extra gradient applied directly to the drift
@@ -280,15 +275,12 @@ def _batch_backward(d_y_final: np.ndarray, d_drift: np.ndarray, cache,
     since y_final = y_orig + drift.
     """
     xd, t, z1, h = cache
-    grads["w"] += xd.T @ d_y_final
-    grads["b"] += d_y_final.sum(axis=0)
     dd = d_y_final + d_drift
-    grads["drift_w2"] += h.T @ dd
-    grads["drift_b2"] += dd.sum(axis=0)
     dh = dd @ params.drift_w2.T
     dh[z1 <= 0] = 0.0
-    grads["drift_w1"] += t.T @ dh
-    grads["drift_b1"] += dh.sum(axis=0)
+    return {"w": xd.T @ d_y_final, "b": d_y_final.sum(axis=0),
+            "drift_w1": t.T @ dh, "drift_b1": dh.sum(axis=0),
+            "drift_w2": h.T @ dd, "drift_b2": dd.sum(axis=0)}
 
 
 def _decide(params: ModelParams, e_case: np.ndarray, e_ev: np.ndarray,
@@ -331,26 +323,23 @@ def _batch_loss(y_final: np.ndarray, drift: np.ndarray, y: np.ndarray,
 def _precompute_inputs(ranks, store: EmbeddingStore,
                        labels_all: np.ndarray, retr_cfg: RetrievalConfig,
                        params: ModelParams,
-                       queries: tuple[list[str], np.ndarray] | None = None,
-                       evidence: list[EvidenceSet] | None = None):
+                       queries: np.ndarray | None = None,
+                       evidence: list[tuple[Evidence, ...]] | None = None):
     """Case, fused-evidence and drift inputs for the given ranks.  The
-    cases are the store rows at ``ranks`` unless ``queries``, a
-    ``(case_ids, vectors)`` pair, gives cases outside the store.  Each
-    EvidenceSet is appended to ``evidence`` if a list is given, else
-    only the fused rows are kept.
+    cases are the store rows at ``ranks`` unless ``queries``, one
+    vector per rank, gives cases outside the store.  Each case's
+    evidence is appended to ``evidence`` if a list is given, else only
+    the fused rows are kept.
 
     Evidence comes from the strictly-earlier cases, so a training query
     (rank < n_train) sees training-split precedents only.
     """
-    case_ids, e_case = queries if queries is not None \
-        else ([store.case_ids[r] for r in ranks], store.matrix[ranks])
+    e_case = store.matrix[ranks] if queries is None else queries
     n_labels = labels_all.shape[1]
     e_ev = np.zeros((len(ranks), n_labels))
     for i, r in enumerate(ranks):
-        ev = retrieve_precedents(
-            r, e_case[i], store, labels_all, retr_cfg,
-            query_case_id=case_ids[i]) if params.retrieval_on \
-            else EvidenceSet(case_ids[i], ())
+        ev = retrieve_precedents(r, e_case[i], store, labels_all,
+                                 retr_cfg) if params.retrieval_on else ()
         e_ev[i] = fuse_evidence(ev, n_labels)
         if evidence is not None:
             evidence.append(ev)
@@ -361,13 +350,13 @@ def _precompute_inputs(ranks, store: EmbeddingStore,
 
 def infer(params: ModelParams, ranks, store: EmbeddingStore,
           labels: np.ndarray, retr_cfg: RetrievalConfig
-          ) -> tuple[Prediction, list[EvidenceSet]]:
+          ) -> tuple[Prediction, list[tuple[Evidence, ...]]]:
     """The one inference path: retrieve and fuse evidence for the store
     rows at ``ranks``, build the drift input, and run one batched
     forward with the sigmoid and the 0.5 threshold.  Returns one
-    prediction row and one EvidenceSet per rank; ``labels`` has one row
-    per store row."""
-    evidence: list[EvidenceSet] = []
+    prediction row and one evidence tuple per rank; ``labels`` has one
+    row per store row."""
+    evidence: list[tuple[Evidence, ...]] = []
     e_case, e_ev, t = _precompute_inputs(ranks, store, labels, retr_cfg,
                                          params, evidence=evidence)
     return _decide(params, e_case, e_ev, t), evidence
@@ -410,7 +399,6 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
                   if k.startswith("drift_")}
     opt_other = AdamW(drift_head, lr=cfg.other_lr,
                       weight_decay=cfg.weight_decay) if cfg.drift_on else None
-    grads = {k: np.zeros_like(v) for k, v in params.all_arrays().items()}
     lam = cfg.lam if cfg.drift_on else 0.0
 
     def val_f1(p: ModelParams) -> float:
@@ -444,12 +432,10 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
                     f"{epoch} batch {batches}")
             total += value
             batches += 1
-            for g in grads.values():
-                g.fill(0.0)
-            _batch_backward(d_y_final, d_drift, cache, params, grads)
-            opt_classifier.step({k: grads[k] for k in ("w", "b")})
+            grads = _batch_backward(d_y_final, d_drift, cache, params)
+            opt_classifier.step(grads)
             if opt_other is not None:
-                opt_other.step({k: grads[k] for k in opt_other.params})
+                opt_other.step(grads)
         f1 = val_f1(params)
         history["train_loss"].append(total / max(batches, 1))
         history["val_f1"].append(f1)
@@ -495,7 +481,7 @@ def predict_with_evidence(case: CaseRecord, rank: int,
                           params: ModelParams, store: EmbeddingStore,
                           labels: np.ndarray, retr_cfg: RetrievalConfig,
                           encoder: EncoderParams | None = None
-                          ) -> tuple[Prediction, EvidenceSet]:
+                          ) -> tuple[Prediction, tuple[Evidence, ...]]:
     """Full pipeline for one case: embed (or look up), then build its
     inputs and decide as ``infer`` does for a one-row batch at
     ``rank``."""
@@ -507,16 +493,16 @@ def predict_with_evidence(case: CaseRecord, rank: int,
         raise ConfigError(
             f"case {case.case_id} not in the embedding store and no "
             "encoder given to embed it")
-    evidence: list[EvidenceSet] = []
+    evidence: list[tuple[Evidence, ...]] = []
     e_case, e_ev, t = _precompute_inputs(
-        [rank], store, labels, retr_cfg, params,
-        ([case.case_id], vec.reshape(1, -1)), evidence)
+        [rank], store, labels, retr_cfg, params, vec.reshape(1, -1),
+        evidence)
     return forward(e_case, e_ev, t, params), evidence[0]
 
 
 def prediction_record(case_id: str, pred: Prediction,
                       catalog: LabelCatalog,
-                      evidence: EvidenceSet) -> dict:
+                      evidence: Sequence[Evidence]) -> dict:
     """JSON-serializable record for one case: probabilities, decided
     label names, the split of the served logits into classifier output
     and drift correction, and the evidence list as the

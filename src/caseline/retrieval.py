@@ -4,8 +4,9 @@ Candidates are the strictly-earlier cases in chronological rank order
 (later cases are excluded from the pool outright, which is equivalent
 to scoring them at -1 but can never surface one).  Earlier cases are
 scored by cosine similarity damped by the rank distance between query
-and candidate, and the best k are returned together with their known
-label vectors as evidence for the classifier.
+and candidate, all of them through decayed_similarity, and the best k
+are returned, with their known label vectors, as a tuple of Evidence
+for the classifier.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .store import EmbeddingStore
 __all__ = [
     "RetrievalConfig",
     "Evidence",
-    "EvidenceSet",
     "decayed_similarity",
     "retrieve_precedents",
     "debug_table",
@@ -68,33 +68,22 @@ class Evidence:
     labels: np.ndarray = field(repr=False)
 
 
-@dataclass(frozen=True)
-class EvidenceSet:
-    """Up to k Evidence entries for one query, best score first."""
-
-    query_case_id: str
-    entries: tuple[Evidence, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
-def decayed_similarity(cosine: float, rank_gap: float,
-                       cfg: RetrievalConfig) -> float:
+def decayed_similarity(cosine: float | np.ndarray,
+                       rank_gap: float | np.ndarray,
+                       cfg: RetrievalConfig) -> float | np.ndarray:
     """Damp a cosine similarity by chronological distance.
 
     Returns ``cosine / (1 + rank_gap / (alpha * val_size))``: a gap of
     zero leaves the cosine untouched and a gap of ``alpha * val_size``
-    halves it.  The gap is the query rank minus the candidate rank and
-    must be non-negative; a negative gap means a future case leaked
-    past the mask, which is reported rather than scored.
+    halves it.  Scalars give a scalar; arrays are scored elementwise.
+    The gap is the query rank minus the candidate rank and must be
+    non-negative; a negative gap means a future case leaked past the
+    mask, which is reported rather than scored.
     """
-    if rank_gap < 0:
+    least = np.min(rank_gap, initial=0)
+    if least < 0:
         raise NegativeGapError(
-            f"rank_gap must be non-negative, got {rank_gap} "
+            f"rank_gap must be non-negative, got {least} "
             "(future case leaked into the candidate pool)")
     return cosine / (1.0 + rank_gap / (cfg.alpha * cfg.val_size))
 
@@ -121,11 +110,8 @@ def _scored_pool(query_rank: int, query_embedding: np.ndarray,
         raise NonFiniteError(
             f"query at rank {query_rank} has a non-finite embedding")
     cosines = store.matrix[:pool_end] @ q
-    gaps = np.arange(pool_end, 0, -1, dtype=np.float64) \
-        if pool_end else np.empty(0)
-    # Same expression as decayed_similarity, vectorized.
-    scores = cosines / (1.0 + gaps / (cfg.alpha * cfg.val_size))
-    return pool_end, cosines, gaps, scores
+    gaps = np.arange(pool_end, 0, -1, dtype=np.float64)
+    return pool_end, cosines, gaps, decayed_similarity(cosines, gaps, cfg)
 
 
 def _top_k(scores: np.ndarray, gaps: np.ndarray, k: int) -> np.ndarray:
@@ -153,9 +139,9 @@ def retrieve_precedents(query_rank: int, query_embedding: np.ndarray,
                         store: EmbeddingStore,
                         labels: np.ndarray | Sequence[np.ndarray],
                         cfg: RetrievalConfig,
-                        query_case_id: str = "",
-                        candidate_limit: int | None = None) -> EvidenceSet:
-    """Top-k strictly-earlier cases by decayed similarity.
+                        candidate_limit: int | None = None
+                        ) -> tuple[Evidence, ...]:
+    """Top-k strictly-earlier cases by decayed similarity, best first.
 
     ``labels`` holds one label vector per store row, aligned by rank.
     ``candidate_limit``, when given, additionally caps the pool at
@@ -169,11 +155,10 @@ def retrieve_precedents(query_rank: int, query_embedding: np.ndarray,
             "store rows")
     _, _, gaps, scores = _scored_pool(
         query_rank, query_embedding, store, cfg, candidate_limit)
-    entries = tuple(
+    return tuple(
         Evidence(case_id=store.case_ids[i], rank=int(i),
                  score=float(scores[i]), labels=labels[i])
         for i in _top_k(scores, gaps, cfg.k))
-    return EvidenceSet(query_case_id, entries)
 
 
 def debug_table(query_rank: int, query_embedding: np.ndarray,

@@ -44,9 +44,6 @@ class EmbeddingStore:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def rank_of(self, case_id: str) -> int:
-        return self._rank[case_id]
-
     def __contains__(self, case_id: str) -> bool:
         return case_id in self._rank
 

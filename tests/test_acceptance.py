@@ -169,8 +169,7 @@ def _fd_composite_instance(rng) -> float:
                    / (1.0 + np.exp(-np.abs(y_final))))
     d_y_final = (1 - lam) * (sig - y) / (n_labels * bsz)
     d_drift = 2 * lam * drift / bsz
-    grads = {k: np.zeros_like(v) for k, v in params.all_arrays().items()}
-    _batch_backward(d_y_final, d_drift, cache, params, grads)
+    grads = _batch_backward(d_y_final, d_drift, cache, params)
 
     worst = 0.0
     eps = 1e-5

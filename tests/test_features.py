@@ -24,6 +24,16 @@ def _row(batch, i):
     return batch.indices[lo:hi], batch.weights[lo:hi]
 
 
+def _dense(batch):
+    """The (n, hash_dim) matrix of a batch, written row by row from
+    its indptr, indices and weights."""
+    dense = np.zeros((len(batch), batch.hash_dim))
+    for i in range(len(batch)):
+        indices, weights = _row(batch, i)
+        dense[i, indices] = weights
+    return dense
+
+
 class TestTokenize:
     def test_lowercases_and_splits(self):
         assert tokenize("The COURT held; Art. 5(1)!") == \
@@ -58,7 +68,7 @@ class TestFeaturize:
         np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_repetition_raises_weight(self):
-        dense = featurize("rare rare common", hash_dim=1 << 16).to_dense()[0]
+        dense = _dense(featurize("rare rare common", hash_dim=1 << 16))[0]
         toks = ["rare", "common"]
         buckets = [featurize(t, hash_dim=1 << 16).indices[0] for t in toks]
         assert dense[buckets[0]] > dense[buckets[1]]
@@ -68,23 +78,20 @@ class TestFeaturize:
         assert len(f) == 1
         assert f.indptr.tolist() == [0, len(f.indices)]
 
-    def test_to_dense_round_trip(self):
-        f = featurize(["x y z", "z w", "x x"], hash_dim=64)
-        dense = f.to_dense()
-        assert dense.shape == (3, 64)
-        for i in range(3):
-            indices, weights = _row(f, i)
-            assert dense[i, indices].tobytes() == weights.tobytes()
-            assert np.count_nonzero(dense[i]) == len(indices)
+    def test_block_of_all_rows_over_every_bucket_is_dense(self):
+        f = featurize(["x y z", "z w", "x x", "v w x"], hash_dim=4)
+        union, block = f.block(np.arange(len(f)))
+        assert union.tolist() == [0, 1, 2, 3]
+        assert block.tobytes() == _dense(f).tobytes()
 
-    def test_block_is_to_dense_over_the_union(self):
+    def test_block_is_dense_over_the_union(self):
         f = featurize(["x y z", "z w", "x x", "v w x"], hash_dim=64)
         rows = [3, 0, 3, 1]
         union, block = f.block(rows)
         assert (np.diff(union) > 0).all()
         assert set(union.tolist()) == set(np.concatenate(
             [_row(f, i)[0] for i in rows]).tolist())
-        dense = f.to_dense()
+        dense = _dense(f)
         assert block.tobytes() == dense[rows][:, union].tobytes()
         assert not dense[rows][:, np.setdiff1d(np.arange(64), union)].any()
 
@@ -236,6 +243,7 @@ def test_featurize_sequence_tricky_characters(text):
 
 def test_featurize_sequence_empty_text_raises():
     empty = featurize([], 64)
-    assert len(empty) == 0 and empty.to_dense().shape == (0, 64)
+    assert len(empty) == 0 and empty.hash_dim == 64
+    assert empty.indptr.tolist() == [0] and len(empty.indices) == 0
     with pytest.raises(EmptyTextError):
         featurize(["fine words", " ?! "], 64)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from caseline.errors import (
     LengthMismatchError,
+    NonFiniteError,
     NoPositivesError,
     SingleClassError,
 )
@@ -115,6 +116,10 @@ class TestRocAuc:
             micro_roc_auc([0.2, 0.8], [1, 1])
         with pytest.raises(SingleClassError):
             micro_roc_auc([0.2, 0.8], [0, 0])
+        # a non-finite score is undefined too, named by its flat index
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonFiniteError, match="index 3"):
+                micro_roc_auc([[0.9, 0.1], [0.6, bad]], [[1, 0], [0, 1]])
 
     def test_matrix_input_flattens(self):
         flat = micro_roc_auc([0.9, 0.1, 0.6, 0.4], [1, 0, 0, 1])
@@ -171,6 +176,13 @@ class TestPrAuc:
     def test_no_positives_raises(self):
         with pytest.raises(NoPositivesError):
             micro_pr_auc([0.2, 0.8], [0, 0])
+        # a non-finite score is undefined too, named by its flat index
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonFiniteError, match="index 1"):
+                micro_pr_auc([0.9, bad, 0.2, 0.5], [1, 1, 0, 0])
+            with pytest.raises(NonFiniteError, match="index 1"):
+                compute_report([[0.9, bad], [0.2, 0.5]], [[1, 1], [0, 0]],
+                               [[1, 1], [0, 0]])
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -221,13 +233,13 @@ class TestReport:
         rep = compute_report(self.PROBS, self.DECS, self.TRUTH, seed=7)
         text = rep.to_json()
         assert "\n" not in text and " " not in text
-        assert MetricsReport.from_json(text) == rep
+        assert MetricsReport(**json.loads(text)) == rep
         # canonical form is byte-stable
-        assert MetricsReport.from_json(text).to_json() == text
+        assert MetricsReport(**json.loads(text)).to_json() == text
 
     def test_json_round_trip_with_absent_roc(self):
         rep = compute_report([[0.9, 0.8]], [[1, 0]], [[1, 1]])
-        again = MetricsReport.from_json(rep.to_json())
+        again = MetricsReport(**json.loads(rep.to_json()))
         assert again.micro_roc_auc is None
         assert again == rep
 

@@ -17,7 +17,6 @@ from caseline.errors import (
 )
 from caseline.retrieval import (
     Evidence,
-    EvidenceSet,
     RetrievalConfig,
     debug_table,
     decayed_similarity,
@@ -69,6 +68,14 @@ class TestDecayedSimilarity:
         gap = CFG.alpha * CFG.val_size
         assert math.isclose(decayed_similarity(0.6, gap, CFG), 0.3,
                             rel_tol=0, abs_tol=1e-15)
+        # arrays are scored elementwise: halved at the gap, then a
+        # third and a quarter at two and three times it
+        cosines = np.array([0.6, -0.9, 0.5])
+        gaps = gap * np.array([1.0, 2.0, 3.0])
+        got = decayed_similarity(cosines, gaps, CFG)
+        assert got.shape == (3,)
+        for g, want in zip(got, (0.3, -0.3, 0.125)):
+            assert math.isclose(g, want, rel_tol=0, abs_tol=1e-15)
 
     def test_quartering_at_three_alpha_val_size(self):
         gap = 3 * CFG.alpha * CFG.val_size
@@ -78,6 +85,9 @@ class TestDecayedSimilarity:
     def test_negative_gap_rejected(self):
         with pytest.raises(NegativeGapError):
             decayed_similarity(0.5, -1, CFG)
+        with pytest.raises(NegativeGapError, match="-1"):
+            decayed_similarity(np.full(4, 0.5),
+                               np.array([3.0, 2.0, -1.0, 0.0]), CFG)
 
     def test_magnitude_never_grows(self, rng):
         for _ in range(100):
@@ -257,12 +267,13 @@ class TestTopKAcrossTies:
 
 
 class TestEvidenceTypes:
-    def test_evidence_set_iteration(self):
-        entries = (Evidence("a", 0, 0.5, np.array([1.0, 0.0])),
-                   Evidence("b", 1, 0.25, np.array([0.0, 1.0])))
-        es = EvidenceSet("q", entries)
-        assert len(es) == 2
-        assert [e.case_id for e in es] == ["a", "b"]
+    def test_evidence_is_a_plain_tuple(self, rng):
+        store = _random_store(rng, 10)
+        labels = rng.integers(0, 2, size=(10, 3)).astype(float)
+        for q in (0, 4):
+            ev = retrieve_precedents(q, store.matrix[q], store, labels, CFG)
+            assert type(ev) is tuple and len(ev) == q
+            assert all(type(e) is Evidence for e in ev)
 
 
 class TestDebugTable:
