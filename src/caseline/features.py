@@ -78,7 +78,9 @@ class SparseBatch:
         buckets = self.indices[at]
         # plain np.unique would import numpy.ma, about 3 MB resident
         union = np.sort(buckets)
-        union = union[np.concatenate(([True], union[1:] != union[:-1]))]
+        first = np.ones(len(union), dtype=bool)
+        first[1:] = union[1:] != union[:-1]
+        union = union[first]
         dense = np.zeros((len(rows), len(union)))
         dense[np.repeat(np.arange(len(rows)), counts),
               np.searchsorted(union, buckets)] = self.weights[at]

@@ -15,6 +15,13 @@ correction anchored to the plain prediction.  A model checkpoint
 (format 3) holds the classifier and the drift head, whose input is
 that one scalar coordinate, plus the split sizes it was trained under.
 
+The parameters live in two contiguous float64 group buffers, the
+classifier ``[w, b]`` and the drift head ``[drift_w1, drift_b1,
+drift_w2, drift_b2]``; the six named arrays are views of them.  The
+trainer hands each buffer to ``AdamW`` as one 1-D parameter, so a step
+is one elementwise kernel call per group, and the backward pass writes
+into one gradient buffer per group laid out the same way.
+
 Evidence for a case is the tuple of ``retrieval.Evidence`` that
 ``retrieve_precedents`` returns, scored through
 ``retrieval.decayed_similarity``; it is empty when retrieval is off.
@@ -22,7 +29,6 @@ Evidence for a case is the tuple of ``retrieval.Evidence`` that
 
 from __future__ import annotations
 
-import copy
 import logging
 import math
 from dataclasses import dataclass, field
@@ -123,6 +129,10 @@ class ModelParams:
     for the drift input.  ``val_size`` and ``test_size`` are those of
     the split it was trained on (0, which no run configures, before
     training); only a run with that split may evaluate it.
+
+    Construction copies the six arrays into the two group buffers,
+    ``classifier`` and ``drift_head`` (see ``_GROUPS``), and makes the
+    named fields views of them.
     """
 
     w: np.ndarray
@@ -137,6 +147,14 @@ class ModelParams:
     val_size: int = 0
     test_size: int = 0
     meta: dict = field(default_factory=dict)
+    classifier: np.ndarray = field(init=False, repr=False)
+    drift_head: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        buffers, views = _pack(self.all_arrays())
+        for name, view in views.items():
+            setattr(self, name, view)
+        self.classifier, self.drift_head = buffers
 
     @property
     def n_labels(self) -> int:
@@ -150,6 +168,29 @@ class ModelParams:
         return {"w": self.w, "b": self.b,
                 "drift_w1": self.drift_w1, "drift_b1": self.drift_b1,
                 "drift_w2": self.drift_w2, "drift_b2": self.drift_b2}
+
+
+# The two parameter groups, each one contiguous buffer of its arrays in
+# this order: the classifier and the drift head.
+_GROUPS = (("w", "b"), ("drift_w1", "drift_b1", "drift_w2", "drift_b2"))
+
+
+def _pack(arrays: dict[str, np.ndarray]
+          ) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
+    """Copy the six named arrays into one new float64 buffer per group of
+    ``_GROUPS``.  Returns the buffers and, per name, the view of its
+    group's buffer shaped like the array."""
+    buffers, views = [], {}
+    for names in _GROUPS:
+        flat = np.empty(sum(arrays[n].size for n in names))
+        at = 0
+        for n in names:
+            arr = arrays[n]
+            views[n] = flat[at:at + arr.size].reshape(arr.shape)
+            views[n][...] = arr
+            at += arr.size
+        buffers.append(flat)
+    return buffers, views
 
 
 @dataclass(frozen=True)
@@ -233,13 +274,14 @@ def init_model_params(embed_dim: int, n_labels: int, cfg: TrainConfig,
         drift_on=cfg.drift_on)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _sigmoid(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function without overflow: 1/(1+e) for z >= 0 and
+    e/(1+e) below, where e = exp(-|z|), which the caller may pass in
+    when it already has it."""
+    if e is None:
+        e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def _batch_forward(e_case: np.ndarray, e_ev: np.ndarray, t: np.ndarray,
@@ -266,21 +308,32 @@ def _batch_forward(e_case: np.ndarray, e_ev: np.ndarray, t: np.ndarray,
 
 
 def _batch_backward(d_y_final: np.ndarray, d_drift: np.ndarray, cache,
-                    params: ModelParams) -> dict[str, np.ndarray]:
+                    params: ModelParams,
+                    grads: dict[str, np.ndarray] | None = None
+                    ) -> dict[str, np.ndarray]:
     """Parameter gradients for the batch, keyed like ``all_arrays``.
 
     ``d_y_final`` is the loss gradient at the served logits and
     ``d_drift`` the extra gradient applied directly to the drift
     output (the anchoring penalty); the drift head receives both
-    since y_final = y_orig + drift.
+    since y_final = y_orig + drift.  The gradients are written into
+    ``grads`` (arrays shaped like the parameters, such as the views of
+    the trainer's group gradient buffers) when given, else into new
+    arrays, and returned.
     """
+    if grads is None:
+        grads = {k: np.empty_like(v) for k, v in params.all_arrays().items()}
     xd, t, z1, h = cache
     dd = d_y_final + d_drift
     dh = dd @ params.drift_w2.T
     dh[z1 <= 0] = 0.0
-    return {"w": xd.T @ d_y_final, "b": d_y_final.sum(axis=0),
-            "drift_w1": t.T @ dh, "drift_b1": dh.sum(axis=0),
-            "drift_w2": h.T @ dd, "drift_b2": dd.sum(axis=0)}
+    np.matmul(xd.T, d_y_final, out=grads["w"])
+    np.add.reduce(d_y_final, axis=0, out=grads["b"])
+    np.matmul(t.T, dh, out=grads["drift_w1"])
+    np.add.reduce(dh, axis=0, out=grads["drift_b1"])
+    np.matmul(h.T, dd, out=grads["drift_w2"])
+    np.add.reduce(dd, axis=0, out=grads["drift_b2"])
+    return grads
 
 
 def _decide(params: ModelParams, e_case: np.ndarray, e_ev: np.ndarray,
@@ -308,14 +361,17 @@ def _batch_loss(y_final: np.ndarray, drift: np.ndarray, y: np.ndarray,
     batch mean of ``(1 - lam) * mean-BCE(sigmoid(y_final), labels)
     + lam * ||drift||^2`` per case.  ``d_drift`` is only the direct
     penalty gradient; the BCE part reaches the drift head through
-    ``d_y_final``.  The BCE is computed in the overflow-safe logit form.
+    ``d_y_final``.  The BCE is computed in the overflow-safe logit form,
+    whose exp(-|y_final|) the sigmoid reuses.  Each mean is a sum
+    divided by the count, the same bits as ``ndarray.mean``.
     """
     bsz, n_labels = y.shape
-    bce = (np.maximum(y_final, 0.0) - y_final * y
-           + np.log1p(np.exp(-np.abs(y_final)))).mean(axis=1)
+    e = np.exp(-np.abs(y_final))
+    bce = np.add.reduce(np.maximum(y_final, 0.0) - y_final * y
+                        + np.log1p(e), axis=1) / n_labels
     penalty = (drift * drift).sum(axis=1)
-    value = float(((1.0 - lam) * bce + lam * penalty).mean())
-    d_y_final = (1.0 - lam) * (_sigmoid(y_final) - y) / (n_labels * bsz)
+    value = float(np.add.reduce((1.0 - lam) * bce + lam * penalty) / bsz)
+    d_y_final = (1.0 - lam) * (_sigmoid(y_final, e) - y) / (n_labels * bsz)
     d_drift = 2.0 * lam * drift / bsz
     return value, d_y_final, d_drift
 
@@ -369,11 +425,12 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
     """Supervised training loop; returns the best-on-validation
     checkpoint plus per-epoch mean loss and validation micro-F1.
 
-    Two AdamW groups (classifier fast, drift head slow);
-    evidence for training queries is restricted to training-split
-    precedents; early stop after ``patience`` epochs without a strict
-    validation micro-F1 improvement.  ``max_epochs`` 0 returns the
-    initialization.
+    Two AdamW groups (classifier fast, drift head slow), each one flat
+    parameter buffer with one flat gradient buffer; evidence for
+    training queries is restricted to training-split precedents; early
+    stop after ``patience`` epochs without a strict validation
+    micro-F1 improvement.  The best checkpoint is a copy of the two
+    buffers.  ``max_epochs`` 0 returns the initialization.
     """
     corpus = splits.corpus
     store.check_alignment(corpus)
@@ -392,20 +449,21 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
         val_ranks, store, labels_all, retr_cfg, params)
     y_train, y_val = labels_all[train_ranks], labels_all[val_ranks]
 
-    opt_classifier = AdamW({"w": params.w, "b": params.b},
+    opt_classifier = AdamW({"classifier": params.classifier},
                            lr=cfg.classifier_lr,
                            weight_decay=cfg.weight_decay)
-    drift_head = {k: v for k, v in params.all_arrays().items()
-                  if k.startswith("drift_")}
-    opt_other = AdamW(drift_head, lr=cfg.other_lr,
+    opt_other = AdamW({"drift_head": params.drift_head}, lr=cfg.other_lr,
                       weight_decay=cfg.weight_decay) if cfg.drift_on else None
     lam = cfg.lam if cfg.drift_on else 0.0
+    # gradient buffers laid out like the parameters'; every backward
+    # pass overwrites all of them
+    (grad_classifier, grad_drift_head), grads = _pack(params.all_arrays())
 
     def val_f1(p: ModelParams) -> float:
         decisions = _decide(p, e_case_val, e_ev_val, t_val).decisions
         return micro_f1(micro_confusion(decisions, y_val))
 
-    best = copy.deepcopy(params)
+    best = [params.classifier.copy(), params.drift_head.copy()]
     best_f1 = -1.0
     stale = 0
     history: dict[str, list[float]] = {"train_loss": [], "val_f1": []}
@@ -432,10 +490,10 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
                     f"{epoch} batch {batches}")
             total += value
             batches += 1
-            grads = _batch_backward(d_y_final, d_drift, cache, params)
-            opt_classifier.step(grads)
+            _batch_backward(d_y_final, d_drift, cache, params, grads)
+            opt_classifier.step({"classifier": grad_classifier})
             if opt_other is not None:
-                opt_other.step(grads)
+                opt_other.step({"drift_head": grad_drift_head})
         f1 = val_f1(params)
         history["train_loss"].append(total / max(batches, 1))
         history["val_f1"].append(f1)
@@ -443,7 +501,8 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
                  epoch, history["train_loss"][-1], f1)
         if f1 > best_f1:
             best_f1 = f1
-            best = copy.deepcopy(params)
+            np.copyto(best[0], params.classifier)
+            np.copyto(best[1], params.drift_head)
             stale = 0
         else:
             stale += 1
@@ -451,7 +510,8 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
                 log.info("early stop after epoch %d (best %.4f)",
                          epoch, best_f1)
                 break
-    return best, history
+    params.classifier[...], params.drift_head[...] = best
+    return params, history
 
 
 def train(splits: SplitCorpus, store: EmbeddingStore,

@@ -133,6 +133,10 @@ class TestEncode:
         f = featurize("due process of law", 1024)
         np.testing.assert_array_equal(encode(f, params), encode(f, params))
 
+    def test_empty_batch_encodes_to_no_rows(self):
+        params = init_encoder_params(SMALL_CFG)
+        assert encode(featurize([], 1024), params).shape == (0, 8)
+
     def test_dim_mismatch_rejected(self):
         params = init_encoder_params(SMALL_CFG)
         with pytest.raises(DimensionMismatchError):

@@ -95,6 +95,12 @@ class TestFeaturize:
         assert block.tobytes() == dense[rows][:, union].tobytes()
         assert not dense[rows][:, np.setdiff1d(np.arange(64), union)].any()
 
+    @pytest.mark.parametrize("texts", [["x y z", "z w"], []])
+    def test_block_of_no_rows_is_empty(self, texts):
+        union, block = featurize(texts, hash_dim=64).block(np.arange(0))
+        assert union.dtype == np.int64 and union.shape == (0,)
+        assert block.shape == (0, 0)
+
     def test_case_insensitive(self):
         a = featurize("Liberty AND security")
         b = featurize("liberty and SECURITY")

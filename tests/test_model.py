@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caseline.artifacts import save_npz
 from caseline.corpus import Corpus, LabelCatalog, chronological_split
@@ -24,6 +26,7 @@ from caseline.model import (
     _batch_forward,
     _batch_loss,
     _precompute_inputs,
+    _sigmoid,
     drift_input,
     evaluate_split,
     fuse_evidence,
@@ -220,6 +223,39 @@ class TestForward:
         assert (after.decisions[:, 1] >= before.decisions[:, 1]).all()
         np.testing.assert_array_equal(np.delete(after.decisions, 1, 1),
                                       np.delete(before.decisions, 1, 1))
+
+
+def _two_branch_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+_SIGMOID_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                  -2.2250738585072009e-308, 745.0, -745.0, 745.2, -745.2,
+                  709.8, -709.8, 1e308, -1e308, np.inf, -np.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_SIGMOID_EDGES),
+                          st.floats(allow_nan=False)),
+                min_size=1, max_size=40))
+def test_sigmoid_equals_two_branch_form(values):
+    """The one-exp sigmoid gives the two-branch form's bits everywhere,
+    signed zeros, subnormals, the exp overflow and underflow edges and
+    infinities included, and neither overflows nor divides by zero.
+    Both underflow to 0 on large |z|, so underflow is not raised."""
+    z = np.array(values)
+    with np.errstate(over="raise", invalid="raise", divide="raise",
+                     under="ignore"):
+        want = _two_branch_sigmoid(z)
+        got = _sigmoid(z)
+        given_e = _sigmoid(z, np.exp(-np.abs(z)))
+    assert got.tobytes() == want.tobytes()
+    assert given_e.tobytes() == want.tobytes()
 
 
 class TestLoss:
@@ -499,6 +535,132 @@ class TestTraining:
                 best_f1, best_w, best_b = f1, w.copy(), b.copy()
         np.testing.assert_array_equal(got.w, best_w)
         np.testing.assert_array_equal(got.b, best_b)
+
+    # both stop early and return an earlier epoch's checkpoint
+    @pytest.mark.parametrize(
+        "seed,dropout,batch_size,lam,classifier_lr,other_lr", [
+            (3, 0.5, 5, 0.40, 0.02, 1e-3),
+            (4, 0.2, 8, 0.10, 0.2, 1e-5),
+        ])
+    def test_full_model_vs_per_array_trainer(self, seed, dropout,
+                                             batch_size, lam,
+                                             classifier_lr, other_lr):
+        """Drift on, retrieval on and dropout > 0 must equal an
+        independently written trainer that keeps the six arrays apart:
+        per-array AdamW groups, gradients from the formulas, the loss
+        as mean-BCE plus the drift penalty, and early stopping on
+        validation micro-F1.  The trainer's group buffers and flat
+        gradients must not change a bit."""
+        _, catalog, splits, store = _toy_setup(np.random.default_rng(seed))
+        L = len(catalog)
+        cfg = TrainConfig(max_epochs=8, seed=seed, dropout=dropout,
+                          batch_size=batch_size, lam=lam,
+                          classifier_lr=classifier_lr, other_lr=other_lr,
+                          patience=2)
+        got, got_history = train_with_history(splits, store, catalog, RETR,
+                                              cfg)
+
+        train_ranks = list(splits.train_ranks)
+        val_ranks = list(splits.val_ranks)
+        labels_all = splits.corpus.label_matrix(catalog).astype(float)
+        rank_range = (train_ranks[0], train_ranks[-1])
+
+        def inputs(ranks):
+            ev = np.stack([fuse_evidence(retrieve_precedents(
+                r, store.matrix[r], store, labels_all, RETR), L)
+                for r in ranks])
+            t = np.array([[drift_input(r, rank_range)] for r in ranks])
+            return np.hstack([store.matrix[ranks], ev]), t
+
+        x_train, t_train = inputs(train_ranks)
+        x_val, t_val = inputs(val_ranks)
+        y_train = labels_all[train_ranks]
+        y_val = labels_all[val_ranks]
+        init = init_model_params(store.dim, L, cfg, rank_range)
+        p = {k: v.copy() for k, v in init.all_arrays().items()}
+        opt_c = AdamW({k: p[k] for k in ("w", "b")}, lr=cfg.classifier_lr,
+                      weight_decay=cfg.weight_decay)
+        opt_d = AdamW({k: p[k] for k in ("drift_w1", "drift_b1",
+                                         "drift_w2", "drift_b2")},
+                      lr=cfg.other_lr, weight_decay=cfg.weight_decay)
+
+        def sigmoid(z):
+            out = np.empty_like(z)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        def forward(xd, t):
+            z1 = t @ p["drift_w1"] + p["drift_b1"]
+            h = np.maximum(z1, 0.0)
+            drift = h @ p["drift_w2"] + p["drift_b2"]
+            return xd @ p["w"] + p["b"] + drift, drift, z1, h
+
+        order = np.random.default_rng(cfg.seed + 1)
+        best = {k: v.copy() for k, v in p.items()}
+        best_f1, stale = -1.0, 0
+        history = {"train_loss": [], "val_f1": []}
+        n = len(train_ranks)
+        for epoch in range(cfg.max_epochs):
+            perm = order.permutation(n)
+            total, batches = 0.0, 0
+            for start in range(0, n, cfg.batch_size):
+                idx = perm[start:start + cfg.batch_size]
+                bsz = len(idx)
+                keep = np.random.default_rng(
+                    (cfg.seed * 1000003 + epoch * 9973 + start) * 131 + 7
+                ).random((bsz, x_train.shape[1])) >= cfg.dropout
+                xd = x_train[idx] * (keep / (1.0 - cfg.dropout))
+                t = t_train[idx]
+                y = y_train[idx]
+                y_final, drift, z1, h = forward(xd, t)
+                bce = (np.maximum(y_final, 0.0) - y_final * y
+                       + np.log1p(np.exp(-np.abs(y_final)))).mean(axis=1)
+                penalty = (drift * drift).sum(axis=1)
+                total += float(((1.0 - lam) * bce + lam * penalty).mean())
+                batches += 1
+                dz = (1.0 - lam) * (sigmoid(y_final) - y) / (L * bsz)
+                dd = dz + 2.0 * lam * drift / bsz
+                dh = np.where(z1 <= 0, 0.0, dd @ p["drift_w2"].T)
+                opt_c.step({"w": xd.T @ dz, "b": dz.sum(axis=0)})
+                opt_d.step({"drift_w1": t.T @ dh, "drift_b1": dh.sum(axis=0),
+                            "drift_w2": h.T @ dd, "drift_b2": dd.sum(axis=0)})
+            y_final, _, _, _ = forward(x_val, t_val)
+            dec = (sigmoid(y_final) >= 0.5).astype(np.uint8)
+            f1 = micro_f1(micro_confusion(dec, y_val))
+            history["train_loss"].append(total / batches)
+            history["val_f1"].append(f1)
+            if f1 > best_f1:
+                best_f1, stale = f1, 0
+                best = {k: v.copy() for k, v in p.items()}
+            else:
+                stale += 1
+                if stale >= cfg.patience:
+                    break
+
+        assert got_history == history
+        assert len(history["val_f1"]) < cfg.max_epochs
+        assert np.argmax(history["val_f1"]) < len(history["val_f1"]) - 1
+        assert np.any(best["drift_w2"] != 0.0)
+        for key, arr in got.all_arrays().items():
+            assert arr.tobytes() == best[key].tobytes(), key
+
+    def test_parameters_are_views_of_two_group_buffers(self, rng):
+        params = _random_params(rng, 5, 3)
+        assert params.classifier.shape == (8 * 3 + 3,)
+        assert params.drift_head.shape == (64 + 64 + 64 * 3 + 3,)
+        for name, arr in params.all_arrays().items():
+            group = params.classifier if name in ("w", "b") \
+                else params.drift_head
+            assert np.shares_memory(arr, group) and arr.flags.c_contiguous
+        flat = np.concatenate([params.w.ravel(), params.b])
+        assert flat.tobytes() == params.classifier.tobytes()
+        flat = np.concatenate([a.ravel() for a in (
+            params.drift_w1, params.drift_b1, params.drift_w2,
+            params.drift_b2)])
+        assert flat.tobytes() == params.drift_head.tobytes()
 
 
 class TestCandidatePolicy:
