@@ -6,8 +6,9 @@ Three layers:
   drift-sensing instrument (its chronological-vs-random split gap is
   the corpus-level evidence of concept drift);
 * ``run_ablation``, which trains the full pipeline per (cell, seed)
-  over a matrix of on/off flags or hyperparameter grid cells and
-  collects per-seed metric reports plus mean/std summaries;
+  over a matrix of on/off flags or hyperparameter grid cells (a seed's
+  cells as the lanes of one training run) and collects per-seed metric
+  reports plus mean/std summaries;
 * canned experiment setups on the synthetic drift corpus.
 """
 
@@ -32,7 +33,7 @@ from .metrics import (
     micro_confusion,
     micro_f1,
 )
-from .model import TrainConfig, _sigmoid, evaluate_split, train
+from .model import TrainConfig, _sigmoid, evaluate_split, train_with_history
 from .optim import AdamW
 from .retrieval import RetrievalConfig
 from .synthetic import DriftCorpusConfig, generate_drift_corpus, \
@@ -73,13 +74,20 @@ LAM_GRID: tuple[float, ...] = (0.0, 0.05, 0.10, 0.25, 0.5)
 
 @dataclass(frozen=True)
 class AblationSpec:
-    """The experiment matrix: the cells to run."""
+    """The experiment matrix: the cells to run, each under its own
+    name."""
 
     cells: tuple[AblationCell, ...]
 
     def __post_init__(self) -> None:
         if not self.cells:
             raise ConfigError("AblationSpec needs at least one cell")
+        names = [cell.name for cell in self.cells]
+        for name in names:
+            if names.count(name) > 1:
+                raise ConfigError(
+                    f"AblationSpec: cell name {name!r} is used "
+                    f"{names.count(name)} times; each cell needs its own")
 
     @classmethod
     def flag_matrix(cls) -> "AblationSpec":
@@ -174,26 +182,29 @@ def run_ablation(spec: AblationSpec, splits: SplitCorpus,
     """Train and evaluate every (cell, seed) combination.
 
     The contrastive encoder depends only on the seed, so its
-    embeddings are built once per seed and shared across cells.
-    Reported metrics are test-split metrics.
+    embeddings are built once per seed and shared across cells.  A
+    seed's cells are trained as the lanes of one ``train_with_history``
+    call, each with the bits a run of its own gives.  Reported metrics
+    are test-split metrics.
     """
     rows = []
     for seed in seeds:
         enc = train_encoder(splits.train, replace(enc_cfg, seed=seed))
         store = embed_corpus(splits.corpus, enc)
-        for cell in spec.cells:
-            retr = replace(
-                retr_cfg,
-                k=cell.k if cell.k is not None else retr_cfg.k,
-                alpha=cell.alpha if cell.alpha is not None
-                else retr_cfg.alpha)
-            tcfg = replace(
-                train_cfg, seed=seed,
-                retrieval_on=cell.retrieval_on,
-                drift_on=cell.drift_on,
-                lam=cell.lam if cell.lam is not None
-                else train_cfg.lam)
-            params = train(splits, store, catalog, retr, tcfg)
+        retrs = tuple(replace(
+            retr_cfg,
+            k=cell.k if cell.k is not None else retr_cfg.k,
+            alpha=cell.alpha if cell.alpha is not None
+            else retr_cfg.alpha) for cell in spec.cells)
+        tcfgs = tuple(replace(
+            train_cfg, seed=seed,
+            retrieval_on=cell.retrieval_on,
+            drift_on=cell.drift_on,
+            lam=cell.lam if cell.lam is not None
+            else train_cfg.lam) for cell in spec.cells)
+        trained, _ = train_with_history(splits, store, catalog, retrs,
+                                        tcfgs)
+        for cell, retr, params in zip(spec.cells, retrs, trained):
             report = evaluate_split(params, splits, store, catalog,
                                     retr, "test", seed=seed)
             log.info("cell %s seed %d: test micro-F1 %.4f",

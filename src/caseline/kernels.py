@@ -59,15 +59,38 @@ def adamw_step(
     weight_decay: float,
     bias_c1: float,
     bias_c2: float,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> None:
     """One decoupled-weight-decay Adam update, in place on 1-D float64 views.
 
     bias_c1/bias_c2 are the step-dependent corrections 1 - beta^t,
-    precomputed by the caller.
+    precomputed by the caller.  The update is
+
+        m = beta1 * m + (1 - beta1) * grad
+        v = beta2 * v + (1 - beta2) * (grad * grad)
+        param -= lr * ((m / bias_c1) / (sqrt(v / bias_c2) + eps)
+                       + weight_decay * param)
+
+    evaluated op by op in that order through ``out=``, so it allocates
+    nothing when ``scratch`` holds two float64 arrays at least as long
+    as ``param`` (new ones are made when it is None).
     """
-    omb1 = 1.0 - beta1
-    omb2 = 1.0 - beta2
-    m[:] = beta1 * m + omb1 * grad
-    v[:] = beta2 * v + omb2 * (grad * grad)
-    param -= lr * ((m / bias_c1) / (np.sqrt(v / bias_c2) + eps)
-                   + weight_decay * param)
+    n = param.size
+    s1, s2 = scratch if scratch is not None else (np.empty(n), np.empty(n))
+    s1, s2 = s1[:n], s2[:n]
+    np.multiply(grad, 1.0 - beta1, out=s1)
+    np.multiply(m, beta1, out=m)
+    np.add(m, s1, out=m)
+    np.multiply(grad, grad, out=s1)
+    np.multiply(s1, 1.0 - beta2, out=s1)
+    np.multiply(v, beta2, out=v)
+    np.add(v, s1, out=v)
+    np.divide(m, bias_c1, out=s1)
+    np.divide(v, bias_c2, out=s2)
+    np.sqrt(s2, out=s2)
+    np.add(s2, eps, out=s2)
+    np.divide(s1, s2, out=s1)
+    np.multiply(param, weight_decay, out=s2)
+    np.add(s1, s2, out=s1)
+    np.multiply(s1, lr, out=s1)
+    np.subtract(param, s1, out=param)

@@ -17,10 +17,14 @@ that one scalar coordinate, plus the split sizes it was trained under.
 
 The parameters live in two contiguous float64 group buffers, the
 classifier ``[w, b]`` and the drift head ``[drift_w1, drift_b1,
-drift_w2, drift_b2]``; the six named arrays are views of them.  The
-trainer hands each buffer to ``AdamW`` as one 1-D parameter, so a step
-is one elementwise kernel call per group, and the backward pass writes
-into one gradient buffer per group laid out the same way.
+drift_w2, drift_b2]``; the six named arrays are views of them.
+
+The trainer runs one or more lanes: models that share the data, the
+batch order, every dropout mask and every hyperparameter except
+``retrieval_on``, ``drift_on``, ``lam``, ``k`` and ``alpha``.  It holds
+each group as one ``(lanes, size)`` buffer, so a batch is one stacked
+forward and backward pass and one ``AdamW`` kernel call per group for
+all lanes, and every lane gets the bits a run of its own would give.
 
 Evidence for a case is the tuple of ``retrieval.Evidence`` that
 ``retrieve_precedents`` returns, scored through
@@ -30,8 +34,7 @@ Evidence for a case is the tuple of ``retrieval.Evidence`` that
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -151,10 +154,14 @@ class ModelParams:
     drift_head: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        buffers, views = _pack(self.all_arrays())
-        for name, view in views.items():
+        arrays = self.all_arrays()
+        self.classifier, self.drift_head = (
+            np.empty(sum(arrays[n].size for n in names))
+            for names in _GROUPS)
+        for name, view in _views((self.classifier, self.drift_head),
+                                 arrays).items():
+            view[...] = arrays[name]
             setattr(self, name, view)
-        self.classifier, self.drift_head = buffers
 
     @property
     def n_labels(self) -> int:
@@ -175,22 +182,41 @@ class ModelParams:
 _GROUPS = (("w", "b"), ("drift_w1", "drift_b1", "drift_w2", "drift_b2"))
 
 
-def _pack(arrays: dict[str, np.ndarray]
-          ) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
-    """Copy the six named arrays into one new float64 buffer per group of
-    ``_GROUPS``.  Returns the buffers and, per name, the view of its
-    group's buffer shaped like the array."""
-    buffers, views = [], {}
-    for names in _GROUPS:
-        flat = np.empty(sum(arrays[n].size for n in names))
+def _views(buffers: Sequence[np.ndarray], like: dict[str, np.ndarray]
+           ) -> dict[str, np.ndarray]:
+    """Per name of ``_GROUPS``, the view of its group's buffer shaped
+    like ``like[name]``, behind the buffer's leading (lane) axes."""
+    views = {}
+    for flat, names in zip(buffers, _GROUPS):
         at = 0
         for n in names:
-            arr = arrays[n]
-            views[n] = flat[at:at + arr.size].reshape(arr.shape)
-            views[n][...] = arr
-            at += arr.size
-        buffers.append(flat)
-    return buffers, views
+            shape = like[n].shape
+            views[n] = flat[..., at:at + like[n].size].reshape(
+                flat.shape[:-1] + shape)
+            at += like[n].size
+    return views
+
+
+class _Lanes:
+    """The parameters, or the gradients, of a stack of lanes: the two
+    group buffers, each ``(lanes, size)``, and the six named arrays
+    (``arrays``, also attributes) as views of them with a leading lane
+    axis.  The trainer passes it where a ModelParams goes."""
+
+    def __init__(self, classifier: np.ndarray, drift_head: np.ndarray,
+                 like: dict[str, np.ndarray]):
+        self.classifier, self.drift_head = classifier, drift_head
+        self.arrays = _views((classifier, drift_head), like)
+        for name, view in self.arrays.items():
+            setattr(self, name, view)
+
+    @property
+    def n_labels(self) -> int:
+        return self.w.shape[-1]
+
+    @property
+    def embed_dim(self) -> int:
+        return self.w.shape[-2] - self.n_labels
 
 
 @dataclass(frozen=True)
@@ -220,19 +246,21 @@ def fuse_evidence(evidence: Sequence[Evidence],
     """
     if len(evidence) == 0:
         return np.zeros(n_labels)
-    rows = []
-    for ev in evidence:
-        lab = np.asarray(ev.labels, dtype=np.float64).reshape(-1)
-        if lab.shape[0] != n_labels:
-            raise LabelLengthMismatchError(
-                f"evidence {ev.case_id} has {lab.shape[0]} labels, "
-                f"expected {n_labels}")
-        rows.append(lab)
+    try:
+        rows = np.array([ev.labels for ev in evidence], dtype=np.float64
+                        ).reshape(len(evidence), n_labels)
+    except ValueError:
+        for ev in evidence:
+            if np.size(ev.labels) != n_labels:
+                raise LabelLengthMismatchError(
+                    f"evidence {ev.case_id} has {np.size(ev.labels)} "
+                    f"labels, expected {n_labels}") from None
+        raise
     scores = np.array([ev.score for ev in evidence])
     scores = scores - scores.max()
     weights = np.exp(scores)
     weights /= weights.sum()
-    return weights @ np.stack(rows)
+    return weights @ rows
 
 
 def drift_input(rank: int, train_rank_range: tuple[int, int]) -> float:
@@ -285,30 +313,37 @@ def _sigmoid(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
 
 
 def _batch_forward(e_case: np.ndarray, e_ev: np.ndarray, t: np.ndarray,
-                   params: ModelParams,
+                   params: ModelParams | _Lanes,
                    mask: np.ndarray | None = None):
     """Vectorized forward over a batch; returns arrays plus the cache
-    needed by _batch_backward."""
-    if e_case.shape[1] != params.embed_dim:
+    needed by _batch_backward.
+
+    With a lane stack for ``params``, ``e_ev`` is ``(lanes, B, L)``,
+    the case rows ``e_case``, drift inputs ``t`` and ``mask`` serve
+    every lane, and each output has the leading lane axis.
+    """
+    dim = e_case.shape[-1]
+    if dim != params.embed_dim:
         raise DimensionMismatchError(
-            f"case embedding dim {e_case.shape[1]} != "
-            f"{params.embed_dim}")
-    if e_ev.shape[1] != params.n_labels:
+            f"case embedding dim {dim} != {params.embed_dim}")
+    if e_ev.shape[-1] != params.n_labels:
         raise DimensionMismatchError(
-            f"evidence dim {e_ev.shape[1]} != {params.n_labels}")
-    x = np.concatenate([e_case, e_ev], axis=1)
+            f"evidence dim {e_ev.shape[-1]} != {params.n_labels}")
+    x = np.empty(e_ev.shape[:-1] + (dim + e_ev.shape[-1],))
+    x[..., :dim] = e_case
+    x[..., dim:] = e_ev
     xd = x * mask if mask is not None else x
-    y_orig = xd @ params.w + params.b
-    z1 = t @ params.drift_w1 + params.drift_b1
+    y_orig = xd @ params.w + params.b[..., None, :]
+    z1 = t @ params.drift_w1 + params.drift_b1[..., None, :]
     h = np.maximum(z1, 0.0)
-    drift = h @ params.drift_w2 + params.drift_b2
+    drift = h @ params.drift_w2 + params.drift_b2[..., None, :]
     y_final = y_orig + drift
     cache = (xd, t, z1, h)
     return y_orig, drift, y_final, cache
 
 
 def _batch_backward(d_y_final: np.ndarray, d_drift: np.ndarray, cache,
-                    params: ModelParams,
+                    params: ModelParams | _Lanes,
                     grads: dict[str, np.ndarray] | None = None
                     ) -> dict[str, np.ndarray]:
     """Parameter gradients for the batch, keyed like ``all_arrays``.
@@ -319,25 +354,26 @@ def _batch_backward(d_y_final: np.ndarray, d_drift: np.ndarray, cache,
     since y_final = y_orig + drift.  The gradients are written into
     ``grads`` (arrays shaped like the parameters, such as the views of
     the trainer's group gradient buffers) when given, else into new
-    arrays, and returned.
+    arrays, and returned.  A lane stack gives each lane its own
+    gradients.
     """
     if grads is None:
         grads = {k: np.empty_like(v) for k, v in params.all_arrays().items()}
     xd, t, z1, h = cache
     dd = d_y_final + d_drift
-    dh = dd @ params.drift_w2.T
+    dh = dd @ np.swapaxes(params.drift_w2, -1, -2)
     dh[z1 <= 0] = 0.0
-    np.matmul(xd.T, d_y_final, out=grads["w"])
-    np.add.reduce(d_y_final, axis=0, out=grads["b"])
+    np.matmul(np.swapaxes(xd, -1, -2), d_y_final, out=grads["w"])
+    np.add.reduce(d_y_final, axis=-2, out=grads["b"])
     np.matmul(t.T, dh, out=grads["drift_w1"])
-    np.add.reduce(dh, axis=0, out=grads["drift_b1"])
-    np.matmul(h.T, dd, out=grads["drift_w2"])
-    np.add.reduce(dd, axis=0, out=grads["drift_b2"])
+    np.add.reduce(dh, axis=-2, out=grads["drift_b1"])
+    np.matmul(np.swapaxes(h, -1, -2), dd, out=grads["drift_w2"])
+    np.add.reduce(dd, axis=-2, out=grads["drift_b2"])
     return grads
 
 
-def _decide(params: ModelParams, e_case: np.ndarray, e_ev: np.ndarray,
-            t: np.ndarray) -> Prediction:
+def _decide(params: ModelParams | _Lanes, e_case: np.ndarray,
+            e_ev: np.ndarray, t: np.ndarray) -> Prediction:
     """Forward without dropout, sigmoid, and the 0.5 threshold: the one
     decision rule of inference and of the trainer's validation pass."""
     y_orig, drift, y_final, _ = _batch_forward(e_case, e_ev, t, params)
@@ -354,7 +390,8 @@ def forward(case_embedding: np.ndarray, evidence_embedding: np.ndarray,
 
 
 def _batch_loss(y_final: np.ndarray, drift: np.ndarray, y: np.ndarray,
-                lam: float) -> tuple[float, np.ndarray, np.ndarray]:
+                lam: float | np.ndarray
+                ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """Composite batch loss and its exact gradients.
 
     Returns ``(value, d_y_final, d_drift)`` where the value is the
@@ -363,14 +400,18 @@ def _batch_loss(y_final: np.ndarray, drift: np.ndarray, y: np.ndarray,
     penalty gradient; the BCE part reaches the drift head through
     ``d_y_final``.  The BCE is computed in the overflow-safe logit form,
     whose exp(-|y_final|) the sigmoid reuses.  Each mean is a sum
-    divided by the count, the same bits as ``ndarray.mean``.
+    divided by the count, the same bits as ``ndarray.mean``.  For a
+    lane stack, ``lam`` holds one value per lane, ``y_final`` and
+    ``drift`` lead with the lane axis, and so do the results.
     """
     bsz, n_labels = y.shape
+    lam = np.asarray(lam, dtype=np.float64)[..., None]
     e = np.exp(-np.abs(y_final))
     bce = np.add.reduce(np.maximum(y_final, 0.0) - y_final * y
-                        + np.log1p(e), axis=1) / n_labels
-    penalty = (drift * drift).sum(axis=1)
-    value = float(np.add.reduce((1.0 - lam) * bce + lam * penalty) / bsz)
+                        + np.log1p(e), axis=-1) / n_labels
+    penalty = (drift * drift).sum(axis=-1)
+    value = np.add.reduce((1.0 - lam) * bce + lam * penalty, axis=-1) / bsz
+    lam = lam[..., None]
     d_y_final = (1.0 - lam) * (_sigmoid(y_final, e) - y) / (n_labels * bsz)
     d_drift = 2.0 * lam * drift / bsz
     return value, d_y_final, d_drift
@@ -382,8 +423,9 @@ def _precompute_inputs(ranks, store: EmbeddingStore,
                        queries: np.ndarray | None = None,
                        evidence: list[tuple[Evidence, ...]] | None = None):
     """Case, fused-evidence and drift inputs for the given ranks.  The
-    cases are the store rows at ``ranks`` unless ``queries``, one
-    vector per rank, gives cases outside the store.  Each case's
+    cases are the store rows at ``ranks`` unless ``queries`` gives one
+    vector per rank (a case outside the store, or the rows already
+    gathered).  Each case's
     evidence is appended to ``evidence`` if a list is given, else only
     the fused rows are kept.
 
@@ -418,10 +460,37 @@ def infer(params: ModelParams, ranks, store: EmbeddingStore,
     return _decide(params, e_case, e_ev, t), evidence
 
 
+# The fields in which the lanes of one training run may differ.
+_LANE_TRAIN_FIELDS = ("retrieval_on", "drift_on", "lam")
+_LANE_RETRIEVAL_FIELDS = ("k", "alpha")
+_LANE_FIELDS = ", ".join(_LANE_TRAIN_FIELDS + _LANE_RETRIEVAL_FIELDS)
+
+
+def _check_lanes(retr_cfgs: tuple, cfgs: tuple) -> None:
+    """Refuse lane configs that cannot share one stack: a count of
+    retrieval configs other than the count of train configs, no lane,
+    or two lanes that differ in a field outside the lane fields."""
+    if len(retr_cfgs) != len(cfgs) or not cfgs:
+        raise ConfigError(
+            f"lanes: {len(retr_cfgs)} retrieval configs for {len(cfgs)} "
+            "train configs; give one of each per lane, at least one lane")
+    for configs, free in ((cfgs, _LANE_TRAIN_FIELDS),
+                          (retr_cfgs, _LANE_RETRIEVAL_FIELDS)):
+        for f in fields(configs[0]):
+            if f.name not in free and any(
+                    getattr(c, f.name) != getattr(configs[0], f.name)
+                    for c in configs):
+                raise ConfigError(
+                    f"lanes differ in {type(configs[0]).__name__}."
+                    f"{f.name}; lanes may differ only in {_LANE_FIELDS}")
+
+
 def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
-                       catalog: LabelCatalog, retr_cfg: RetrievalConfig,
-                       cfg: TrainConfig
-                       ) -> tuple[ModelParams, dict[str, list[float]]]:
+                       catalog: LabelCatalog,
+                       retr_cfg: RetrievalConfig | tuple[RetrievalConfig, ...],
+                       cfg: TrainConfig | tuple[TrainConfig, ...]
+                       ) -> tuple[ModelParams | tuple[ModelParams, ...],
+                                  dict[str, list]]:
     """Supervised training loop; returns the best-on-validation
     checkpoint plus per-epoch mean loss and validation micro-F1.
 
@@ -431,6 +500,44 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
     stop after ``patience`` epochs without a strict validation
     micro-F1 improvement.  The best checkpoint is a copy of the two
     buffers.  ``max_epochs`` 0 returns the initialization.
+
+    Given one ``retr_cfg`` and one ``cfg``, returns ``(ModelParams,
+    {"train_loss": [...], "val_f1": [...]})``.  Given two tuples with
+    one entry per lane, which may differ only in ``retrieval_on``,
+    ``drift_on``, ``lam``, ``k`` and ``alpha`` (else ConfigError),
+    trains the lanes as one stack and returns a tuple of ModelParams
+    and a history whose lists run over the epochs the stack trained:
+    entry ``e`` is the tuple of every lane's value, None once that lane
+    has stopped.  Each lane gets the bits its one-config run gives.
+    """
+    if isinstance(cfg, TrainConfig) != isinstance(retr_cfg,
+                                                  RetrievalConfig):
+        raise ConfigError("retr_cfg and cfg must both be one config or "
+                          "both be tuples of lane configs")
+    if isinstance(cfg, TrainConfig):
+        (params,), history = _train_lanes(splits, store, catalog,
+                                          (retr_cfg,), (cfg,))
+        return params, {k: [v for v, in values]
+                        for k, values in history.items()}
+    retr_cfgs, cfgs = tuple(retr_cfg), tuple(cfg)
+    _check_lanes(retr_cfgs, cfgs)
+    return _train_lanes(splits, store, catalog, retr_cfgs, cfgs)
+
+
+def _train_lanes(splits: SplitCorpus, store: EmbeddingStore,
+                 catalog: LabelCatalog, retr_cfgs: tuple, cfgs: tuple
+                 ) -> tuple[tuple[ModelParams, ...], dict[str, list]]:
+    """The trainer behind train_with_history, over checked lanes.
+
+    Training and validation evidence is retrieved and fused once per
+    distinct retrieval config (zeros for lanes with retrieval off).
+    Each batch draws one dropout mask for every lane and steps each
+    group's stacked buffer with one AdamW call.  A drift-off lane's head
+    starts at zero; its one nonzero gradient, ``drift_b2``'s, is zeroed,
+    and AdamW maps a zero parameter with zero moments and a zero
+    gradient to zero, so the head stays zero.  A lane that stops early
+    leaves the stack with its parameters and moments.  Every lane's
+    best checkpoint is kept in its own ModelParams buffers.
     """
     corpus = splits.corpus
     store.check_alignment(corpus)
@@ -440,39 +547,60 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
     val_ranks = list(splits.val_ranks)
     if len(train_ranks) < 2:
         raise ConfigError("need at least 2 training cases")
-    params = init_model_params(store.dim, n_labels, cfg,
-                               (train_ranks[0], train_ranks[-1]))
-    params.val_size, params.test_size = splits.n_val, splits.n_test
-    e_case_train, e_ev_train, t_train = _precompute_inputs(
-        train_ranks, store, labels_all, retr_cfg, params)
-    e_case_val, e_ev_val, t_val = _precompute_inputs(
-        val_ranks, store, labels_all, retr_cfg, params)
+    cfg = cfgs[0]  # for every field the lanes share
+    lanes = []
+    for c in cfgs:
+        p = init_model_params(store.dim, n_labels, c,
+                              (train_ranks[0], train_ranks[-1]))
+        p.val_size, p.test_size = splits.n_val, splits.n_test
+        lanes.append(p)
+
+    # fused evidence per source, a retrieval config or None for the
+    # lanes with retrieval off; ``source`` maps lanes to sources
+    e_case_train = store.matrix[train_ranks]
+    e_case_val = store.matrix[val_ranks]
+    evidence: dict[RetrievalConfig | None, list] = {}
+    source = []
+    for p, r in zip(lanes, retr_cfgs):
+        key = r if p.retrieval_on else None
+        if key not in evidence:
+            (_, ev, t_train), (_, ev_val, t_val) = (
+                _precompute_inputs(ranks, store, labels_all, r, p, queries)
+                for ranks, queries in ((train_ranks, e_case_train),
+                                       (val_ranks, e_case_val)))
+            evidence[key] = [ev, ev_val]
+        source.append(list(evidence).index(key))
+    source = np.array(source)
+    ev_train, ev_val = (np.stack(ev) for ev in zip(*evidence.values()))
+    del evidence
     y_train, y_val = labels_all[train_ranks], labels_all[val_ranks]
 
-    opt_classifier = AdamW({"classifier": params.classifier},
-                           lr=cfg.classifier_lr,
-                           weight_decay=cfg.weight_decay)
-    opt_other = AdamW({"drift_head": params.drift_head}, lr=cfg.other_lr,
-                      weight_decay=cfg.weight_decay) if cfg.drift_on else None
-    lam = cfg.lam if cfg.drift_on else 0.0
-    # gradient buffers laid out like the parameters'; every backward
-    # pass overwrites all of them
-    (grad_classifier, grad_drift_head), grads = _pack(params.all_arrays())
+    like = lanes[0].all_arrays()
+    opt_classifier = AdamW(
+        {"classifier": np.stack([p.classifier for p in lanes])},
+        lr=cfg.classifier_lr, weight_decay=cfg.weight_decay)
+    opt_other = AdamW({"drift_head": np.stack([p.drift_head for p in lanes])},
+                      lr=cfg.other_lr, weight_decay=cfg.weight_decay)
+    lam = np.array([c.lam if c.drift_on else 0.0 for c in cfgs])
+    drift_off = np.array([not c.drift_on for c in cfgs])
+    active = list(range(len(lanes)))  # the lanes in the stack, in order
 
-    def val_f1(p: ModelParams) -> float:
-        decisions = _decide(p, e_case_val, e_ev_val, t_val).decisions
-        return micro_f1(micro_confusion(decisions, y_val))
+    def stack() -> tuple[_Lanes, _Lanes]:
+        theta = (opt_classifier.params["classifier"],
+                 opt_other.params["drift_head"])
+        return (_Lanes(*theta, like),
+                _Lanes(*(np.empty_like(b) for b in theta), like))
 
-    best = [params.classifier.copy(), params.drift_head.copy()]
-    best_f1 = -1.0
-    stale = 0
-    history: dict[str, list[float]] = {"train_loss": [], "val_f1": []}
+    params, grads = stack()
+    best_f1 = [-1.0] * len(lanes)
+    stale = [0] * len(lanes)
+    history: dict[str, list] = {"train_loss": [], "val_f1": []}
     order_rng = np.random.default_rng(cfg.seed + 1)
     n = len(train_ranks)
 
     for epoch in range(cfg.max_epochs):
         perm = order_rng.permutation(n)
-        total, batches = 0.0, 0
+        total, batches = np.zeros(len(active)), 0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             bsz = len(idx)
@@ -480,38 +608,55 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
                 (bsz, store.dim + n_labels), cfg.dropout,
                 (cfg.seed * 1000003 + epoch * 9973 + start) * 131 + 7)
             _, drift, y_final, cache = _batch_forward(
-                e_case_train[idx], e_ev_train[idx], t_train[idx],
-                params, mask)
+                e_case_train[idx], ev_train[source[:, None], idx],
+                t_train[idx], params, mask)
             value, d_y_final, d_drift = _batch_loss(
                 y_final, drift, y_train[idx], lam)
-            if not math.isfinite(value):
+            if not np.isfinite(value).all():
+                lane = active[int(np.argmin(np.isfinite(value)))]
                 raise NonFiniteError(
                     f"supervised training: non-finite loss at epoch "
-                    f"{epoch} batch {batches}")
+                    f"{epoch} batch {batches} (lane {lane})")
             total += value
             batches += 1
-            _batch_backward(d_y_final, d_drift, cache, params, grads)
-            opt_classifier.step({"classifier": grad_classifier})
-            if opt_other is not None:
-                opt_other.step({"drift_head": grad_drift_head})
-        f1 = val_f1(params)
-        history["train_loss"].append(total / max(batches, 1))
-        history["val_f1"].append(f1)
-        log.info("epoch %d: train loss %.6f, val micro-F1 %.4f",
-                 epoch, history["train_loss"][-1], f1)
-        if f1 > best_f1:
-            best_f1 = f1
-            np.copyto(best[0], params.classifier)
-            np.copyto(best[1], params.drift_head)
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                log.info("early stop after epoch %d (best %.4f)",
-                         epoch, best_f1)
+            _batch_backward(d_y_final, d_drift, cache, params, grads.arrays)
+            grads.drift_b2[drift_off] = 0.0
+            opt_classifier.step({"classifier": grads.classifier})
+            opt_other.step({"drift_head": grads.drift_head})
+        losses, f1s = [None] * len(lanes), [None] * len(lanes)
+        for pos, lane in enumerate(active):
+            # lane by lane: a stacked (lanes, n_val, dim) input block
+            # would raise the peak memory of the run
+            decisions = _decide(
+                _Lanes(params.classifier[pos], params.drift_head[pos], like),
+                e_case_val, ev_val[source[pos]], t_val).decisions
+            losses[lane] = float(total[pos] / max(batches, 1))
+            f1s[lane] = micro_f1(micro_confusion(decisions, y_val))
+            log.info("lane %d epoch %d: train loss %.6f, val micro-F1 %.4f",
+                     lane, epoch, losses[lane], f1s[lane])
+            if f1s[lane] > best_f1[lane]:
+                best_f1[lane] = f1s[lane]
+                np.copyto(lanes[lane].classifier, params.classifier[pos])
+                np.copyto(lanes[lane].drift_head, params.drift_head[pos])
+                stale[lane] = 0
+            else:
+                stale[lane] += 1
+                if stale[lane] >= cfg.patience:
+                    log.info("lane %d: early stop after epoch %d "
+                             "(best %.4f)", lane, epoch, best_f1[lane])
+        history["train_loss"].append(tuple(losses))
+        history["val_f1"].append(tuple(f1s))
+        keep = [pos for pos, lane in enumerate(active)
+                if stale[lane] < cfg.patience]
+        if len(keep) < len(active):
+            if not keep:
                 break
-    params.classifier[...], params.drift_head[...] = best
-    return params, history
+            opt_classifier = opt_classifier.take(keep)
+            opt_other = opt_other.take(keep)
+            params, grads = stack()
+            active = [active[pos] for pos in keep]
+            lam, drift_off, source = lam[keep], drift_off[keep], source[keep]
+    return tuple(lanes), history
 
 
 def train(splits: SplitCorpus, store: EmbeddingStore,

@@ -69,6 +69,13 @@ class TestSpec:
         with pytest.raises(ConfigError):
             AblationSpec(cells=())
 
+    def test_duplicate_cell_names_rejected(self):
+        """A cell name identifies one cell's rows and its training lane,
+        so two cells may not share one."""
+        with pytest.raises(ConfigError, match="'full' is used 2 times"):
+            AblationSpec(cells=(AblationCell("full"),
+                                AblationCell("full", drift_on=False)))
+
 
 class TestResult:
     def _result(self):

@@ -663,6 +663,114 @@ class TestTraining:
         assert flat.tobytes() == params.drift_head.tobytes()
 
 
+def _lanes_vs_one_lane_runs(splits, store, catalog, retr_cfgs, cfgs):
+    """Train the configs as lanes and check every lane bit for bit
+    against a one-config run of it: each parameter array, the flags and
+    split sizes, and its history, which reads None after the lane
+    stopped.  Returns the lanes' params and the number of epochs each
+    lane trained."""
+    got, history = train_with_history(splits, store, catalog, retr_cfgs,
+                                      cfgs)
+    assert len(got) == len(cfgs)
+    assert history.keys() == {"train_loss", "val_f1"}
+    epochs = []
+    for lane, (retr, cfg) in enumerate(zip(retr_cfgs, cfgs)):
+        one, one_history = train_with_history(splits, store, catalog, retr,
+                                              cfg)
+        for key, arr in one.all_arrays().items():
+            assert got[lane].all_arrays()[key].tobytes() == arr.tobytes(), \
+                (lane, key)
+        assert (got[lane].retrieval_on, got[lane].drift_on,
+                got[lane].val_size, got[lane].test_size) \
+            == (one.retrieval_on, one.drift_on, one.val_size, one.test_size)
+        n = len(one_history["val_f1"])
+        for key, values in history.items():
+            column = [entry[lane] for entry in values]
+            assert column[:n] == one_history[key], (lane, key)
+            assert all(v is None for v in column[n:]), (lane, key)
+        epochs.append(n)
+    assert len(history["val_f1"]) == max(epochs)
+    return got, epochs
+
+
+class TestLanes:
+    BASE = TrainConfig(max_epochs=12, seed=1, patience=2, classifier_lr=0.05,
+                       other_lr=1e-3, lam=0.3)
+
+    def test_flag_cells_as_lanes_equal_one_lane_runs(self):
+        """The four retrieval/drift cells as lanes of one run.  Lanes stop
+        early at different epochs, so stopped lanes leave the stack
+        while the others keep training."""
+        _, catalog, splits, store = _toy_setup(np.random.default_rng(1))
+        cfgs = tuple(dataclasses.replace(self.BASE, retrieval_on=r,
+                                         drift_on=d)
+                     for r, d in ((True, True), (False, True),
+                                  (True, False), (False, False)))
+        got, epochs = _lanes_vs_one_lane_runs(splits, store, catalog,
+                                              (RETR,) * 4, cfgs)
+        assert min(epochs) < max(epochs) < self.BASE.max_epochs
+        assert not got[2].drift_head.any() and not got[3].drift_head.any()
+        assert got[0].drift_head.any()
+
+    @pytest.mark.parametrize("sweep", [
+        {"k": (3, 5, 7)},
+        {"alpha": (1.0, 10.0)},
+        {"lam": (0.0, 0.05, 0.10, 0.25, 0.5)},
+    ])
+    def test_sweeps_as_lanes_equal_one_lane_runs(self, sweep):
+        (field, values), = sweep.items()
+        _, catalog, splits, store = _toy_setup(np.random.default_rng(2))
+        if field == "lam":
+            retr_cfgs = (RETR,) * len(values)
+            cfgs = tuple(dataclasses.replace(self.BASE, seed=2, lam=v)
+                         for v in values)
+        else:
+            retr_cfgs = tuple(dataclasses.replace(RETR, **{field: v})
+                              for v in values)
+            cfgs = (dataclasses.replace(self.BASE, seed=2),) * len(values)
+        _lanes_vs_one_lane_runs(splits, store, catalog, retr_cfgs, cfgs)
+
+    @pytest.mark.parametrize("field,value", [
+        ("seed", 1), ("batch_size", 4), ("dropout", 0.5),
+        ("classifier_lr", 0.5), ("other_lr", 0.5), ("patience", 5),
+        ("max_epochs", 3), ("drift_hidden", 8), ("weight_decay", 0.5),
+    ])
+    def test_lanes_differing_in_a_shared_train_field_refused(
+            self, rng, field, value):
+        _, catalog, splits, store = _toy_setup(rng)
+        base = TrainConfig(max_epochs=2)
+        with pytest.raises(ConfigError, match=rf"TrainConfig\.{field};"):
+            train_with_history(splits, store, catalog, (RETR, RETR),
+                               (base, dataclasses.replace(
+                                   base, **{field: value})))
+
+    def test_lanes_differing_in_retrieval_val_size_refused(self, rng):
+        _, catalog, splits, store = _toy_setup(rng)
+        cfg = TrainConfig(max_epochs=2)
+        with pytest.raises(ConfigError, match=r"RetrievalConfig\.val_size"):
+            train_with_history(
+                splits, store, catalog,
+                (RETR, dataclasses.replace(RETR, val_size=7)), (cfg, cfg))
+
+    @pytest.mark.parametrize("n_retr,n_train", [(2, 3), (3, 2), (0, 0)])
+    def test_lane_tuples_of_unequal_length_refused(self, rng, n_retr,
+                                                   n_train):
+        _, catalog, splits, store = _toy_setup(rng)
+        cfg = TrainConfig(max_epochs=2)
+        with pytest.raises(ConfigError, match=f"{n_retr} retrieval configs "
+                                              f"for {n_train} train configs"):
+            train_with_history(splits, store, catalog, (RETR,) * n_retr,
+                               (cfg,) * n_train)
+
+    def test_one_config_beside_a_tuple_refused(self, rng):
+        _, catalog, splits, store = _toy_setup(rng)
+        cfg = TrainConfig(max_epochs=2)
+        with pytest.raises(ConfigError, match="both"):
+            train_with_history(splits, store, catalog, (RETR,), cfg)
+        with pytest.raises(ConfigError, match="both"):
+            train_with_history(splits, store, catalog, RETR, (cfg,))
+
+
 class TestCandidatePolicy:
     def test_training_evidence_is_training_split_only(self, rng):
         """The strictly-earlier mask is the training policy: a training

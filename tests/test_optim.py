@@ -24,6 +24,19 @@ def _dense_reference(p, m, v, dense_grad, t):
         1.0 - HYPER["beta2"] ** t)
 
 
+def _formula_step(p, m, v, dense_grad, t):
+    """The update as whole-array expressions, each allocating its
+    result: the reference the in-place kernel must equal bit for bit."""
+    g = dense_grad.ravel()
+    p, m, v = p.ravel(), m.ravel(), v.ravel()
+    lr, beta1, beta2 = HYPER["lr"], HYPER["beta1"], HYPER["beta2"]
+    m[:] = beta1 * m + (1.0 - beta1) * g
+    v[:] = beta2 * v + (1.0 - beta2) * (g * g)
+    p -= lr * ((m / (1.0 - beta1 ** t))
+               / (np.sqrt(v / (1.0 - beta2 ** t)) + HYPER["eps"])
+               + HYPER["weight_decay"] * p)
+
+
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -115,6 +128,66 @@ def test_parameters_spanning_several_blocks(rng):
         assert _same_bits(p, p_ref), f"param differs at step {t}"
         assert _same_bits(opt.m["w"], m_ref), f"m differs at step {t}"
         assert _same_bits(opt.v["w"], v_ref), f"v differs at step {t}"
+
+
+@pytest.mark.parametrize("size", [
+    1, 7, 1001, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_in_place_kernel_equals_formula(rng, size):
+    """Dense steps, block by block through the optimizer's scratch, and
+    the kernel called without scratch, on odd sizes and either side of
+    the block size."""
+    p = rng.standard_normal(size)
+    p[::7] = -0.0
+    p_ref, m_ref, v_ref = p.copy(), np.zeros(size), np.zeros(size)
+    p_bare, m_bare, v_bare = p.copy(), np.zeros(size), np.zeros(size)
+    opt = AdamW({"w": p}, **HYPER)
+    for t in range(1, 5):
+        grad = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 3)
+        grad[::11] = 0.0
+        opt.step({"w": grad})
+        _formula_step(p_ref, m_ref, v_ref, grad, t)
+        _dense_reference(p_bare, m_bare, v_bare, grad, t)
+        for got, m, v in ((p, opt.m["w"], opt.v["w"]),
+                          (p_bare, m_bare, v_bare)):
+            assert _same_bits(got, p_ref), f"param differs at step {t}"
+            assert _same_bits(m, m_ref), f"m differs at step {t}"
+            assert _same_bits(v, v_ref), f"v differs at step {t}"
+
+
+def test_row_path_equals_formula(rng):
+    """Row gradients, through the gathered-rows branch and after the
+    switch to dense, on a parameter of several blocks, against the
+    formula fed the scattered gradient."""
+    shape = (2 * _BLOCK // 24 + 3, 24)
+    p = rng.standard_normal(shape)
+    p_ref, m_ref, v_ref = p.copy(), np.zeros(shape), np.zeros(shape)
+    opt = AdamW({"w": p}, **HYPER)
+    for t, share in enumerate([0.05, 0.2, 0.4, 0.3], start=1):
+        rows = np.flatnonzero(rng.random(shape[0]) < share)
+        values = rng.standard_normal((len(rows), shape[1]))
+        dense = np.zeros(shape)
+        dense[rows] = values
+        opt.step({"w": values}, rows={"w": rows})
+        _formula_step(p_ref, m_ref, v_ref, dense, t)
+        assert _same_bits(p, p_ref), f"param differs at step {t}"
+        assert _same_bits(opt.m["w"], m_ref), f"m differs at step {t}"
+        assert _same_bits(opt.v["w"], v_ref), f"v differs at step {t}"
+
+
+def test_take_goes_on_as_the_whole(rng):
+    """An optimizer over some rows of a stacked parameter steps those
+    rows to the bits the whole one gives them."""
+    whole = AdamW({"g": rng.standard_normal((4, 9))}, **HYPER)
+    for _ in range(3):
+        whole.step({"g": rng.standard_normal((4, 9))})
+    part = whole.take([0, 2])
+    grad = rng.standard_normal((4, 9))
+    whole.step({"g": grad})
+    part.step({"g": grad[[0, 2]]})
+    assert part.t == whole.t
+    for got, ref in ((part.params["g"], whole.params["g"]),
+                     (part.m["g"], whole.m["g"]), (part.v["g"], whole.v["g"])):
+        assert _same_bits(got, ref[[0, 2]])
 
 
 @pytest.mark.parametrize("rows, values", [
