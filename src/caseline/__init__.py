@@ -53,7 +53,7 @@ from .model import (
     infer,
     load_model,
     save_model,
-    train,
+    train_with_history,
 )
 from .retrieval import (
     Evidence,
@@ -78,7 +78,7 @@ __all__ = [
     "micro_jaccard", "micro_pr_auc", "micro_roc_auc",
     "ModelParams", "Prediction", "TrainConfig", "drift_input",
     "forward", "fuse_evidence", "infer", "load_model", "save_model",
-    "train",
+    "train_with_history",
     "Evidence", "RetrievalConfig", "decayed_similarity",
     "retrieve_precedents",
     "EmbeddingStore",

@@ -7,7 +7,7 @@ Three layers:
   the corpus-level evidence of concept drift);
 * ``run_ablation``, which trains the full pipeline per (cell, seed)
   over a matrix of on/off flags or hyperparameter grid cells (a seed's
-  cells as the lanes of one training run) and collects per-seed metric
+  cells as the lanes of one trainer call) and collects per-seed metric
   reports plus mean/std summaries;
 * canned experiment setups on the synthetic drift corpus.
 """
@@ -184,7 +184,7 @@ def run_ablation(spec: AblationSpec, splits: SplitCorpus,
     The contrastive encoder depends only on the seed, so its
     embeddings are built once per seed and shared across cells.  A
     seed's cells are trained as the lanes of one ``train_with_history``
-    call, each with the bits a run of its own gives.  Reported metrics
+    call, each with the bits its one-lane call gives.  Reported metrics
     are test-split metrics.
     """
     rows = []

@@ -50,7 +50,7 @@ from .model import (
     load_model,
     prediction_record,
     save_model,
-    train,
+    train_with_history,
 )
 from .store import EmbeddingStore
 from .synthetic import DriftCorpusConfig, generate_drift_corpus, \
@@ -230,8 +230,9 @@ def cmd_index(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     store, catalog, splits = _indexed_splits(args, cfg)
-    params = train(splits, store, catalog, cfg.retrieval_config(),
-                   cfg.train_config())
+    (params,), _ = train_with_history(splits, store, catalog,
+                                      (cfg.retrieval_config(),),
+                                      (cfg.train_config(),))
     params.meta = {**_provenance(cfg, "train"),
                    "config_text": cfg.to_text()}
     save_model(params, args.output)

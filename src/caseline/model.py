@@ -68,7 +68,6 @@ __all__ = [
     "init_model_params",
     "forward",
     "infer",
-    "train",
     "train_with_history",
     "evaluate_split",
     "predict_with_evidence",
@@ -118,6 +117,8 @@ class TrainConfig:
             raise ConfigError("max_epochs must be >= 0")
         if self.drift_hidden < 1:
             raise ConfigError("drift_hidden must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -195,28 +196,6 @@ def _views(buffers: Sequence[np.ndarray], like: dict[str, np.ndarray]
                 flat.shape[:-1] + shape)
             at += like[n].size
     return views
-
-
-class _Lanes:
-    """The parameters, or the gradients, of a stack of lanes: the two
-    group buffers, each ``(lanes, size)``, and the six named arrays
-    (``arrays``, also attributes) as views of them with a leading lane
-    axis.  The trainer passes it where a ModelParams goes."""
-
-    def __init__(self, classifier: np.ndarray, drift_head: np.ndarray,
-                 like: dict[str, np.ndarray]):
-        self.classifier, self.drift_head = classifier, drift_head
-        self.arrays = _views((classifier, drift_head), like)
-        for name, view in self.arrays.items():
-            setattr(self, name, view)
-
-    @property
-    def n_labels(self) -> int:
-        return self.w.shape[-1]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.w.shape[-2] - self.n_labels
 
 
 @dataclass(frozen=True)
@@ -313,40 +292,43 @@ def _sigmoid(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
 
 
 def _batch_forward(e_case: np.ndarray, e_ev: np.ndarray, t: np.ndarray,
-                   params: ModelParams | _Lanes,
+                   params: dict[str, np.ndarray],
                    mask: np.ndarray | None = None):
     """Vectorized forward over a batch; returns arrays plus the cache
     needed by _batch_backward.
 
-    With a lane stack for ``params``, ``e_ev`` is ``(lanes, B, L)``,
-    the case rows ``e_case``, drift inputs ``t`` and ``mask`` serve
-    every lane, and each output has the leading lane axis.
+    ``params`` holds the arrays keyed like ``ModelParams.all_arrays``.
+    For a stack of lanes each has a leading lane axis and ``e_ev`` is
+    ``(lanes, B, L)``; the case rows ``e_case``, drift inputs ``t`` and
+    ``mask`` serve every lane, and each output has the lane axis.
     """
-    dim = e_case.shape[-1]
-    if dim != params.embed_dim:
+    w = params["w"]
+    dim, n_labels = e_case.shape[-1], w.shape[-1]
+    embed_dim = w.shape[-2] - n_labels
+    if dim != embed_dim:
         raise DimensionMismatchError(
-            f"case embedding dim {dim} != {params.embed_dim}")
-    if e_ev.shape[-1] != params.n_labels:
+            f"case embedding dim {dim} != {embed_dim}")
+    if e_ev.shape[-1] != n_labels:
         raise DimensionMismatchError(
-            f"evidence dim {e_ev.shape[-1]} != {params.n_labels}")
-    x = np.empty(e_ev.shape[:-1] + (dim + e_ev.shape[-1],))
+            f"evidence dim {e_ev.shape[-1]} != {n_labels}")
+    x = np.empty(e_ev.shape[:-1] + (dim + n_labels,))
     x[..., :dim] = e_case
     x[..., dim:] = e_ev
     xd = x * mask if mask is not None else x
-    y_orig = xd @ params.w + params.b[..., None, :]
-    z1 = t @ params.drift_w1 + params.drift_b1[..., None, :]
+    y_orig = xd @ w + params["b"][..., None, :]
+    z1 = t @ params["drift_w1"] + params["drift_b1"][..., None, :]
     h = np.maximum(z1, 0.0)
-    drift = h @ params.drift_w2 + params.drift_b2[..., None, :]
+    drift = h @ params["drift_w2"] + params["drift_b2"][..., None, :]
     y_final = y_orig + drift
     cache = (xd, t, z1, h)
     return y_orig, drift, y_final, cache
 
 
 def _batch_backward(d_y_final: np.ndarray, d_drift: np.ndarray, cache,
-                    params: ModelParams | _Lanes,
+                    params: dict[str, np.ndarray],
                     grads: dict[str, np.ndarray] | None = None
                     ) -> dict[str, np.ndarray]:
-    """Parameter gradients for the batch, keyed like ``all_arrays``.
+    """Parameter gradients for the batch, keyed like ``params``.
 
     ``d_y_final`` is the loss gradient at the served logits and
     ``d_drift`` the extra gradient applied directly to the drift
@@ -358,10 +340,10 @@ def _batch_backward(d_y_final: np.ndarray, d_drift: np.ndarray, cache,
     gradients.
     """
     if grads is None:
-        grads = {k: np.empty_like(v) for k, v in params.all_arrays().items()}
+        grads = {k: np.empty_like(v) for k, v in params.items()}
     xd, t, z1, h = cache
     dd = d_y_final + d_drift
-    dh = dd @ np.swapaxes(params.drift_w2, -1, -2)
+    dh = dd @ np.swapaxes(params["drift_w2"], -1, -2)
     dh[z1 <= 0] = 0.0
     np.matmul(np.swapaxes(xd, -1, -2), d_y_final, out=grads["w"])
     np.add.reduce(d_y_final, axis=-2, out=grads["b"])
@@ -372,7 +354,7 @@ def _batch_backward(d_y_final: np.ndarray, d_drift: np.ndarray, cache,
     return grads
 
 
-def _decide(params: ModelParams | _Lanes, e_case: np.ndarray,
+def _decide(params: dict[str, np.ndarray], e_case: np.ndarray,
             e_ev: np.ndarray, t: np.ndarray) -> Prediction:
     """Forward without dropout, sigmoid, and the 0.5 threshold: the one
     decision rule of inference and of the trainer's validation pass."""
@@ -385,7 +367,7 @@ def _decide(params: ModelParams | _Lanes, e_case: np.ndarray,
 def forward(case_embedding: np.ndarray, evidence_embedding: np.ndarray,
             drift_in: np.ndarray, params: ModelParams) -> Prediction:
     """One case through ``infer``'s decision rule, as a one-row batch."""
-    return _decide(params, *(np.reshape(a, (1, -1)) for a in (
+    return _decide(params.all_arrays(), *(np.reshape(a, (1, -1)) for a in (
         case_embedding, evidence_embedding, drift_in))).row(0)
 
 
@@ -457,7 +439,7 @@ def infer(params: ModelParams, ranks, store: EmbeddingStore,
     evidence: list[tuple[Evidence, ...]] = []
     e_case, e_ev, t = _precompute_inputs(ranks, store, labels, retr_cfg,
                                          params, evidence=evidence)
-    return _decide(params, e_case, e_ev, t), evidence
+    return _decide(params.all_arrays(), e_case, e_ev, t), evidence
 
 
 # The fields in which the lanes of one training run may differ.
@@ -487,58 +469,37 @@ def _check_lanes(retr_cfgs: tuple, cfgs: tuple) -> None:
 
 def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
                        catalog: LabelCatalog,
-                       retr_cfg: RetrievalConfig | tuple[RetrievalConfig, ...],
-                       cfg: TrainConfig | tuple[TrainConfig, ...]
-                       ) -> tuple[ModelParams | tuple[ModelParams, ...],
-                                  dict[str, list]]:
-    """Supervised training loop; returns the best-on-validation
+                       retr_cfgs: Sequence[RetrievalConfig],
+                       cfgs: Sequence[TrainConfig]
+                       ) -> tuple[tuple[ModelParams, ...], dict[str, list]]:
+    """Supervised training loop; returns every lane's best-on-validation
     checkpoint plus per-epoch mean loss and validation micro-F1.
 
-    Two AdamW groups (classifier fast, drift head slow), each one flat
-    parameter buffer with one flat gradient buffer; evidence for
-    training queries is restricted to training-split precedents; early
-    stop after ``patience`` epochs without a strict validation
-    micro-F1 improvement.  The best checkpoint is a copy of the two
-    buffers.  ``max_epochs`` 0 returns the initialization.
+    ``retr_cfgs`` and ``cfgs`` hold one entry per lane; one model is
+    the one-lane case.  Lanes may differ only in ``retrieval_on``,
+    ``drift_on``, ``lam``, ``k`` and ``alpha`` (else ConfigError).
+    Returns a tuple of ModelParams and a history whose lists run over
+    the epochs the stack trained: entry ``e`` is the tuple of every
+    lane's value, None once that lane has stopped.  Each lane gets the
+    bits its one-lane run gives.  ``max_epochs`` 0 returns the
+    initialization.
 
-    Given one ``retr_cfg`` and one ``cfg``, returns ``(ModelParams,
-    {"train_loss": [...], "val_f1": [...]})``.  Given two tuples with
-    one entry per lane, which may differ only in ``retrieval_on``,
-    ``drift_on``, ``lam``, ``k`` and ``alpha`` (else ConfigError),
-    trains the lanes as one stack and returns a tuple of ModelParams
-    and a history whose lists run over the epochs the stack trained:
-    entry ``e`` is the tuple of every lane's value, None once that lane
-    has stopped.  Each lane gets the bits its one-config run gives.
+    Two AdamW groups (classifier fast, drift head slow), each one
+    ``(lanes, size)`` parameter buffer with a gradient buffer of the
+    same layout, stepped by one AdamW call per batch with one dropout
+    mask for every lane.  Training and validation evidence is
+    retrieved and fused once per distinct retrieval config (zeros for
+    lanes with retrieval off); a training query sees training-split
+    precedents only.  A drift-off lane's head starts at zero; its one
+    nonzero gradient, ``drift_b2``'s, is zeroed, and AdamW maps a zero
+    parameter with zero moments and a zero gradient to zero, so the
+    head stays zero.  A lane stops after ``patience`` epochs without a
+    strict validation micro-F1 improvement and leaves the stack with
+    its parameters and moments; its best checkpoint is a copy of its
+    two buffers, kept in its own ModelParams.
     """
-    if isinstance(cfg, TrainConfig) != isinstance(retr_cfg,
-                                                  RetrievalConfig):
-        raise ConfigError("retr_cfg and cfg must both be one config or "
-                          "both be tuples of lane configs")
-    if isinstance(cfg, TrainConfig):
-        (params,), history = _train_lanes(splits, store, catalog,
-                                          (retr_cfg,), (cfg,))
-        return params, {k: [v for v, in values]
-                        for k, values in history.items()}
-    retr_cfgs, cfgs = tuple(retr_cfg), tuple(cfg)
+    retr_cfgs, cfgs = tuple(retr_cfgs), tuple(cfgs)
     _check_lanes(retr_cfgs, cfgs)
-    return _train_lanes(splits, store, catalog, retr_cfgs, cfgs)
-
-
-def _train_lanes(splits: SplitCorpus, store: EmbeddingStore,
-                 catalog: LabelCatalog, retr_cfgs: tuple, cfgs: tuple
-                 ) -> tuple[tuple[ModelParams, ...], dict[str, list]]:
-    """The trainer behind train_with_history, over checked lanes.
-
-    Training and validation evidence is retrieved and fused once per
-    distinct retrieval config (zeros for lanes with retrieval off).
-    Each batch draws one dropout mask for every lane and steps each
-    group's stacked buffer with one AdamW call.  A drift-off lane's head
-    starts at zero; its one nonzero gradient, ``drift_b2``'s, is zeroed,
-    and AdamW maps a zero parameter with zero moments and a zero
-    gradient to zero, so the head stays zero.  A lane that stops early
-    leaves the stack with its parameters and moments.  Every lane's
-    best checkpoint is kept in its own ModelParams buffers.
-    """
     corpus = splits.corpus
     store.check_alignment(corpus)
     labels_all = corpus.label_matrix(catalog).astype(np.float64)
@@ -585,13 +546,14 @@ def _train_lanes(splits: SplitCorpus, store: EmbeddingStore,
     drift_off = np.array([not c.drift_on for c in cfgs])
     active = list(range(len(lanes)))  # the lanes in the stack, in order
 
-    def stack() -> tuple[_Lanes, _Lanes]:
+    def stack():  # group buffers, gradient buffers and their views
         theta = (opt_classifier.params["classifier"],
                  opt_other.params["drift_head"])
-        return (_Lanes(*theta, like),
-                _Lanes(*(np.empty_like(b) for b in theta), like))
+        grad_bufs = tuple(np.empty_like(b) for b in theta)
+        return (theta, grad_bufs, _views(theta, like),
+                _views(grad_bufs, like))
 
-    params, grads = stack()
+    theta, grad_bufs, params, grads = stack()
     best_f1 = [-1.0] * len(lanes)
     stale = [0] * len(lanes)
     history: dict[str, list] = {"train_loss": [], "val_f1": []}
@@ -619,25 +581,25 @@ def _train_lanes(splits: SplitCorpus, store: EmbeddingStore,
                     f"{epoch} batch {batches} (lane {lane})")
             total += value
             batches += 1
-            _batch_backward(d_y_final, d_drift, cache, params, grads.arrays)
-            grads.drift_b2[drift_off] = 0.0
-            opt_classifier.step({"classifier": grads.classifier})
-            opt_other.step({"drift_head": grads.drift_head})
+            _batch_backward(d_y_final, d_drift, cache, params, grads)
+            grads["drift_b2"][drift_off] = 0.0
+            opt_classifier.step({"classifier": grad_bufs[0]})
+            opt_other.step({"drift_head": grad_bufs[1]})
         losses, f1s = [None] * len(lanes), [None] * len(lanes)
         for pos, lane in enumerate(active):
             # lane by lane: a stacked (lanes, n_val, dim) input block
             # would raise the peak memory of the run
-            decisions = _decide(
-                _Lanes(params.classifier[pos], params.drift_head[pos], like),
-                e_case_val, ev_val[source[pos]], t_val).decisions
+            decisions = _decide(_views([b[pos] for b in theta], like),
+                                e_case_val, ev_val[source[pos]],
+                                t_val).decisions
             losses[lane] = float(total[pos] / max(batches, 1))
             f1s[lane] = micro_f1(micro_confusion(decisions, y_val))
             log.info("lane %d epoch %d: train loss %.6f, val micro-F1 %.4f",
                      lane, epoch, losses[lane], f1s[lane])
             if f1s[lane] > best_f1[lane]:
                 best_f1[lane] = f1s[lane]
-                np.copyto(lanes[lane].classifier, params.classifier[pos])
-                np.copyto(lanes[lane].drift_head, params.drift_head[pos])
+                np.copyto(lanes[lane].classifier, theta[0][pos])
+                np.copyto(lanes[lane].drift_head, theta[1][pos])
                 stale[lane] = 0
             else:
                 stale[lane] += 1
@@ -653,18 +615,10 @@ def _train_lanes(splits: SplitCorpus, store: EmbeddingStore,
                 break
             opt_classifier = opt_classifier.take(keep)
             opt_other = opt_other.take(keep)
-            params, grads = stack()
+            theta, grad_bufs, params, grads = stack()
             active = [active[pos] for pos in keep]
             lam, drift_off, source = lam[keep], drift_off[keep], source[keep]
     return tuple(lanes), history
-
-
-def train(splits: SplitCorpus, store: EmbeddingStore,
-          catalog: LabelCatalog, retr_cfg: RetrievalConfig,
-          cfg: TrainConfig) -> ModelParams:
-    """Fit the classifier and drift head; see train_with_history."""
-    params, _ = train_with_history(splits, store, catalog, retr_cfg, cfg)
-    return params
 
 
 def evaluate_split(params: ModelParams, splits: SplitCorpus,

@@ -154,26 +154,28 @@ def _fd_composite_instance(rng) -> float:
     t = rng.uniform(0.0, 1.3, size=(bsz, 1))
     y = rng.integers(0, 2, size=(bsz, n_labels)).astype(np.float64)
 
+    arrays = params.all_arrays()
+
     def objective() -> float:
         y_orig, drift, y_final, _ = _batch_forward(e_case, e_ev, t,
-                                                   params)
+                                                   arrays)
         bce = (np.maximum(y_final, 0) - y_final * y
                + np.log1p(np.exp(-np.abs(y_final)))).mean(axis=1)
         pen = (drift * drift).sum(axis=1)
         return float(((1 - lam) * bce + lam * pen).mean())
 
     y_orig, drift, y_final, cache = _batch_forward(e_case, e_ev, t,
-                                                   params)
+                                                   arrays)
     sig = np.where(y_final >= 0, 1.0 / (1.0 + np.exp(-np.abs(y_final))),
                    np.exp(-np.abs(y_final))
                    / (1.0 + np.exp(-np.abs(y_final))))
     d_y_final = (1 - lam) * (sig - y) / (n_labels * bsz)
     d_drift = 2 * lam * drift / bsz
-    grads = _batch_backward(d_y_final, d_drift, cache, params)
+    grads = _batch_backward(d_y_final, d_drift, cache, arrays)
 
     worst = 0.0
     eps = 1e-5
-    for name, arr in params.all_arrays().items():
+    for name, arr in arrays.items():
         flat = arr.ravel()
         probes = rng.choice(flat.size, size=min(4, flat.size),
                             replace=False)

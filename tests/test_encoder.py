@@ -171,8 +171,9 @@ class TestTraining:
         cfg = ContrastiveConfig(hash_dim=1024, hidden_dim=16, out_dim=8,
                                 epochs=2, learning_rate=1e300,
                                 batch_size=4, seed=11)
-        with pytest.raises(NonFiniteError,
-                           match=r"views at epoch 0 batch 1\b"):
+        with np.errstate(over="ignore"), \
+                pytest.raises(NonFiniteError,
+                              match=r"views at epoch 0 batch 1\b"):
             train_encoder(corpus.cases, cfg)
 
     def test_loss_not_increasing_over_epochs(self, cluster_corpus):

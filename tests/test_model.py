@@ -15,6 +15,7 @@ from caseline.corpus import Corpus, LabelCatalog, chronological_split
 from caseline.errors import (
     ConfigError,
     DegenerateRangeError,
+    DimensionMismatchError,
     IoFailureError,
     LabelLengthMismatchError,
     NonFiniteError,
@@ -29,6 +30,7 @@ from caseline.model import (
     _sigmoid,
     drift_input,
     evaluate_split,
+    forward,
     fuse_evidence,
     infer,
     init_model_params,
@@ -36,7 +38,6 @@ from caseline.model import (
     predict_with_evidence,
     prediction_record,
     save_model,
-    train,
     train_with_history,
 )
 from caseline.optim import AdamW
@@ -45,6 +46,13 @@ from caseline.store import EmbeddingStore
 from case_factory import make_case
 
 RETR = RetrievalConfig(k=5, alpha=2.0, val_size=40)
+
+
+def _train_one(splits, store, catalog, retr, cfg):
+    """One lane: its params and its history as per-epoch values."""
+    (params,), history = train_with_history(splits, store, catalog,
+                                            (retr,), (cfg,))
+    return params, {k: [v for v, in vs] for k, vs in history.items()}
 
 
 def _random_params(rng, embed_dim, n_labels, cfg=None, rank_range=(0, 9)):
@@ -224,6 +232,15 @@ class TestForward:
         np.testing.assert_array_equal(np.delete(after.decisions, 1, 1),
                                       np.delete(before.decisions, 1, 1))
 
+    def test_wrong_input_widths_name_both_dims(self, rng):
+        params = _random_params(rng, 5, 3)
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^case embedding dim 4 != 5$"):
+            forward(np.zeros(4), np.zeros(3), np.zeros(1), params)
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^evidence dim 2 != 3$"):
+            forward(np.zeros(5), np.zeros(2), np.zeros(1), params)
+
 
 def _two_branch_sigmoid(z):
     out = np.empty_like(z)
@@ -337,9 +354,11 @@ class TestParameterGradients:
             t = rng.uniform(0, 1.3, size=(B, 1))
             y = rng.integers(0, 2, size=(B, L)).astype(float)
 
-            def objective(p):
+            arrays = params.all_arrays()
+
+            def objective():
                 y_orig, drift, y_final, _ = _batch_forward(
-                    e_case, e_ev, t, p)
+                    e_case, e_ev, t, arrays)
                 z = y_final
                 bce = (np.maximum(z, 0) - z * y
                        + np.log1p(np.exp(-np.abs(z)))).mean(axis=1)
@@ -347,20 +366,20 @@ class TestParameterGradients:
                 return float(((1 - lam) * bce + lam * pen).mean())
 
             _, drift, y_final, cache = _batch_forward(
-                e_case, e_ev, t, params)
+                e_case, e_ev, t, arrays)
             _, d_y_final, d_drift = _batch_loss(y_final, drift, y, lam)
-            grads = _batch_backward(d_y_final, d_drift, cache, params)
-            assert grads.keys() == params.all_arrays().keys()
+            grads = _batch_backward(d_y_final, d_drift, cache, arrays)
+            assert grads.keys() == arrays.keys()
             eps = 1e-5
-            for name, arr in params.all_arrays().items():
+            for name, arr in arrays.items():
                 flat = arr.ravel()
                 for probe in range(min(4, flat.size)):
                     j = int(rng.integers(0, flat.size))
                     orig = flat[j]
                     flat[j] = orig + eps
-                    lp = objective(params)
+                    lp = objective()
                     flat[j] = orig - eps
-                    lm = objective(params)
+                    lm = objective()
                     flat[j] = orig
                     num = (lp - lm) / (2 * eps)
                     got = grads[name].ravel()[j]
@@ -401,14 +420,14 @@ class TestTraining:
         for kw in (dict(lam=-0.1), dict(lam=1.5), dict(classifier_lr=0.0),
                    dict(other_lr=-1e-5), dict(batch_size=0),
                    dict(dropout=1.0), dict(patience=-1),
-                   dict(max_epochs=-1)):
+                   dict(max_epochs=-1), dict(seed=-1)):
             with pytest.raises(ConfigError):
                 TrainConfig(**kw)
 
     def test_zero_epochs_returns_init(self, rng):
         _, catalog, splits, store = _toy_setup(rng)
         cfg = TrainConfig(max_epochs=0, seed=3)
-        got = train(splits, store, catalog, RETR, cfg)
+        got, _ = _train_one(splits, store, catalog, RETR, cfg)
         init = init_model_params(store.dim, len(catalog), cfg,
                                  (0, splits.n_train - 1))
         for key, arr in got.all_arrays().items():
@@ -419,7 +438,7 @@ class TestTraining:
         cfg = TrainConfig(classifier_lr=0.05, dropout=0.0,
                           retrieval_on=False, drift_on=False,
                           max_epochs=20, patience=100, seed=0)
-        params = train(splits, store, catalog, RETR, cfg)
+        params, _ = _train_one(splits, store, catalog, RETR, cfg)
         report = evaluate_split(params, splits, store, catalog, RETR,
                                 "train")
         assert report.micro_f1 >= 0.95
@@ -431,8 +450,7 @@ class TestTraining:
                 np.random.default_rng(100 + seed))
             cfg = TrainConfig(classifier_lr=0.01, max_epochs=5,
                               patience=100, seed=seed)
-            _, hist = train_with_history(splits, store, catalog, RETR,
-                                         cfg)
+            _, hist = _train_one(splits, store, catalog, RETR, cfg)
             firsts.append(hist["train_loss"][0])
             lasts.append(hist["train_loss"][-1])
         assert np.mean(lasts) < np.mean(firsts)
@@ -440,8 +458,8 @@ class TestTraining:
     def test_determinism(self, rng):
         _, catalog, splits, store = _toy_setup(rng)
         cfg = TrainConfig(max_epochs=3, seed=9)
-        a = train(splits, store, catalog, RETR, cfg)
-        b = train(splits, store, catalog, RETR, cfg)
+        a, _ = _train_one(splits, store, catalog, RETR, cfg)
+        b, _ = _train_one(splits, store, catalog, RETR, cfg)
         for key, arr in a.all_arrays().items():
             np.testing.assert_array_equal(arr, b.all_arrays()[key])
 
@@ -449,7 +467,7 @@ class TestTraining:
         _, catalog, splits, store = _toy_setup(rng)
         cfg = TrainConfig(max_epochs=30, seed=2, classifier_lr=0.05,
                           dropout=0.0)
-        _, hist = train_with_history(splits, store, catalog, RETR, cfg)
+        _, hist = _train_one(splits, store, catalog, RETR, cfg)
         f1s = hist["val_f1"]
         if len(f1s) < 30:
             # stopped early: the last `patience` epochs failed to improve
@@ -460,7 +478,7 @@ class TestTraining:
     def test_drift_off_keeps_head_zero(self, rng):
         _, catalog, splits, store = _toy_setup(rng)
         cfg = TrainConfig(max_epochs=3, seed=1, drift_on=False)
-        params = train(splits, store, catalog, RETR, cfg)
+        params, _ = _train_one(splits, store, catalog, RETR, cfg)
         assert not params.drift_w2.any()
         assert not params.drift_b2.any()
         pred, _ = infer(params, splits.test_ranks, store,
@@ -472,12 +490,12 @@ class TestTraining:
         """With the head off, the penalty weight must be irrelevant:
         training with lam 0.0 and lam 0.37 is bit-identical."""
         _, catalog, splits, store = _toy_setup(rng)
-        a = train(splits, store, catalog, RETR,
-                  TrainConfig(max_epochs=3, seed=4, drift_on=False,
-                              lam=0.0))
-        b = train(splits, store, catalog, RETR,
-                  TrainConfig(max_epochs=3, seed=4, drift_on=False,
-                              lam=0.37))
+        a, _ = _train_one(splits, store, catalog, RETR,
+                          TrainConfig(max_epochs=3, seed=4, drift_on=False,
+                                      lam=0.0))
+        b, _ = _train_one(splits, store, catalog, RETR,
+                          TrainConfig(max_epochs=3, seed=4, drift_on=False,
+                                      lam=0.37))
         for key, arr in a.all_arrays().items():
             np.testing.assert_array_equal(arr, b.all_arrays()[key])
 
@@ -489,7 +507,7 @@ class TestTraining:
         L = len(catalog)
         cfg = TrainConfig(max_epochs=4, seed=6, drift_on=False,
                           retrieval_on=False, dropout=0.0, patience=100)
-        got = train(splits, store, catalog, RETR, cfg)
+        got, _ = _train_one(splits, store, catalog, RETR, cfg)
 
         # independent trainer
         train_ranks = list(splits.train_ranks)
@@ -557,8 +575,7 @@ class TestTraining:
                           batch_size=batch_size, lam=lam,
                           classifier_lr=classifier_lr, other_lr=other_lr,
                           patience=2)
-        got, got_history = train_with_history(splits, store, catalog, RETR,
-                                              cfg)
+        got, got_history = _train_one(splits, store, catalog, RETR, cfg)
 
         train_ranks = list(splits.train_ranks)
         val_ranks = list(splits.val_ranks)
@@ -665,7 +682,7 @@ class TestTraining:
 
 def _lanes_vs_one_lane_runs(splits, store, catalog, retr_cfgs, cfgs):
     """Train the configs as lanes and check every lane bit for bit
-    against a one-config run of it: each parameter array, the flags and
+    against a one-lane run of it: each parameter array, the flags and
     split sizes, and its history, which reads None after the lane
     stopped.  Returns the lanes' params and the number of epochs each
     lane trained."""
@@ -675,8 +692,7 @@ def _lanes_vs_one_lane_runs(splits, store, catalog, retr_cfgs, cfgs):
     assert history.keys() == {"train_loss", "val_f1"}
     epochs = []
     for lane, (retr, cfg) in enumerate(zip(retr_cfgs, cfgs)):
-        one, one_history = train_with_history(splits, store, catalog, retr,
-                                              cfg)
+        one, one_history = _train_one(splits, store, catalog, retr, cfg)
         for key, arr in one.all_arrays().items():
             assert got[lane].all_arrays()[key].tobytes() == arr.tobytes(), \
                 (lane, key)
@@ -762,14 +778,6 @@ class TestLanes:
             train_with_history(splits, store, catalog, (RETR,) * n_retr,
                                (cfg,) * n_train)
 
-    def test_one_config_beside_a_tuple_refused(self, rng):
-        _, catalog, splits, store = _toy_setup(rng)
-        cfg = TrainConfig(max_epochs=2)
-        with pytest.raises(ConfigError, match="both"):
-            train_with_history(splits, store, catalog, (RETR,), cfg)
-        with pytest.raises(ConfigError, match="both"):
-            train_with_history(splits, store, catalog, RETR, (cfg,))
-
 
 class TestCandidatePolicy:
     def test_training_evidence_is_training_split_only(self, rng):
@@ -800,7 +808,7 @@ def trained():
     rng = np.random.default_rng(77)
     corpus, catalog, splits, store = _toy_setup(rng)
     cfg = TrainConfig(max_epochs=3, seed=5)
-    params = train(splits, store, catalog, RETR, cfg)
+    params, _ = _train_one(splits, store, catalog, RETR, cfg)
     labels = corpus.label_matrix(catalog).astype(float)
     return corpus, catalog, splits, store, params, labels
 
@@ -907,7 +915,7 @@ class TestCheckpoint:
     def test_round_trip(self, rng, tmp_path):
         _, catalog, splits, store = _toy_setup(rng)
         cfg = TrainConfig(max_epochs=2, seed=8)
-        params = train(splits, store, catalog, RETR, cfg)
+        params, _ = _train_one(splits, store, catalog, RETR, cfg)
         path = tmp_path / "model.npz"
         save_model(params, path)
         loaded = load_model(path)
@@ -937,7 +945,7 @@ class TestCheckpoint:
     def test_loaded_model_predicts_identically(self, rng, tmp_path):
         corpus, catalog, splits, store = _toy_setup(rng)
         cfg = TrainConfig(max_epochs=2, seed=8)
-        params = train(splits, store, catalog, RETR, cfg)
+        params, _ = _train_one(splits, store, catalog, RETR, cfg)
         labels = corpus.label_matrix(catalog).astype(float)
         path = tmp_path / "model.npz"
         save_model(params, path)
