@@ -485,13 +485,13 @@ def main(argv: list[str] | None = None) -> int:
         with np.errstate(all="ignore"):
             return args.func(args, _config_from(args))
     except CaselineError as exc:
-        print(json.dumps({"error": type(exc).__name__,
-                          "message": str(exc)}), file=sys.stderr)
-        return 1
+        error, message = type(exc).__name__, str(exc)
     except (OSError, UnicodeDecodeError) as exc:  # an unreadable input
-        print(json.dumps({"error": "IoFailureError",
-                          "message": str(exc)}), file=sys.stderr)
-        return 1
+        error, message = "IoFailureError", str(exc)
+    except MemoryError as exc:  # a size this machine cannot hold
+        error, message = "MemoryError", str(exc)
+    print(json.dumps({"error": error, "message": message}), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

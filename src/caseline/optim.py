@@ -9,18 +9,28 @@ parameter, and its gradient holds one value row per id, every other
 row being zero.  The optimizer keeps, per parameter, a mask of the rows
 that have ever had a gradient.  A row never touched has m = v = 0 and
 a zero gradient, so with eps > 0 the dense update reduces exactly to
-the decay p -= lr * (0.0 + weight_decay * p).  A row-gradient step
-takes one of two branches, chosen by the touched share alone:
+the decay p -= lr * (0.0 + weight_decay * p).
 
-* fewer than half the rows touched: run the kernel on the gathered
-  touched rows, apply the decay to all rows in cache-sized blocks, and
-  scatter the touched rows back.  Cost follows the touched rows plus
-  one streaming pass over the parameter;
-* at least half touched: scatter the rows into one reused dense
-  gradient buffer, run the dense kernel, and clear the written rows.
+Moments are stored in one of two ways.  Until half of a parameter's
+rows have had a gradient, only the touched rows' moments are kept: in
+row order, in the leading rows of two buffers of ceil(rows / 2) rows
+allocated at the parameter's first row step.  A step that touches new
+rows moves the stored rows to their new positions and starts the new
+ones at zero; it then runs the kernel on the gathered touched rows of
+the parameter and on the leading buffer rows in place, applies the
+decay to all rows in cache-sized blocks, and scatters the touched rows
+back.  Memory and cost follow the touched rows plus one streaming pass
+over the parameter.
 
-Both branches produce the same bits as the dense update fed the
-scattered gradient, so the switch only picks the cheaper one.
+At the switch (half the rows touched, or any dense gradient) the
+stored rows are scattered into full zero arrays and the buffers are
+dropped.  From then on every step is the dense kernel; a row gradient
+is scattered into one reused dense gradient buffer, whose written rows
+are cleared afterwards.  A parameter whose first gradient is dense gets
+full moments at once.
+
+Both ways produce the same bits as the dense update fed the scattered
+gradient, so the switch only picks the cheaper one.
 """
 
 from __future__ import annotations
@@ -59,8 +69,11 @@ class AdamW:
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        self.m = {k: np.zeros(p.shape) for k, p in params.items()}
-        self.v = {k: np.zeros(p.shape) for k, p in params.items()}
+        # full-shape (m, v) per parameter, from its switch on
+        self._full: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        # before the switch: two buffers of ceil(rows / 2) rows whose
+        # leading rows hold the touched rows' (m, v) in row order
+        self._stored: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.t = 0
         self._touched = {k: np.zeros(len(p), dtype=bool)
                          for k, p in params.items()}
@@ -70,16 +83,32 @@ class AdamW:
         size = min(_BLOCK, max((p.size for p in params.values()), default=0))
         self._scratch = (np.empty(size), np.empty(size))
 
+    def moments(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """The full-shape (m, v) of a parameter: the optimizer's own
+        arrays after its switch, new arrays built from the stored rows
+        before it."""
+        full = self._full.get(name)
+        if full is not None:
+            return full
+        p = self.params[name]
+        m, v = np.zeros(p.shape), np.zeros(p.shape)
+        stored = self._stored.get(name)
+        if stored is not None:
+            live = np.flatnonzero(self._touched[name])
+            m[live], v[live] = stored[0][:len(live)], stored[1][:len(live)]
+        return m, v
+
     def take(self, index) -> "AdamW":
         """An optimizer over copies of the rows ``index`` of every
-        parameter, with their moments and this step count: it goes on
-        exactly as this one would on those rows.  Its parameters are in
-        ``params`` of the result."""
+        parameter, with their moments (full-shape) and this step count:
+        it goes on exactly as this one would on those rows.  Its
+        parameters are in ``params`` of the result."""
         taken = AdamW({k: p[index] for k, p in self.params.items()},
                       self.lr, self.beta1, self.beta2, self.eps,
                       self.weight_decay)
         for k in self.params:
-            taken.m[k], taken.v[k] = self.m[k][index], self.v[k][index]
+            m, v = self.moments(k)
+            taken._full[k] = m[index], v[index]
             taken._touched[k] = self._touched[k][index]
         taken.t = self.t
         return taken
@@ -104,8 +133,18 @@ class AdamW:
                     raise ValueError(
                         f"gradient for {name!r} has {grad.size} elements, "
                         f"parameter has {p.size}")
+                m, v = self._switch(name)
                 self._touched[name].fill(True)
-                self._kernel(p, grad, self.m[name], self.v[name], bc1, bc2)
+                self._kernel(p, grad, m, v, bc1, bc2)
+
+    def _switch(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """The parameter's full moments, made from the stored rows the
+        first time."""
+        full = self._full.get(name)
+        if full is None:
+            full = self._full[name] = self.moments(name)
+            self._stored.pop(name, None)
+        return full
 
     def _kernel(self, p, grad, m, v, bc1, bc2) -> None:
         """The dense update, block by block.  The kernel is elementwise,
@@ -120,7 +159,7 @@ class AdamW:
 
     def _row_step(self, name: str, rows: np.ndarray, values: np.ndarray,
                   bc1: float, bc2: float) -> None:
-        p, m, v = self.params[name], self.m[name], self.v[name]
+        p = self.params[name]
         rows = np.asarray(rows, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (len(rows),) + p.shape[1:]:
@@ -132,8 +171,13 @@ class AdamW:
             raise ValueError(f"row gradient for {name!r}: rows must be "
                              f"strictly increasing within [0, {len(p)})")
         touched = self._touched[name]
-        touched[rows] = True
-        if 2 * np.count_nonzero(touched) >= len(touched):
+        fresh = rows[~touched[rows]]
+        if name in self._full or 2 * (
+                np.count_nonzero(touched) + len(fresh)) >= len(touched):
+            # before the new rows are marked: _switch finds the stored
+            # rows through the mask
+            m, v = self._switch(name)
+            touched[fresh] = True
             dense = self._dense_grad.get(name)
             if dense is None:
                 dense = self._dense_grad[name] = np.zeros(p.shape)
@@ -141,13 +185,28 @@ class AdamW:
             self._kernel(p, dense, m, v, bc1, bc2)
             dense[rows] = 0.0
             return
+        stored = self._stored.get(name)
+        if stored is None:
+            half = ((len(p) + 1) // 2,) + p.shape[1:]
+            stored = self._stored[name] = (np.zeros(half), np.zeros(half))
+        touched[fresh] = True
         live = np.flatnonzero(touched)
+        m, v = (buf[:len(live)] for buf in stored)
+        if len(fresh):
+            # the stored rows from the first new one on move down past
+            # the new rows, which start at zero
+            at = np.searchsorted(live, fresh)
+            kept = np.ones(len(live) - at[0], dtype=bool)
+            kept[at - at[0]] = False
+            for buf in (m, v):
+                buf[at[0]:][kept] = buf[at[0]:len(live) - len(fresh)].copy()
+                buf[at] = 0.0
         g = np.zeros((len(live),) + p.shape[1:])
         g[np.searchsorted(live, rows)] = values
-        p_live, m_live, v_live = p[live], m[live], v[live]
-        self._kernel(p_live, g, m_live, v_live, bc1, bc2)
+        p_live = p[live]
+        self._kernel(p_live, g, m, v, bc1, bc2)
         self._decay(p)
-        p[live], m[live], v[live] = p_live, m_live, v_live
+        p[live] = p_live
 
     def _decay(self, p: np.ndarray) -> None:
         """p -= lr * (0.0 + weight_decay * p), block by block: the dense

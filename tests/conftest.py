@@ -2,6 +2,9 @@
 test modules (session-scoped where construction is not free)."""
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,12 @@ from caseline.synthetic import DriftCorpusConfig, generate_drift_corpus, \
     synthetic_catalog
 
 from case_factory import make_case
+
+# The tests that run ``python -m caseline.cli`` in a subprocess find the
+# package where pytest's ``pythonpath`` setting finds it: in ``src``.
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    str(Path(__file__).resolve().parents[1] / "src"),
+    os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="session")

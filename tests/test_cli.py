@@ -792,6 +792,22 @@ class TestArtifactFiles:
         assert override.split("=")[0] in error["message"]
         assert not (tmp_path / "enc").exists()
 
+    def test_out_of_memory_exits_1_with_one_json_line(
+            self, suffixless, tmp_path, monkeypatch):
+        def exhausted(*_):
+            raise MemoryError("Unable to allocate 4.00 TiB for an array")
+
+        monkeypatch.setattr(cli, "train_encoder", exhausted)
+        _, p = suffixless
+        code, lines = run_in_process(
+            ["train-encoder", "--corpus", p["corpus"],
+             "--output", str(tmp_path / "enc")], p["labels"])
+        assert code == 1
+        assert [json.loads(line) for line in lines] == [
+            {"error": "MemoryError",
+             "message": "Unable to allocate 4.00 TiB for an array"}]
+        assert not (tmp_path / "enc").exists()
+
     def test_command_list_is_every_subcommand(self):
         parser = cli._build_parser()
         assert COMMANDS == list(next(

@@ -72,8 +72,9 @@ def test_row_steps_match_dense_kernel_bitwise(case):
         opt.step({"w": values}, rows={"w": rows})
         _dense_reference(p_ref, m_ref, v_ref, dense, t)
         assert _same_bits(p, p_ref), f"param differs at step {t}"
-        assert _same_bits(opt.m["w"], m_ref), f"m differs at step {t}"
-        assert _same_bits(opt.v["w"], v_ref), f"v differs at step {t}"
+        m, v = opt.moments("w")
+        assert _same_bits(m, m_ref), f"m differs at step {t}"
+        assert _same_bits(v, v_ref), f"v differs at step {t}"
 
 
 def test_crossing_the_switch_and_dense_gradients_mix(rng):
@@ -103,8 +104,9 @@ def test_crossing_the_switch_and_dense_gradients_mix(rng):
         opt.step(grads, rows=rows)
         for name, (p_ref, m_ref, v_ref) in ref.items():
             assert _same_bits(params[name], p_ref), (name, t)
-            assert _same_bits(opt.m[name], m_ref), (name, t)
-            assert _same_bits(opt.v[name], v_ref), (name, t)
+            m, v = opt.moments(name)
+            assert _same_bits(m, m_ref), (name, t)
+            assert _same_bits(v, v_ref), (name, t)
 
 
 def test_parameters_spanning_several_blocks(rng):
@@ -126,8 +128,9 @@ def test_parameters_spanning_several_blocks(rng):
             opt.step({"w": values}, rows={"w": rows})
         _dense_reference(p_ref, m_ref, v_ref, dense, t)
         assert _same_bits(p, p_ref), f"param differs at step {t}"
-        assert _same_bits(opt.m["w"], m_ref), f"m differs at step {t}"
-        assert _same_bits(opt.v["w"], v_ref), f"v differs at step {t}"
+        m, v = opt.moments("w")
+        assert _same_bits(m, m_ref), f"m differs at step {t}"
+        assert _same_bits(v, v_ref), f"v differs at step {t}"
 
 
 @pytest.mark.parametrize("size", [
@@ -147,7 +150,7 @@ def test_in_place_kernel_equals_formula(rng, size):
         opt.step({"w": grad})
         _formula_step(p_ref, m_ref, v_ref, grad, t)
         _dense_reference(p_bare, m_bare, v_bare, grad, t)
-        for got, m, v in ((p, opt.m["w"], opt.v["w"]),
+        for got, m, v in ((p, *opt.moments("w")),
                           (p_bare, m_bare, v_bare)):
             assert _same_bits(got, p_ref), f"param differs at step {t}"
             assert _same_bits(m, m_ref), f"m differs at step {t}"
@@ -170,8 +173,9 @@ def test_row_path_equals_formula(rng):
         opt.step({"w": values}, rows={"w": rows})
         _formula_step(p_ref, m_ref, v_ref, dense, t)
         assert _same_bits(p, p_ref), f"param differs at step {t}"
-        assert _same_bits(opt.m["w"], m_ref), f"m differs at step {t}"
-        assert _same_bits(opt.v["w"], v_ref), f"v differs at step {t}"
+        m, v = opt.moments("w")
+        assert _same_bits(m, m_ref), f"m differs at step {t}"
+        assert _same_bits(v, v_ref), f"v differs at step {t}"
 
 
 def test_take_goes_on_as_the_whole(rng):
@@ -185,9 +189,89 @@ def test_take_goes_on_as_the_whole(rng):
     whole.step({"g": grad})
     part.step({"g": grad[[0, 2]]})
     assert part.t == whole.t
-    for got, ref in ((part.params["g"], whole.params["g"]),
-                     (part.m["g"], whole.m["g"]), (part.v["g"], whole.v["g"])):
+    for got, ref in zip((part.params["g"], *part.moments("g")),
+                        (whole.params["g"], *whole.moments("g"))):
         assert _same_bits(got, ref[[0, 2]])
+
+
+def _held_arrays(obj):
+    """Every array an optimizer holds outside its parameters."""
+    stack, found = [v for k, v in vars(obj).items() if k != "params"], []
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, (tuple, list)):
+            stack.extend(item)
+    return found
+
+
+def test_moments_held_follow_the_touched_rows(rng):
+    """Before the switch a row-sparse parameter keeps at most
+    ceil(rows / 2) moment rows and no full-size moment array; after it,
+    full moments.  The bits follow the dense reference throughout."""
+    shape = (4096, 8)
+    p = rng.standard_normal(shape)
+    p_ref, m_ref, v_ref = p.copy(), np.zeros(shape), np.zeros(shape)
+    opt = AdamW({"w": p}, **HYPER)
+    for t, share in enumerate([0.1, 0.3, 0.6], start=1):
+        rows = np.flatnonzero(rng.random(shape[0]) < share)
+        values = rng.standard_normal((len(rows), shape[1]))
+        dense = np.zeros(shape)
+        dense[rows] = values
+        opt.step({"w": values}, rows={"w": rows})
+        _dense_reference(p_ref, m_ref, v_ref, dense, t)
+        switched = 2 * np.count_nonzero(m_ref.any(axis=1)) >= shape[0]
+        assert switched == (t == 3)
+        held = [a for a in _held_arrays(opt) if a.dtype == np.float64]
+        if switched:
+            m, v = opt.moments("w")
+            assert m.shape == v.shape == shape
+            assert any(a is m for a in held) and any(a is v for a in held)
+        else:
+            assert max(a.size for a in held) < p.size
+            assert [a.shape for a in held if a.ndim == 2] == [(2048, 8)] * 2
+        m, v = opt.moments("w")
+        assert _same_bits(p, p_ref), f"param differs at step {t}"
+        assert _same_bits(m, m_ref), f"m differs at step {t}"
+        assert _same_bits(v, v_ref), f"v differs at step {t}"
+
+
+def test_take_before_the_switch_goes_on_as_the_dense_reference(rng):
+    """Rows taken from a parameter that holds only its touched rows'
+    moments step on, through row and dense gradients, to the bits the
+    dense reference gives those rows."""
+    shape = (64, 3)
+    p = rng.standard_normal(shape)
+    ref = [p.copy(), np.zeros(shape), np.zeros(shape)]
+    opt = AdamW({"w": p}, **HYPER)
+    for t in range(1, 4):
+        rows = np.sort(rng.choice(shape[0], 6, replace=False))
+        values = rng.standard_normal((6, shape[1]))
+        dense = np.zeros(shape)
+        dense[rows] = values
+        opt.step({"w": values}, rows={"w": rows})
+        _dense_reference(*ref, dense, t)
+    assert [a.shape for a in _held_arrays(opt) if a.ndim == 2] \
+        == [(32, 3)] * 2
+    index = np.arange(0, shape[0], 3)
+    part = opt.take(index)
+    ref = [a[index] for a in ref]
+    for t in range(4, 8):
+        dense = np.zeros(ref[0].shape)
+        if t == 6:
+            dense[...] = rng.standard_normal(dense.shape)
+            part.step({"w": dense})
+        else:
+            rows = np.flatnonzero(rng.random(len(index)) < 0.3)
+            dense[rows] = rng.standard_normal((len(rows), shape[1]))
+            part.step({"w": dense[rows]}, rows={"w": rows})
+        _dense_reference(*ref, dense, t)
+        assert part.t == t
+        for got, want in zip((part.params["w"], *part.moments("w")), ref):
+            assert _same_bits(got, want), f"differs at step {t}"
 
 
 @pytest.mark.parametrize("rows, values", [
