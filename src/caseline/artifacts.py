@@ -109,10 +109,11 @@ def load_npz(path: str | Path, kind: str, version: int,
     types.
     """
     try:
-        data = np.load(path)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise ValueError("not an .npz archive")
-        with data:
+        # opened here, so the file is closed when np.load fails too
+        with open(path, "rb") as fh:
+            data = np.load(fh)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
             meta = json.loads(bytes(data["meta"]).decode("utf-8"))
             if not isinstance(meta, dict):
                 raise ValueError("meta record is not a JSON object")

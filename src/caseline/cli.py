@@ -76,21 +76,36 @@ def _catalog_from(args: argparse.Namespace) -> LabelCatalog:
     return LabelCatalog.default()
 
 
-# The options that name a file a subcommand reads.
+# The options that name a file a subcommand reads, and the files that
+# ablate writes in its --out-dir.
 _INPUT_OPTIONS = ("config", "labels_file", "corpus", "encoder", "embeddings",
                   "index", "model", "predictions")
+_ABLATE_OUTPUTS = ("rows.json", "table.txt", "sweep.csv")
 
 
 def _check_output(args: argparse.Namespace, *also: str | Path) -> None:
-    """Refuse an ``--output`` that resolves (symlinks included) to a file
-    the run reads: one that its options name, or one of ``also``."""
-    if not args.output:
-        return
-    out = Path(args.output).resolve()
-    for path in [getattr(args, o, None) for o in _INPUT_OPTIONS] + [*also]:
-        if path and Path(path).resolve() == out:
-            raise ConfigError(f"{args.command} --output {args.output} "
-                              f"would replace its input {path}")
+    """Refuse a file the run writes (``--output``, ``--labels-output`` or
+    a file in ``--out-dir``) that resolves, symlinks included, to a file
+    it reads, one that its options name or one of ``also``, or to
+    another of its outputs."""
+    outs = [(f"--{o.replace('_', '-')}", Path(getattr(args, o)))
+            for o in ("output", "labels_output") if getattr(args, o, None)]
+    if getattr(args, "out_dir", None):
+        outs += [("--out-dir", Path(args.out_dir) / name)
+                 for name in _ABLATE_OUTPUTS]
+    # gen-drift reads no --labels-file, so it may write its catalog there
+    options = [o for o in _INPUT_OPTIONS
+               if (args.command, o) != ("gen-drift", "labels_file")]
+    reads = [Path(path) for path in
+             [getattr(args, o, None) for o in options] + [*also] if path]
+    for i, (option, out) in enumerate(outs):
+        target = out.resolve()
+        for what, paths in (("input", reads),
+                            ("output", [o for _, o in outs[:i]])):
+            for path in paths:
+                if path.resolve() == target:
+                    raise ConfigError(f"{args.command} {option} {out} "
+                                      f"would replace its {what} {path}")
 
 
 def _provenance(cfg: RunConfig, stage: str) -> dict:
@@ -193,7 +208,6 @@ def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_train_encoder(args: argparse.Namespace, cfg: RunConfig) -> int:
-    _check_output(args)
     catalog = _catalog_from(args)
     corpus = load_corpus(args.corpus, catalog)
     splits = chronological_split(corpus, *cfg.split_sizes(len(corpus)))
@@ -206,7 +220,6 @@ def cmd_train_encoder(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_embed(args: argparse.Namespace, cfg: RunConfig) -> int:
-    _check_output(args)
     catalog = _catalog_from(args)
     corpus = load_corpus(args.corpus, catalog)
     enc, _ = load_encoder(args.encoder)
@@ -217,7 +230,6 @@ def cmd_embed(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_index(args: argparse.Namespace, cfg: RunConfig) -> int:
-    _check_output(args)
     catalog = _catalog_from(args)
     corpus = load_corpus(args.corpus, catalog)
     store = EmbeddingStore.load(args.embeddings)
@@ -260,7 +272,6 @@ def cmd_predict(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def _report_from_predictions(args: argparse.Namespace, cfg: RunConfig
                              ) -> MetricsReport:
-    _check_output(args)
     catalog = _catalog_from(args)
     corpus = load_corpus(args.corpus, catalog)
     rows, seen = [], set()
@@ -320,8 +331,6 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if not args.seeds:
-        raise ConfigError("at least one seed required")
     catalog = _catalog_from(args)
     corpus = load_corpus(args.corpus, catalog)
     splits = chronological_split(corpus, *cfg.split_sizes(len(corpus)))
@@ -336,9 +345,10 @@ def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = json.loads(result.to_json())
     payload["provenance"] = _provenance(cfg, "ablate")
-    save_text(out_dir / "rows.json", canonical_json(payload) + "\n")
-    save_text(out_dir / "table.txt", result.to_text())
-    save_text(out_dir / "sweep.csv", result.to_csv())
+    for name, text in zip(_ABLATE_OUTPUTS, (canonical_json(payload) + "\n",
+                                            result.to_text(),
+                                            result.to_csv())):
+        save_text(out_dir / name, text)
     print(result.to_text(), end="")
     return 0
 
@@ -361,7 +371,7 @@ def cmd_gen_drift(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _seed_list(text: str) -> list[int]:
     """``--seeds``: comma-separated distinct non-negative integers."""
     items = [s.strip() for s in text.split(",") if s.strip()]
-    if not all(s.isascii() and s.isdigit() for s in items):
+    if not items or not all(s.isascii() and s.isdigit() for s in items):
         raise argparse.ArgumentTypeError(
             f"expected comma-separated non-negative integers, got {text!r}")
     seeds = [int(s) for s in items]
@@ -483,6 +493,7 @@ def main(argv: list[str] | None = None) -> int:
         # Every non-finite result is checked and reported, so numpy's
         # floating-point warnings would only precede the JSON error line.
         with np.errstate(all="ignore"):
+            _check_output(args)
             return args.func(args, _config_from(args))
     except CaselineError as exc:
         error, message = type(exc).__name__, str(exc)

@@ -15,14 +15,12 @@ correction anchored to the plain prediction.  A model checkpoint
 (format 3) holds the classifier and the drift head, whose input is
 that one scalar coordinate, plus the split sizes it was trained under.
 
-The parameters live in two contiguous float64 group buffers, the
-classifier ``[w, b]`` and the drift head ``[drift_w1, drift_b1,
-drift_w2, drift_b2]``; the six named arrays are views of them.
-
 The trainer runs one or more lanes: models that share the data, the
 batch order, every dropout mask and every hyperparameter except
-``retrieval_on``, ``drift_on``, ``lam``, ``k`` and ``alpha``.  It holds
-each group as one ``(lanes, size)`` buffer, so a batch is one stacked
+``retrieval_on``, ``drift_on``, ``lam``, ``k`` and ``alpha``.  It packs
+the parameters into two groups, the classifier ``[w, b]`` and the drift
+head ``[drift_w1, drift_b1, drift_w2, drift_b2]``, and holds each group
+as one ``(lanes, size)`` float64 buffer, so a batch is one stacked
 forward and backward pass and one ``AdamW`` kernel call per group for
 all lanes, and every lane gets the bits a run of its own would give.
 
@@ -123,7 +121,7 @@ class TrainConfig:
 
 @dataclass
 class ModelParams:
-    """Both parameter groups plus the metadata inference needs.
+    """The six parameter arrays plus the metadata inference needs.
 
     ``w``/``b`` form the linear classifier over the concatenated
     [case embedding, evidence embedding] input; ``drift_*`` form the
@@ -133,10 +131,6 @@ class ModelParams:
     for the drift input.  ``val_size`` and ``test_size`` are those of
     the split it was trained on (0, which no run configures, before
     training); only a run with that split may evaluate it.
-
-    Construction copies the six arrays into the two group buffers,
-    ``classifier`` and ``drift_head`` (see ``_GROUPS``), and makes the
-    named fields views of them.
     """
 
     w: np.ndarray
@@ -151,18 +145,6 @@ class ModelParams:
     val_size: int = 0
     test_size: int = 0
     meta: dict = field(default_factory=dict)
-    classifier: np.ndarray = field(init=False, repr=False)
-    drift_head: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        arrays = self.all_arrays()
-        self.classifier, self.drift_head = (
-            np.empty(sum(arrays[n].size for n in names))
-            for names in _GROUPS)
-        for name, view in _views((self.classifier, self.drift_head),
-                                 arrays).items():
-            view[...] = arrays[name]
-            setattr(self, name, view)
 
     @property
     def n_labels(self) -> int:
@@ -178,8 +160,8 @@ class ModelParams:
                 "drift_w2": self.drift_w2, "drift_b2": self.drift_b2}
 
 
-# The two parameter groups, each one contiguous buffer of its arrays in
-# this order: the classifier and the drift head.
+# The trainer's two parameter groups, each one contiguous buffer of its
+# arrays in this order: the classifier and the drift head.
 _GROUPS = (("w", "b"), ("drift_w1", "drift_b1", "drift_w2", "drift_b2"))
 
 
@@ -496,7 +478,7 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
     head stays zero.  A lane stops after ``patience`` epochs without a
     strict validation micro-F1 improvement and leaves the stack with
     its parameters and moments; its best checkpoint is a copy of its
-    two buffers, kept in its own ModelParams.
+    six arrays, kept in its own ModelParams.
     """
     retr_cfgs, cfgs = tuple(retr_cfgs), tuple(cfgs)
     _check_lanes(retr_cfgs, cfgs)
@@ -537,10 +519,13 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
     y_train, y_val = labels_all[train_ranks], labels_all[val_ranks]
 
     like = lanes[0].all_arrays()
-    opt_classifier = AdamW(
-        {"classifier": np.stack([p.classifier for p in lanes])},
-        lr=cfg.classifier_lr, weight_decay=cfg.weight_decay)
-    opt_other = AdamW({"drift_head": np.stack([p.drift_head for p in lanes])},
+    classifier, drift_head = (
+        np.stack([np.concatenate([p.all_arrays()[n].ravel() for n in names])
+                  for p in lanes])
+        for names in _GROUPS)
+    opt_classifier = AdamW({"classifier": classifier},
+                           lr=cfg.classifier_lr, weight_decay=cfg.weight_decay)
+    opt_other = AdamW({"drift_head": drift_head},
                       lr=cfg.other_lr, weight_decay=cfg.weight_decay)
     lam = np.array([c.lam if c.drift_on else 0.0 for c in cfgs])
     drift_off = np.array([not c.drift_on for c in cfgs])
@@ -589,8 +574,8 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
         for pos, lane in enumerate(active):
             # lane by lane: a stacked (lanes, n_val, dim) input block
             # would raise the peak memory of the run
-            decisions = _decide(_views([b[pos] for b in theta], like),
-                                e_case_val, ev_val[source[pos]],
+            views = _views([b[pos] for b in theta], like)
+            decisions = _decide(views, e_case_val, ev_val[source[pos]],
                                 t_val).decisions
             losses[lane] = float(total[pos] / max(batches, 1))
             f1s[lane] = micro_f1(micro_confusion(decisions, y_val))
@@ -598,8 +583,8 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
                      lane, epoch, losses[lane], f1s[lane])
             if f1s[lane] > best_f1[lane]:
                 best_f1[lane] = f1s[lane]
-                np.copyto(lanes[lane].classifier, theta[0][pos])
-                np.copyto(lanes[lane].drift_head, theta[1][pos])
+                for name, arr in lanes[lane].all_arrays().items():
+                    np.copyto(arr, views[name])
                 stale[lane] = 0
             else:
                 stale[lane] += 1
@@ -690,7 +675,7 @@ _MODEL_META_SCHEMA = {"train_rank_range": list, "retrieval_on": bool,
 
 
 def save_model(params: ModelParams, path: str | Path) -> None:
-    """Versioned checkpoint with both parameter groups, the flags, the
+    """Versioned checkpoint with the six parameter arrays, the flags, the
     training-split rank range needed at inference, and the split sizes
     it was trained under."""
     save_npz(path, "model", _MODEL_FORMAT_VERSION, params.all_arrays(), {

@@ -3,8 +3,11 @@ and the rule that no other module writes files or reads .npz itself."""
 from __future__ import annotations
 
 import functools
+import gc
 import os
 import re
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +97,21 @@ class TestCheckpoint:
             np.save(fh, np.zeros(3))
         with pytest.raises(IoFailureError):
             artifacts.load_npz(path, "demo", 3, SCHEMA)
+
+    def test_truncated_archive_leaves_no_file_open(self, tmp_path,
+                                                   monkeypatch):
+        path = tmp_path / "ck"
+        artifacts.save_npz(path, "demo", 3, _arrays(), {})
+        raw = path.read_bytes()
+        path.write_bytes(raw[:len(raw) // 2])
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            with pytest.raises(IoFailureError):
+                artifacts.load_npz(path, "demo", 3, SCHEMA)
+            gc.collect()
+        assert [u.exc_value for u in unraisable] == []
 
     def test_require_finite_names_the_first_bad_index(self, tmp_path):
         path = tmp_path / "ck"
