@@ -23,6 +23,8 @@ head ``[drift_w1, drift_b1, drift_w2, drift_b2]``, and holds each group
 as one ``(lanes, size)`` float64 buffer, so a batch is one stacked
 forward and backward pass and one ``AdamW`` kernel call per group for
 all lanes, and every lane gets the bits a run of its own would give.
+A lane that stops early stays in the stack and is stepped with the
+others until the last lane stops, but it is no longer validated.
 
 Evidence for a case is the tuple of ``retrieval.Evidence`` that
 ``retrieve_precedents`` returns, scored through
@@ -48,6 +50,7 @@ from .errors import (
     IoFailureError,
     LabelLengthMismatchError,
     NonFiniteError,
+    StoreMisalignedError,
 )
 from .features import featurize
 from .metrics import MetricsReport, compute_report, micro_confusion, micro_f1
@@ -263,12 +266,10 @@ def init_model_params(embed_dim: int, n_labels: int, cfg: TrainConfig,
         drift_on=cfg.drift_on)
 
 
-def _sigmoid(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function without overflow: 1/(1+e) for z >= 0 and
-    e/(1+e) below, where e = exp(-|z|), which the caller may pass in
-    when it already has it."""
-    if e is None:
-        e = np.exp(-np.abs(z))
+    e/(1+e) below, where e = exp(-|z|)."""
+    e = np.exp(-np.abs(z))
     d = 1.0 + e
     return np.where(z >= 0, 1.0 / d, e / d)
 
@@ -362,21 +363,21 @@ def _batch_loss(y_final: np.ndarray, drift: np.ndarray, y: np.ndarray,
     batch mean of ``(1 - lam) * mean-BCE(sigmoid(y_final), labels)
     + lam * ||drift||^2`` per case.  ``d_drift`` is only the direct
     penalty gradient; the BCE part reaches the drift head through
-    ``d_y_final``.  The BCE is computed in the overflow-safe logit form,
-    whose exp(-|y_final|) the sigmoid reuses.  Each mean is a sum
-    divided by the count, the same bits as ``ndarray.mean``.  For a
-    lane stack, ``lam`` holds one value per lane, ``y_final`` and
-    ``drift`` lead with the lane axis, and so do the results.
+    ``d_y_final``.  The BCE is computed in the overflow-safe logit
+    form.  Each mean is a sum divided by the count, the same bits as
+    ``ndarray.mean``.  For a lane stack, ``lam`` holds one value per
+    lane, ``y_final`` and ``drift`` lead with the lane axis, and so do
+    the results.
     """
     bsz, n_labels = y.shape
     lam = np.asarray(lam, dtype=np.float64)[..., None]
-    e = np.exp(-np.abs(y_final))
     bce = np.add.reduce(np.maximum(y_final, 0.0) - y_final * y
-                        + np.log1p(e), axis=-1) / n_labels
+                        + np.log1p(np.exp(-np.abs(y_final))),
+                        axis=-1) / n_labels
     penalty = (drift * drift).sum(axis=-1)
     value = np.add.reduce((1.0 - lam) * bce + lam * penalty, axis=-1) / bsz
     lam = lam[..., None]
-    d_y_final = (1.0 - lam) * (_sigmoid(y_final, e) - y) / (n_labels * bsz)
+    d_y_final = (1.0 - lam) * (_sigmoid(y_final) - y) / (n_labels * bsz)
     d_drift = 2.0 * lam * drift / bsz
     return value, d_y_final, d_drift
 
@@ -476,9 +477,10 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
     nonzero gradient, ``drift_b2``'s, is zeroed, and AdamW maps a zero
     parameter with zero moments and a zero gradient to zero, so the
     head stays zero.  A lane stops after ``patience`` epochs without a
-    strict validation micro-F1 improvement and leaves the stack with
-    its parameters and moments; its best checkpoint is a copy of its
-    six arrays, kept in its own ModelParams.
+    strict validation micro-F1 improvement.  It stays in the stack,
+    stepped with the others, until the last lane stops, but is no longer
+    validated, checkpointed, logged or checked for a non-finite loss;
+    its best checkpoint is a copy of its six arrays in its ModelParams.
     """
     retr_cfgs, cfgs = tuple(retr_cfgs), tuple(cfgs)
     _check_lanes(retr_cfgs, cfgs)
@@ -519,26 +521,18 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
     y_train, y_val = labels_all[train_ranks], labels_all[val_ranks]
 
     like = lanes[0].all_arrays()
-    classifier, drift_head = (
+    theta = tuple(
         np.stack([np.concatenate([p.all_arrays()[n].ravel() for n in names])
                   for p in lanes])
         for names in _GROUPS)
-    opt_classifier = AdamW({"classifier": classifier},
+    opt_classifier = AdamW({"classifier": theta[0]},
                            lr=cfg.classifier_lr, weight_decay=cfg.weight_decay)
-    opt_other = AdamW({"drift_head": drift_head},
+    opt_other = AdamW({"drift_head": theta[1]},
                       lr=cfg.other_lr, weight_decay=cfg.weight_decay)
     lam = np.array([c.lam if c.drift_on else 0.0 for c in cfgs])
     drift_off = np.array([not c.drift_on for c in cfgs])
-    active = list(range(len(lanes)))  # the lanes in the stack, in order
-
-    def stack():  # group buffers, gradient buffers and their views
-        theta = (opt_classifier.params["classifier"],
-                 opt_other.params["drift_head"])
-        grad_bufs = tuple(np.empty_like(b) for b in theta)
-        return (theta, grad_bufs, _views(theta, like),
-                _views(grad_bufs, like))
-
-    theta, grad_bufs, params, grads = stack()
+    grad_bufs = tuple(np.empty_like(b) for b in theta)
+    params, grads = _views(theta, like), _views(grad_bufs, like)
     best_f1 = [-1.0] * len(lanes)
     stale = [0] * len(lanes)
     history: dict[str, list] = {"train_loss": [], "val_f1": []}
@@ -547,7 +541,7 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
 
     for epoch in range(cfg.max_epochs):
         perm = order_rng.permutation(n)
-        total, batches = np.zeros(len(active)), 0
+        total, batches = np.zeros(len(lanes)), 0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             bsz = len(idx)
@@ -560,10 +554,12 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
             value, d_y_final, d_drift = _batch_loss(
                 y_final, drift, y_train[idx], lam)
             if not np.isfinite(value).all():
-                lane = active[int(np.argmin(np.isfinite(value)))]
-                raise NonFiniteError(
-                    f"supervised training: non-finite loss at epoch "
-                    f"{epoch} batch {batches} (lane {lane})")
+                bad = [lane for lane in np.flatnonzero(~np.isfinite(value))
+                       if stale[lane] < cfg.patience]
+                if bad:
+                    raise NonFiniteError(
+                        f"supervised training: non-finite loss at epoch "
+                        f"{epoch} batch {batches} (lane {bad[0]})")
             total += value
             batches += 1
             _batch_backward(d_y_final, d_drift, cache, params, grads)
@@ -571,13 +567,13 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
             opt_classifier.step({"classifier": grad_bufs[0]})
             opt_other.step({"drift_head": grad_bufs[1]})
         losses, f1s = [None] * len(lanes), [None] * len(lanes)
-        for pos, lane in enumerate(active):
+        for lane in [i for i, s in enumerate(stale) if s < cfg.patience]:
             # lane by lane: a stacked (lanes, n_val, dim) input block
             # would raise the peak memory of the run
-            views = _views([b[pos] for b in theta], like)
-            decisions = _decide(views, e_case_val, ev_val[source[pos]],
+            views = _views([b[lane] for b in theta], like)
+            decisions = _decide(views, e_case_val, ev_val[source[lane]],
                                 t_val).decisions
-            losses[lane] = float(total[pos] / max(batches, 1))
+            losses[lane] = float(total[lane] / max(batches, 1))
             f1s[lane] = micro_f1(micro_confusion(decisions, y_val))
             log.info("lane %d epoch %d: train loss %.6f, val micro-F1 %.4f",
                      lane, epoch, losses[lane], f1s[lane])
@@ -593,16 +589,8 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
                              "(best %.4f)", lane, epoch, best_f1[lane])
         history["train_loss"].append(tuple(losses))
         history["val_f1"].append(tuple(f1s))
-        keep = [pos for pos, lane in enumerate(active)
-                if stale[lane] < cfg.patience]
-        if len(keep) < len(active):
-            if not keep:
-                break
-            opt_classifier = opt_classifier.take(keep)
-            opt_other = opt_other.take(keep)
-            theta, grad_bufs, params, grads = stack()
-            active = [active[pos] for pos in keep]
-            lam, drift_off, source = lam[keep], drift_off[keep], source[keep]
+        if min(stale) >= cfg.patience:
+            break
     return tuple(lanes), history
 
 
@@ -628,9 +616,15 @@ def predict_with_evidence(case: CaseRecord, rank: int,
                           ) -> tuple[Prediction, tuple[Evidence, ...]]:
     """Full pipeline for one case: embed (or look up), then build its
     inputs and decide as ``infer`` does for a one-row batch at
-    ``rank``."""
+    ``rank``.  A case in the store must be asked for at its store rank
+    (else StoreMisalignedError): at a later rank its own row and the
+    rows after it would pass as its precedents."""
     if case.case_id in store:
-        vec = store.vector(case.case_id)
+        if store.rank_of(case.case_id) != rank:
+            raise StoreMisalignedError(
+                f"case {case.case_id} is at store rank "
+                f"{store.rank_of(case.case_id)}, asked for at rank {rank}")
+        vec = store.matrix[rank]
     elif encoder is not None:
         vec = encode(featurize(case.text, encoder.hash_dim), encoder)[0]
     else:

@@ -8,7 +8,7 @@ gradient: step's rows argument names sorted unique row ids for the
 parameter, and its gradient holds one value row per id, every other
 row being zero.  The optimizer keeps, per parameter, a mask of the rows
 that have ever had a gradient.  A row never touched has m = v = 0 and
-a zero gradient, so with eps > 0 the dense update reduces exactly to
+a zero gradient, so as EPS > 0 the dense update reduces exactly to
 the decay p -= lr * (0.0 + weight_decay * p).
 
 Moments are stored in one of two ways.  Until half of a parameter's
@@ -49,25 +49,21 @@ from . import kernels
 _BLOCK = 1 << 14
 # Elements per block of the decay, which reuses one buffer per step.
 _DECAY_BLOCK = 1 << 15
+# Adam's moment decay rates and its denominator guard.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class AdamW:
     def __init__(self, params: dict[str, np.ndarray], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.01):
+                 weight_decay: float = 0.01):
         for name, arr in params.items():
             if arr.dtype != np.float64 or not arr.flags["C_CONTIGUOUS"] \
                     or arr.ndim == 0:
                 raise ValueError(
                     f"parameter {name!r} must be contiguous float64 "
                     "with at least one dimension")
-        if eps <= 0.0:
-            raise ValueError("eps must be > 0")
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         # full-shape (m, v) per parameter, from its switch on
         self._full: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -98,21 +94,6 @@ class AdamW:
             m[live], v[live] = stored[0][:len(live)], stored[1][:len(live)]
         return m, v
 
-    def take(self, index) -> "AdamW":
-        """An optimizer over copies of the rows ``index`` of every
-        parameter, with their moments (full-shape) and this step count:
-        it goes on exactly as this one would on those rows.  Its
-        parameters are in ``params`` of the result."""
-        taken = AdamW({k: p[index] for k, p in self.params.items()},
-                      self.lr, self.beta1, self.beta2, self.eps,
-                      self.weight_decay)
-        for k in self.params:
-            m, v = self.moments(k)
-            taken._full[k] = m[index], v[index]
-            taken._touched[k] = self._touched[k][index]
-        taken.t = self.t
-        return taken
-
     def step(self, grads: dict[str, np.ndarray],
              rows: dict[str, np.ndarray] | None = None) -> None:
         """Apply one update from the given gradients (same keys as
@@ -121,8 +102,8 @@ class AdamW:
         strictly increasing, < len(param)) and is zero elsewhere."""
         rows = rows or {}
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for name, p in self.params.items():
             grad = grads[name]
             if name in rows:
@@ -154,8 +135,8 @@ class AdamW:
             end = start + _BLOCK
             kernels.adamw_step(
                 p[start:end], grad[start:end], m[start:end], v[start:end],
-                self.lr, self.beta1, self.beta2, self.eps,
-                self.weight_decay, bc1, bc2, self._scratch)
+                self.lr, BETA1, BETA2, EPS, self.weight_decay, bc1, bc2,
+                self._scratch)
 
     def _row_step(self, name: str, rows: np.ndarray, values: np.ndarray,
                   bc1: float, bc2: float) -> None:

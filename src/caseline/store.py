@@ -47,8 +47,8 @@ class EmbeddingStore:
     def __contains__(self, case_id: str) -> bool:
         return case_id in self._rank
 
-    def vector(self, case_id: str) -> np.ndarray:
-        return self.matrix[self._rank[case_id]]
+    def rank_of(self, case_id: str) -> int:
+        return self._rank[case_id]
 
     def check_alignment(self, corpus: Corpus) -> None:
         """Verify the store covers the corpus in the same rank order."""

@@ -258,8 +258,7 @@ class TestBackwardFiniteDifferences:
 def _dense_reference_train(cases, cfg: ContrastiveConfig):
     """The contrastive loop with each batch's w1 block gradient
     scattered into a dense hash_dim x hidden gradient and a dense AdamW
-    update of every parameter (AdamW defaults: beta 0.9/0.999, eps
-    1e-8)."""
+    update of every parameter (AdamW's beta 0.9/0.999, eps 1e-8)."""
     feats = featurize([c.text for c in cases], cfg.hash_dim)
     params = init_encoder_params(cfg)
     arrays = params.arrays()

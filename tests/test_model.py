@@ -3,6 +3,7 @@ and the supervised training loop."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from caseline.errors import (
     IoFailureError,
     LabelLengthMismatchError,
     NonFiniteError,
+    StoreMisalignedError,
 )
 from caseline.metrics import micro_confusion, micro_f1
 from caseline.model import (
@@ -270,9 +272,7 @@ def test_sigmoid_equals_two_branch_form(values):
                      under="ignore"):
         want = _two_branch_sigmoid(z)
         got = _sigmoid(z)
-        given_e = _sigmoid(z, np.exp(-np.abs(z)))
     assert got.tobytes() == want.tobytes()
-    assert given_e.tobytes() == want.tobytes()
 
 
 class TestLoss:
@@ -698,15 +698,20 @@ class TestLanes:
     BASE = TrainConfig(max_epochs=12, seed=1, patience=2, classifier_lr=0.05,
                        other_lr=1e-3, lam=0.3)
 
-    def test_flag_cells_as_lanes_equal_one_lane_runs(self):
-        """The four retrieval/drift cells as lanes of one run.  Lanes stop
-        early at different epochs, so stopped lanes leave the stack
-        while the others keep training."""
+    def _flag_cells(self):
+        """The corpus and the four retrieval/drift cells as lane configs."""
         _, catalog, splits, store = _toy_setup(np.random.default_rng(1))
         cfgs = tuple(dataclasses.replace(self.BASE, retrieval_on=r,
                                          drift_on=d)
                      for r, d in ((True, True), (False, True),
                                   (True, False), (False, False)))
+        return splits, store, catalog, cfgs
+
+    def test_flag_cells_as_lanes_equal_one_lane_runs(self):
+        """The four retrieval/drift cells as lanes of one run.  Lanes stop
+        early at different epochs; a stopped lane stays in the stack,
+        no longer validated, while the others keep training."""
+        splits, store, catalog, cfgs = self._flag_cells()
         got, epochs = _lanes_vs_one_lane_runs(splits, store, catalog,
                                               (RETR,) * 4, cfgs)
         assert min(epochs) < max(epochs) < self.BASE.max_epochs
@@ -714,6 +719,57 @@ class TestLanes:
         for lane in (2, 3):
             assert not any(getattr(got[lane], n).any() for n in drift)
         assert any(getattr(got[0], n).any() for n in drift)
+
+    def test_non_finite_loss_is_checked_in_live_lanes_only(self,
+                                                           monkeypatch):
+        """A stopped lane is stepped on but no longer checked: a NaN loss
+        and NaN gradients in it from the epoch after it stopped leave
+        every lane's checkpoint and the history as they were.  A NaN in
+        a live lane still raises, naming that lane, not the stopped
+        one."""
+        splits, store, catalog, cfgs = self._flag_cells()
+        retrs = (RETR,) * len(cfgs)
+        want, want_history = train_with_history(splits, store, catalog,
+                                                retrs, cfgs)
+        epochs = [sum(v is not None for v in column)
+                  for column in zip(*want_history["val_f1"])]
+        # a stopped lane below a live one: an unfiltered check would
+        # name the stopped lane first
+        stopped = int(np.argmin(epochs))
+        live = next(lane for lane in range(stopped + 1, len(epochs))
+                    if epochs[lane] > epochs[stopped])
+        first = epochs[stopped] * math.ceil(splits.n_train
+                                            / self.BASE.batch_size)
+
+        def poison(lanes):
+            """_batch_loss with NaN in the value and the gradients of each
+            lane from its given call on."""
+            calls = itertools.count()
+
+            def loss(*args):
+                call, out = next(calls), _batch_loss(*args)
+                for lane, start in lanes.items():
+                    if call >= start:
+                        for arr in out:
+                            arr[lane] = np.nan
+                return out
+            return loss
+
+        monkeypatch.setattr("caseline.model._batch_loss",
+                            poison({stopped: first}))
+        got, history = train_with_history(splits, store, catalog, retrs,
+                                          cfgs)
+        assert history == want_history
+        for lane_got, lane_want in zip(got, want):
+            for key, arr in lane_want.all_arrays().items():
+                assert lane_got.all_arrays()[key].tobytes() \
+                    == arr.tobytes(), key
+        monkeypatch.setattr("caseline.model._batch_loss",
+                            poison({stopped: first, live: first + 5}))
+        with pytest.raises(NonFiniteError,
+                           match=rf"epoch {epochs[stopped]} batch 5 "
+                                 rf"\(lane {live}\)"):
+            train_with_history(splits, store, catalog, retrs, cfgs)
 
     @pytest.mark.parametrize("sweep", [
         {"k": (3, 5, 7)},
@@ -883,6 +939,15 @@ class TestPredict:
                 pytest.raises(NonFiniteError, match=f"rank {last}"):
             predict_with_evidence(corpus[last], last, params, head,
                                   labels[:last], RETR, encoder=huge)
+
+    def test_stored_case_at_another_rank_refused(self, trained):
+        """A stored case asked for at a later rank would see its own row
+        and the rows after it as precedents."""
+        corpus, _, _, store, params, labels = trained
+        with pytest.raises(StoreMisalignedError,
+                           match=f"{corpus[5].case_id} is at store rank 5, "
+                                 "asked for at rank 12"):
+            predict_with_evidence(corpus[5], 12, params, store, labels, RETR)
 
     def test_prediction_record_shape(self, trained):
         corpus, catalog, _, store, params, labels = trained

@@ -31,7 +31,7 @@ class TestStoreFile:
         assert back.case_ids == store.case_ids
         assert all(type(c) is str for c in back.case_ids)
         assert "判例-7" in back
-        assert back.vector("判例-7").tobytes() == store.matrix[2].tobytes()
+        assert back.rank_of("判例-7") == 2
 
     def test_two_saves_are_byte_identical(self, tmp_path):
         store = _store()
