@@ -31,26 +31,107 @@ full moments at once.
 
 Both ways produce the same bits as the dense update fed the scattered
 gradient, so the switch only picks the cheaper one.
+
+On two usable CPUs the calling thread and one pool thread share the
+blocks of the update and the decay of a parameter of at least _SPLIT
+elements, and a step returns once both are done; each element's
+arithmetic is unchanged, so the bits do not depend on the number of
+workers or on which thread ran a block.
 """
 
 from __future__ import annotations
+
+import functools
+import os
+import threading
 
 import numpy as np
 
 from . import kernels
 
-# Elements per block of the update kernel.  The kernel writes into two
-# scratch blocks that each optimizer allocates once, so no block size
-# meets glibc's mmap threshold on a step.  Measured per step on a
-# 1M-element parameter (Xeon, 2 MiB L2 per core, one thread): 8K 14.0
-# ms, 16K 12.3, 32K 12.6, 64K 12.8, 128K 14.2.  16K to 64K are equal
-# within the noise; 16K keeps the six blocks one call touches (768 KiB)
-# well inside L2.
-_BLOCK = 1 << 14
-# Elements per block of the decay, which reuses one buffer per step.
-_DECAY_BLOCK = 1 << 15
+# Elements per block of the update and the decay, which write into
+# scratch that the calling thread allocates once, so no step and no
+# pool thread allocates.  Per dense step on 1M elements
+# (Xeon, 2 vCPUs, 2 MiB L2 per core): 10.9-12.5 ms on one thread at 16K
+# to 64K; on two threads 9.1-10.0 ms at 16K (short ufunc calls spend it
+# handing over the interpreter lock), 7.3-8.3 ms at 32K, 6.0-7.0 ms at
+# 64K, which raised ablate-desk's peak RSS by 2 MB for no end-to-end
+# gain.
+_BLOCK = 1 << 15
+# Elements from which a parameter is updated on two threads: at 2^18 a
+# step took 2.3 ms on one thread and 1.7 ms on two.
+_SPLIT = 1 << 18
 # Adam's moment decay rates and its denominator guard.
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; every CPU where the platform has
+    no affinity call (macOS)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_WORKERS = min(2, _usable_cpus())
+
+
+# The scratch pairs of the threads that step optimizers.
+_LOCAL = threading.local()
+
+
+def _scratch(count: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The calling thread's first ``count`` scratch pairs, one per
+    thread that runs blocks for it; made by it on first use and reused
+    by every later step of every optimizer."""
+    pairs = _LOCAL.__dict__.setdefault("pairs", [])
+    while len(pairs) < count:
+        pairs.append((np.empty(_BLOCK), np.empty(_BLOCK)))
+    return pairs
+
+
+@functools.cache
+def _pool():
+    """The one thread that shares the blocks of large parameters,
+    started at the first such step."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(1, thread_name_prefix="caseline-adamw")
+
+
+def _blocks(n: int, run) -> None:
+    """run(start, end, scratch) on each block of the elements [0, n).
+    With two workers and n >= _SPLIT, the calling thread and the pool
+    thread take blocks in turn from one counter, so blocks a busy pool
+    thread cannot reach are left to the caller.  An error in either
+    thread is raised once the other has stopped, so nothing writes
+    after the step returns."""
+    if n < _SPLIT or _WORKERS == 1:
+        scratch = _scratch(1)[0]
+        for start in range(0, n, _BLOCK):
+            run(start, min(start + _BLOCK, n), scratch)
+        return
+    mine, theirs = _scratch(2)
+    starts, lock = iter(range(0, n, _BLOCK)), threading.Lock()
+
+    def take(scratch):
+        while True:
+            with lock:
+                start = next(starts, n)
+            if start == n:
+                return
+            run(start, min(start + _BLOCK, n), scratch)
+
+    # numpy keeps its floating-point error handling per thread
+    second = _pool().submit(np.errstate(**np.geterr())(take), theirs)
+    try:
+        take(mine)
+    finally:
+        # a pool thread that has not started would find no block
+        if not second.cancel():
+            second.exception()  # waits for the pool thread
+    if not second.cancelled():
+        second.result()
 
 
 class AdamW:
@@ -74,10 +155,6 @@ class AdamW:
         self._touched = {k: np.zeros(len(p), dtype=bool)
                          for k, p in params.items()}
         self._dense_grad: dict[str, np.ndarray] = {}
-        # the kernel's two temporaries, one block long, reused by every
-        # step
-        size = min(_BLOCK, max((p.size for p in params.values()), default=0))
-        self._scratch = (np.empty(size), np.empty(size))
 
     def moments(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """The full-shape (m, v) of a parameter: the optimizer's own
@@ -131,12 +208,14 @@ class AdamW:
         """The dense update, block by block.  The kernel is elementwise,
         so blocks give the same bits as one call."""
         p, grad, m, v = p.ravel(), grad.ravel(), m.ravel(), v.ravel()
-        for start in range(0, p.size, _BLOCK):
-            end = start + _BLOCK
+
+        def run(start, end, scratch):
             kernels.adamw_step(
                 p[start:end], grad[start:end], m[start:end], v[start:end],
                 self.lr, BETA1, BETA2, EPS, self.weight_decay, bc1, bc2,
-                self._scratch)
+                scratch)
+
+        _blocks(p.size, run)
 
     def _row_step(self, name: str, rows: np.ndarray, values: np.ndarray,
                   bc1: float, bc2: float) -> None:
@@ -190,15 +269,17 @@ class AdamW:
         p[live] = p_live
 
     def _decay(self, p: np.ndarray) -> None:
-        """p -= lr * (0.0 + weight_decay * p), block by block: the dense
-        update of a row with m = v = 0 and zero gradient.  The 0.0 term
-        is kept because it turns a -0.0 product into +0.0."""
+        """p -= lr * (0.0 + weight_decay * p), block by block in the
+        update's scratch: the dense update of a row with m = v = 0 and
+        zero gradient.  The 0.0 term is kept because it turns a -0.0
+        product into +0.0."""
         flat = p.reshape(-1)
-        buf = np.empty(min(_DECAY_BLOCK, flat.size))
-        for start in range(0, flat.size, _DECAY_BLOCK):
-            block = flat[start:start + _DECAY_BLOCK]
-            tmp = buf[:block.size]
+
+        def run(start, end, scratch):
+            block, tmp = flat[start:end], scratch[0][:end - start]
             np.multiply(block, self.weight_decay, out=tmp)
             np.add(tmp, 0.0, out=tmp)
             np.multiply(tmp, self.lr, out=tmp)
             np.subtract(block, tmp, out=block)
+
+        _blocks(flat.size, run)

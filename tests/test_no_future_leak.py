@@ -4,12 +4,22 @@ Redrawing every store row and label row at or above a cut, and
 flipping the labels of the case just below it, leaves ``infer`` on the
 ranks below the cut bit-identical.  Redrawing the test cases' store
 rows and labels leaves every trained lane and the training history
-bit-identical."""
+bit-identical.
+
+No future leak, through the command line: a second pipeline run, whose
+corpus rewrites the labels of one case and the text and labels of
+every later case, writes the same encoder and model and the same
+predictions up to and including that case."""
 from __future__ import annotations
 
 import dataclasses
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -99,3 +109,119 @@ def test_training_ignores_the_test_cases(n_test, seed):
     for lane_got, lane_want in zip(got, want):
         for key, arr in lane_want.all_arrays().items():
             assert lane_got.all_arrays()[key].tobytes() == arr.tobytes(), key
+
+
+# --------------------------------------------------------------------
+# The command-line pipeline, run twice in fresh processes.
+
+CLI_N, CLI_VAL, CLI_TEST = 300, 40, 40
+CLI_SETS = [
+    "--set", f"split.val_size={CLI_VAL}",
+    "--set", f"split.test_size={CLI_TEST}",
+    "--set", "encoder.hash_dim=1024",
+    "--set", "encoder.hidden_dim=32",
+    "--set", "encoder.out_dim=32",
+    "--set", "encoder.epochs=1",
+    "--set", "train.max_epochs=5",
+]
+STAGES = ("ingest", "train-encoder", "embed", "index", "train", "predict")
+
+
+def _cli(*argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "caseline.cli", *argv, *CLI_SETS],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory) -> Path:
+    """One generated corpus and its label file."""
+    d = tmp_path_factory.mktemp("leak_cli")
+    _cli("gen-drift", "--output", str(d / "raw.jsonl"),
+         "--labels-output", str(d / "labels.txt"),
+         "--n", str(CLI_N), "--vocab-size", "600")
+    return d
+
+
+def _rewrite(generated: Path, cut: int, out: Path) -> Path:
+    """The generated corpus with the labels of rank ``cut`` and the
+    text and labels of every later rank rewritten, ids and dates
+    kept."""
+    cases = [json.loads(line)
+             for line in (generated / "raw.jsonl").read_text().splitlines()]
+    dates = [case["date"] for case in cases]
+    assert dates == sorted(set(dates))  # file order is rank order
+    names = (generated / "labels.txt").read_text().split()
+    words = sorted({w for case in cases for w in case["text"].split()})
+    rng = np.random.default_rng(cut)
+    for case in cases[cut:]:
+        case["articles"] = [n for n in names
+                            if n not in case["articles"]] or names[:1]
+    for case in cases[cut + 1:]:
+        case["text"] = " ".join(
+            rng.choice(words, len(case["text"].split())))
+    out.mkdir()
+    raw = out / "raw.jsonl"
+    raw.write_text("".join(json.dumps(case) + "\n" for case in cases))
+    return raw
+
+
+def _pipeline(generated: Path, raw: Path, d: Path, stages) -> None:
+    """Run ``stages`` of the pipeline on ``raw``, writing into ``d``."""
+    d.mkdir(exist_ok=True)
+    labels = ["--labels-file", str(generated / "labels.txt")]
+    corpus = ["--corpus", str(d / "cases.jsonl")]
+    argv = {
+        "ingest": ["--input", str(raw), "--output", str(d / "cases.jsonl"),
+                   *labels],
+        "train-encoder": [*corpus, "--output", str(d / "encoder.npz"),
+                          *labels],
+        "embed": [*corpus, "--encoder", str(d / "encoder.npz"),
+                  "--output", str(d / "embeddings.npz"), *labels],
+        "index": [*corpus, "--embeddings", str(d / "embeddings.npz"),
+                  "--output", str(d / "index.npz"), *labels],
+        "train": [*corpus, "--index", str(d / "index.npz"),
+                  "--output", str(d / "model.npz")],
+        "predict": [*corpus, "--index", str(d / "index.npz"),
+                    "--model", str(d / "model.npz"),
+                    "--output", str(d / "predictions.jsonl"),
+                    "--split", "test"],
+    }
+    for stage in stages:
+        _cli(stage, *argv[stage])
+
+
+@pytest.fixture(scope="module")
+def original(generated) -> Path:
+    """The pipeline through predict on the generated corpus."""
+    _pipeline(generated, generated / "raw.jsonl", generated / "a", STAGES)
+    return generated / "a"
+
+
+def test_cli_rewrite_from_a_test_case_keeps_what_precedes_it(
+        generated, original, tmp_path):
+    first_test = CLI_N - CLI_TEST
+    cut = first_test + 12
+    b = tmp_path / "b"
+    _pipeline(generated, _rewrite(generated, cut, b), b, STAGES)
+    for name in ("encoder.npz", "model.npz"):
+        assert (b / name).read_bytes() == (original / name).read_bytes(), name
+    want = (original / "predictions.jsonl").read_text().splitlines()
+    got = (b / "predictions.jsonl").read_text().splitlines()
+    kept = 1 + cut - first_test + 1  # the meta line, then rank order
+    assert json.loads(got[kept - 1])["case_id"] == f"D{cut:05d}"
+    assert got[:kept] == want[:kept]
+    assert got[kept:] != want[kept:]  # the rewrite reached the pipeline
+
+
+def test_cli_rewrite_from_a_validation_case_keeps_the_encoder(
+        generated, original, tmp_path):
+    cut = CLI_N - CLI_TEST - CLI_VAL + 5
+    b = tmp_path / "b"
+    _pipeline(generated, _rewrite(generated, cut, b), b,
+              ("ingest", "train-encoder", "embed"))
+    assert (b / "encoder.npz").read_bytes() \
+        == (original / "encoder.npz").read_bytes()
+    assert (b / "embeddings.npz").read_bytes() \
+        != (original / "embeddings.npz").read_bytes()
