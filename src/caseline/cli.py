@@ -274,6 +274,8 @@ def _report_from_predictions(args: argparse.Namespace, cfg: RunConfig
                              ) -> MetricsReport:
     catalog = _catalog_from(args)
     corpus = load_corpus(args.corpus, catalog)
+    ranks = chronological_split(
+        corpus, *cfg.split_sizes(len(corpus))).ranks(args.split)
     rows, seen = [], set()
     text = Path(args.predictions).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -293,6 +295,10 @@ def _report_from_predictions(args: argparse.Namespace, cfg: RunConfig
         if rank in seen:
             raise MalformedRecordError(
                 f"{where}: repeated case_id {case_id!r}")
+        if rank not in ranks:
+            raise MalformedRecordError(
+                f"{where}: case {case_id!r} is not in the {args.split} "
+                "split")
         seen.add(rank)
         if not (isinstance(probs, list) and len(probs) == len(catalog)
                 and all(type(p) in (int, float) and 0.0 <= p <= 1.0

@@ -6,27 +6,27 @@ The per-element update is kernels.adamw_step.
 A gradient is either a dense array shaped like its parameter or a row
 gradient: step's rows argument names sorted unique row ids for the
 parameter, and its gradient holds one value row per id, every other
-row being zero.  The optimizer keeps, per parameter, a mask of the rows
-that have ever had a gradient.  A row never touched has m = v = 0 and
-a zero gradient, so as EPS > 0 the dense update reduces exactly to
-the decay p -= lr * (0.0 + weight_decay * p).
+row being zero.  From its first row gradient on, the optimizer keeps a
+mask of the parameter's rows that have ever had one.  A row never
+touched has m = v = 0 and a zero gradient, so as EPS > 0 the dense
+update reduces exactly to the decay p -= lr * (0.0 + weight_decay * p).
 
 Moments are stored in one of two ways.  Until half of a parameter's
 rows have had a gradient, only the touched rows' moments are kept: in
-row order, in the leading rows of two buffers of ceil(rows / 2) rows
-allocated at the parameter's first row step.  A step that touches new
-rows moves the stored rows to their new positions and starts the new
-ones at zero; it then runs the kernel on the gathered touched rows of
-the parameter and on the leading buffer rows in place, applies the
-decay to all rows in cache-sized blocks, and scatters the touched rows
-back.  Memory and cost follow the touched rows plus one streaming pass
-over the parameter.
+the order of their first gradient, in the leading rows of two buffers
+of ceil(rows / 2) rows allocated at the parameter's first row step,
+each new row taking the next buffer row, still zero.  A step runs the
+kernel on the gathered touched rows of the parameter and on the
+leading buffer rows in place, applies the decay to all rows in
+cache-sized blocks, and scatters the touched rows back.  Memory and
+cost follow the touched rows plus one streaming pass over the
+parameter.
 
 At the switch (half the rows touched, or any dense gradient) the
-stored rows are scattered into full zero arrays and the buffers are
-dropped.  From then on every step is the dense kernel; a row gradient
-is scattered into one reused dense gradient buffer, whose written rows
-are cleared afterwards.  A parameter whose first gradient is dense gets
+stored rows are scattered into full zero arrays and the parameter's
+row state is dropped.  From then on every step is the dense kernel; a
+row gradient is scattered into one reused dense gradient buffer, whose
+written rows are cleared afterwards.  A parameter whose first gradient is dense gets
 full moments at once.
 
 Both ways produce the same bits as the dense update fed the scattered
@@ -148,12 +148,14 @@ class AdamW:
         self.weight_decay = weight_decay
         # full-shape (m, v) per parameter, from its switch on
         self._full: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        # before the switch: two buffers of ceil(rows / 2) rows whose
-        # leading rows hold the touched rows' (m, v) in row order
+        # before the switch, per row-stepped parameter: the touched rows
+        # in the order of their first gradient, the mask of those rows,
+        # and two buffers of ceil(rows / 2) rows whose leading rows hold
+        # their (m, v) in that order
+        self._order: dict[str, np.ndarray] = {}
+        self._touched: dict[str, np.ndarray] = {}
         self._stored: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.t = 0
-        self._touched = {k: np.zeros(len(p), dtype=bool)
-                         for k, p in params.items()}
         self._dense_grad: dict[str, np.ndarray] = {}
 
     def moments(self, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -167,8 +169,8 @@ class AdamW:
         m, v = np.zeros(p.shape), np.zeros(p.shape)
         stored = self._stored.get(name)
         if stored is not None:
-            live = np.flatnonzero(self._touched[name])
-            m[live], v[live] = stored[0][:len(live)], stored[1][:len(live)]
+            order = self._order[name]
+            m[order], v[order] = (buf[:len(order)] for buf in stored)
         return m, v
 
     def step(self, grads: dict[str, np.ndarray],
@@ -192,7 +194,6 @@ class AdamW:
                         f"gradient for {name!r} has {grad.size} elements, "
                         f"parameter has {p.size}")
                 m, v = self._switch(name)
-                self._touched[name].fill(True)
                 self._kernel(p, grad, m, v, bc1, bc2)
 
     def _switch(self, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -201,7 +202,8 @@ class AdamW:
         full = self._full.get(name)
         if full is None:
             full = self._full[name] = self.moments(name)
-            self._stored.pop(name, None)
+            for state in (self._order, self._touched, self._stored):
+                state.pop(name, None)
         return full
 
     def _kernel(self, p, grad, m, v, bc1, bc2) -> None:
@@ -230,43 +232,35 @@ class AdamW:
                           or np.any(np.diff(rows) <= 0)):
             raise ValueError(f"row gradient for {name!r}: rows must be "
                              f"strictly increasing within [0, {len(p)})")
-        touched = self._touched[name]
-        fresh = rows[~touched[rows]]
-        if name in self._full or 2 * (
-                np.count_nonzero(touched) + len(fresh)) >= len(touched):
-            # before the new rows are marked: _switch finds the stored
-            # rows through the mask
-            m, v = self._switch(name)
-            touched[fresh] = True
-            dense = self._dense_grad.get(name)
-            if dense is None:
-                dense = self._dense_grad[name] = np.zeros(p.shape)
-            dense[rows] = values
-            self._kernel(p, dense, m, v, bc1, bc2)
-            dense[rows] = 0.0
-            return
-        stored = self._stored.get(name)
-        if stored is None:
-            half = ((len(p) + 1) // 2,) + p.shape[1:]
-            stored = self._stored[name] = (np.zeros(half), np.zeros(half))
-        touched[fresh] = True
-        live = np.flatnonzero(touched)
-        m, v = (buf[:len(live)] for buf in stored)
-        if len(fresh):
-            # the stored rows from the first new one on move down past
-            # the new rows, which start at zero
-            at = np.searchsorted(live, fresh)
-            kept = np.ones(len(live) - at[0], dtype=bool)
-            kept[at - at[0]] = False
-            for buf in (m, v):
-                buf[at[0]:][kept] = buf[at[0]:len(live) - len(fresh)].copy()
-                buf[at] = 0.0
-        g = np.zeros((len(live),) + p.shape[1:])
-        g[np.searchsorted(live, rows)] = values
-        p_live = p[live]
-        self._kernel(p_live, g, m, v, bc1, bc2)
-        self._decay(p)
-        p[live] = p_live
+        if name not in self._full:
+            touched = self._touched.get(name)
+            if touched is None:
+                touched = self._touched[name] = np.zeros(len(p), dtype=bool)
+                self._order[name] = np.empty(0, dtype=np.int64)
+                half = ((len(p) + 1) // 2,) + p.shape[1:]
+                self._stored[name] = (np.zeros(half), np.zeros(half))
+            fresh = rows[~touched[rows]]
+            order = np.concatenate((self._order[name], fresh))
+            if 2 * len(order) < len(p):
+                self._order[name] = order
+                touched[fresh] = True
+                # the new rows take the next buffer rows, still zero
+                m, v = (buf[:len(order)] for buf in self._stored[name])
+                by_row = np.argsort(order)
+                g = np.zeros((len(order),) + p.shape[1:])
+                g[by_row[np.searchsorted(order, rows, sorter=by_row)]] = values
+                p_live = p[order]
+                self._kernel(p_live, g, m, v, bc1, bc2)
+                self._decay(p)
+                p[order] = p_live
+                return
+        m, v = self._switch(name)
+        dense = self._dense_grad.get(name)
+        if dense is None:
+            dense = self._dense_grad[name] = np.zeros(p.shape)
+        dense[rows] = values
+        self._kernel(p, dense, m, v, bc1, bc2)
+        dense[rows] = 0.0
 
     def _decay(self, p: np.ndarray) -> None:
         """p -= lr * (0.0 + weight_decay * p), block by block in the

@@ -305,6 +305,37 @@ class TestErrors:
         assert payload["error"] == "MalformedRecordError"
         assert f"{bad}:" in payload["message"]
 
+    def test_predictions_outside_the_split_refused(self, pipeline, tmp_path,
+                                                   capsys):
+        """A validation predictions file scores as the model does under
+        --split validation, and is refused under the default test
+        split."""
+        _, art, _ = pipeline
+        preds, scored, direct = (str(tmp_path / name) for name in (
+            "predictions.jsonl", "scored.json", "direct.json"))
+        corpus = ["--corpus", art["ingested.jsonl"], *SETS]
+        model = ["--index", art["index.npz"], "--model", art["model.npz"]]
+        offline = ["--predictions", preds, "--labels-file", art["labels.txt"]]
+        assert cli.main(["predict", *corpus, *model, "--output", preds,
+                         "--split", "validation"]) == 0
+        assert cli.main(["evaluate", *corpus, *offline,
+                         "--split", "validation", "--output", scored]) == 0
+        assert cli.main(["evaluate", *corpus, *model,
+                         "--split", "validation", "--output", direct]) == 0
+        assert Path(scored).read_bytes() == Path(direct).read_bytes()
+        first = json.loads(Path(preds).read_text(
+            encoding="utf-8").splitlines()[1])["case_id"]
+        capsys.readouterr()
+        code = cli.main(["evaluate", *corpus, *offline])
+        err = [ln for ln in capsys.readouterr().err.splitlines()
+               if ln.strip()]
+        assert code == 1
+        assert len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["error"] == "MalformedRecordError"
+        assert payload["message"] == (f"{preds}:2: case {first!r} is not "
+                                      "in the test split")
+
     @pytest.mark.parametrize("seeds", ["a", "1.5", "0,x", "-1", "0,,-2",
                                        "0,0", "1,2,1", ",", ""])
     def test_bad_seed_list_is_usage_error(self, tmp_path, capsys, seeds):
