@@ -24,11 +24,17 @@ discriminate them case-by-case; only a model that consumes the time
 coordinate can track their trend under drift.
 
 ``rotation_rate = 0`` disables both mechanisms and yields a
-stationary corpus.  Generation is fully determined by the seed.
+stationary corpus.  Generation is fully determined by the seed: a
+corpus is defined by the scalar ``random()`` and ``integers(0, high)``
+draws of ``np.random.default_rng(seed)``, one per decision, and
+``_ScalarDraws`` replays that stream from chunks of raw generator
+output, so no draw costs a numpy call.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -74,10 +80,22 @@ class DriftCorpusConfig:
         if not 0 <= self.policy_labels <= self.n_labels - 2:
             raise ConfigError(
                 "policy_labels must leave at least two topical labels")
-        n_topical = self.n_labels - self.policy_labels
-        if self.vocab_size < n_topical * self.topic_words_per_label:
+        if self.topic_words_per_label < 1:
+            raise ConfigError("topic_words_per_label must be >= 1")
+        n_topic_words = ((self.n_labels - self.policy_labels)
+                         * self.topic_words_per_label)
+        if self.vocab_size < n_topic_words:
             raise ConfigError(
                 "vocab_size too small for the label topic blocks")
+        # a noise draw, or a case with only policy labels, takes a
+        # word from the vocabulary past the topic blocks
+        if (self.vocab_size == n_topic_words
+                and (self.noise_rate > 0 or self.policy_labels > 0)):
+            raise ConfigError(
+                "the topic blocks fill vocab_size, leaving no noise "
+                "words for noise_rate > 0 or policy_labels > 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.words_per_case < 1:
             raise ConfigError("words_per_case must be >= 1")
         if not 0.0 < self.base_prevalence < 1.0:
@@ -99,31 +117,81 @@ def _prevalence(label: int, t: float, cfg: DriftCorpusConfig) -> float:
                          cfg.base_prevalence + sign * amplitude * (t - 0.5)))
 
 
+class _ScalarDraws:
+    """The scalar ``random()`` and ``integers(0, high)`` draws of
+    ``np.random.default_rng(seed)``, in the same order and with the
+    same values, handed out from chunks of its raw 64-bit PCG64 output
+    so that a Python loop makes no numpy call per draw.
+
+    As in numpy, a double is the top 53 bits of a fresh raw word, and a
+    32-bit draw is the buffered high half of an earlier word if there
+    is one, else the low half of a fresh word, whose high half is then
+    buffered (a double in between leaves the buffer alone).
+    ``integers`` is Lemire's bounded method on 32-bit draws, as numpy
+    uses it for ``high <= 2**32``.  Raw words are fetched ``chunk`` at
+    a time, as they are used up.
+    """
+
+    def __init__(self, seed: int, chunk: int = 4096) -> None:
+        bitgen = np.random.default_rng(seed).bit_generator
+        self._next = itertools.chain.from_iterable(iter(
+            lambda: bitgen.random_raw(chunk).tolist(), None)).__next__
+        self._half: int | None = None
+
+    def random(self) -> float:
+        return (self._next() >> 11) * 2.0 ** -53
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is None:
+            word = self._next()
+            self._half = word >> 32
+            return word & 0xFFFFFFFF
+        self._half = None
+        return half
+
+    def integers(self, high: int) -> int:
+        """One draw of ``integers(0, high)``, for 1 <= high <= 2**32."""
+        if not 1 < high < 1 << 32:
+            if high == 1:
+                return 0    # numpy draws nothing for a one-value range
+            if high == 1 << 32:
+                return self._uint32()
+            raise ValueError(f"high must be in [1, 2**32], got {high}")
+        m = self._uint32() * high
+        if m & 0xFFFFFFFF < high:
+            threshold = ((1 << 32) - high) % high
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * high
+        return m >> 32
+
+
 def generate_drift_corpus(cfg: DriftCorpusConfig) -> Corpus:
     """Build the synthetic corpus; deterministic per config."""
-    rng = np.random.default_rng(cfg.seed)
+    draws = _ScalarDraws(cfg.seed)
     n, labels_n = cfg.n_cases, cfg.n_labels
     n_topical = labels_n - cfg.policy_labels
     block = cfg.topic_words_per_label
     vocab = [f"w{i:05d}" for i in range(cfg.vocab_size)]
     n_topic_words = n_topical * block
+    n_noise_words = cfg.vocab_size - n_topic_words
     # Head-heavy word frequencies within each topic block so nearby
     # documents about the same topic share their most common words.
     zipf_cum = np.cumsum(1.0 / np.arange(1, block + 1, dtype=np.float64))
     zipf_cum /= zipf_cum[-1]
+    zipf_cum = zipf_cum.tolist()  # the same floats, for bisect
     start_day = date(2000, 1, 1)
     cases = []
 
     for r in range(n):
         t = r / (n - 1) if n > 1 else 0.0
         # labels from the time-dependent base rates, at least one set
-        probs = np.array([_prevalence(lab, t, cfg)
-                          for lab in range(labels_n)])
-        bits = (rng.random(labels_n) < probs).astype(np.uint8)
-        if not bits.any():
-            bits[int(np.argmax(probs))] = 1
-        positives = np.flatnonzero(bits)
-        topical = positives[positives < n_topical]
+        probs = [_prevalence(lab, t, cfg) for lab in range(labels_n)]
+        positives = [lab for lab, p in enumerate(probs)
+                     if draws.random() < p]
+        if not positives:
+            positives = [probs.index(max(probs))]
+        topical = [lab for lab in positives if lab < n_topical]
 
         # rotation state at time t: integer slot shift plus the
         # probability of having advanced one more slot
@@ -131,26 +199,24 @@ def generate_drift_corpus(cfg: DriftCorpusConfig) -> Corpus:
         base_shift = math.floor(shift)
         frac = shift - base_shift
 
-        n_words = cfg.words_per_case + int(rng.integers(0, 11))
+        n_words = cfg.words_per_case + draws.integers(11)
         words = []
         for _ in range(n_words):
-            if rng.random() < cfg.noise_rate or len(topical) == 0:
-                words.append(vocab[n_topic_words
-                                   + int(rng.integers(
-                                       0, cfg.vocab_size
-                                       - n_topic_words))])
+            if draws.random() < cfg.noise_rate or not topical:
+                words.append(
+                    vocab[n_topic_words + draws.integers(n_noise_words)])
                 continue
-            lab = int(topical[int(rng.integers(0, len(topical)))])
-            slot = lab + base_shift + (1 if rng.random() < frac else 0)
+            lab = topical[draws.integers(len(topical))]
+            slot = lab + base_shift + (1 if draws.random() < frac else 0)
             slot %= n_topical
-            idx = int(np.searchsorted(zipf_cum, rng.random(), side="right"))
+            idx = bisect.bisect_right(zipf_cum, draws.random())
             words.append(vocab[slot * block + idx])
 
         cases.append(CaseRecord(
             case_id=f"D{r:05d}",
             title=f"Synthetic case {r}",
             decision_date=start_day + timedelta(days=r),
-            articles=frozenset(f"T{int(lab)}" for lab in positives),
+            articles=frozenset(f"T{lab}" for lab in positives),
             text=" ".join(words)))
     return Corpus(cases)
 
@@ -166,21 +232,21 @@ def generate_cluster_corpus(n_cases: int, n_clusters: int = 10,
     used to sanity-check that the contrastive encoder places
     same-cluster documents near each other.
     """
-    rng = np.random.default_rng(seed)
+    draws = _ScalarDraws(seed)
     noise_vocab = [f"n{i:04d}" for i in range(500)]
     start_day = date(2000, 1, 1)
     cases = []
     assignments = np.empty(n_cases, dtype=np.int64)
     for r in range(n_cases):
-        cluster = int(rng.integers(0, n_clusters))
+        cluster = draws.integers(n_clusters)
         assignments[r] = cluster
         words = []
         for _ in range(words_per_case):
-            if rng.random() < noise_rate:
-                words.append(noise_vocab[int(rng.integers(0, 500))])
+            if draws.random() < noise_rate:
+                words.append(noise_vocab[draws.integers(500)])
             else:
                 words.append(f"c{cluster:02d}t"
-                             f"{int(rng.integers(0, vocab_per_cluster)):03d}")
+                             f"{draws.integers(vocab_per_cluster):03d}")
         cases.append(CaseRecord(
             case_id=f"K{r:05d}",
             title=f"Cluster sample {r}",

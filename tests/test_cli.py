@@ -240,6 +240,19 @@ class TestErrors:
         assert set(err) == {"error", "message"}
         assert err["error"].endswith("Error")
 
+    def test_gen_drift_without_noise_words_refused(self, tmp_path):
+        """8 labels of 40 topic words fill a 240-word vocabulary, but
+        the 2 policy labels still send some cases to the noise words."""
+        out = tmp_path / "raw.jsonl"
+        proc = run_cli("gen-drift", "--output", str(out), "--n", "200",
+                       "--n-labels", "8", "--vocab-size", "240",
+                       "--noise", "0.0", check=False)
+        assert proc.returncode == 1
+        lines = [ln for ln in proc.stderr.splitlines() if ln.strip()]
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
+        assert not out.exists()
+
     def test_evaluate_requires_source(self, pipeline):
         _, art, _ = pipeline
         proc = run_cli("evaluate", "--corpus", art["ingested.jsonl"],

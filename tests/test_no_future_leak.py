@@ -28,6 +28,7 @@ from caseline.model import (
     TrainConfig,
     infer,
     init_model_params,
+    load_model,
     train_with_history,
 )
 from caseline.retrieval import RetrievalConfig
@@ -196,6 +197,10 @@ def _pipeline(generated: Path, raw: Path, d: Path, stages) -> None:
 def original(generated) -> Path:
     """The pipeline through predict on the generated corpus."""
     _pipeline(generated, generated / "raw.jsonl", generated / "a", STAGES)
+    # the drift coordinate is scaled by the training split's ranks only
+    n_train = CLI_N - CLI_VAL - CLI_TEST
+    assert load_model(generated / "a" / "model.npz").train_rank_range \
+        == (0, n_train - 1)
     return generated / "a"
 
 

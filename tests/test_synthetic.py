@@ -1,19 +1,28 @@
 """Synthetic drifting-corpus generator: determinism, label/word
-structure, and the two drift mechanisms."""
+structure, the two drift mechanisms, and byte equality with the
+scalar-``Generator`` reference in ``synthetic_reference``."""
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from caseline.errors import ConfigError
 from caseline.synthetic import (
     DriftCorpusConfig,
+    _ScalarDraws,
     generate_cluster_corpus,
     generate_drift_corpus,
     synthetic_catalog,
+)
+from synthetic_reference import (
+    reference_cluster_corpus,
+    reference_drift_corpus,
 )
 
 BASE = DriftCorpusConfig(n_cases=300, n_labels=6, vocab_size=600,
@@ -40,6 +49,12 @@ class TestConfigValidation:
         dict(base_prevalence=1.0),
         dict(rotation_rate=float("nan")),
         dict(rotation_rate=float("inf")),
+        dict(topic_words_per_label=0),
+        # the 4 topical blocks fill the vocabulary, yet a noise word
+        # can be drawn: by the noise rate, or for a policy-only case
+        dict(vocab_size=120, noise_rate=0.0),
+        dict(vocab_size=180, policy_labels=0),
+        dict(seed=-3),
     ])
     def test_rejects(self, kw):
         with pytest.raises(ConfigError):
@@ -47,6 +62,13 @@ class TestConfigValidation:
 
     def test_policy_labels_zero_allowed(self):
         replace(BASE, policy_labels=0)
+
+    def test_full_vocabulary_without_noise_draws_allowed(self):
+        cfg = replace(BASE, vocab_size=180, policy_labels=0,
+                      noise_rate=0.0, n_cases=50)
+        corpus = generate_drift_corpus(cfg)
+        assert max(i for case in corpus.cases
+                   for i in _word_indices(case.text)) < 180
 
 
 class TestDriftCorpus:
@@ -209,3 +231,102 @@ class TestClusterCorpus:
                                             seed=4)
         words = {w for case in corpus.cases for w in case.text.split()}
         assert all(w.startswith("n") for w in words)
+
+
+# --------------------------------------------------------------------
+# The replayed draw stream against numpy's scalar Generator.
+
+def _cases(corpus):
+    return [(c.case_id, c.title, c.decision_date, c.articles, c.text)
+            for c in corpus.cases]
+
+
+class TestPinnedBytes:
+    """``save_jsonl`` bytes of three corpora, fixed when every draw was
+    a scalar ``Generator`` call."""
+
+    @pytest.mark.parametrize("cfg, sha256", [
+        (BASE,
+         "31a3eb30d4594769f1314c3330d140372f7e6cdb55e3114b2d2df5bc261fdf12"),
+        (replace(BASE, rotation_rate=0.0),
+         "527ba53872de751e8ac06e59c1a307c5b5350ec30996ce196638c00c0dfe4a21"),
+        # the benchmark workloads' settings at n = 200
+        (DriftCorpusConfig(n_cases=200, noise_rate=0.3, vocab_size=2000,
+                           rotation_rate=1.5),
+         "dd71b3349df78bba94e3099b87d9e2283acae485ba17c6766098d8cf477f3a6a"),
+    ], ids=["base", "stationary", "workload"])
+    def test_corpus_bytes(self, cfg, sha256, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        generate_drift_corpus(cfg).save_jsonl(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+# ``integers(0, high)`` bounds: no draw, small, a 25% rejection rate
+# for Lemire's method, the largest rejecting bound, a plain 32-bit draw
+HIGHS = (1, 11, 3 * 2 ** 30 + 1, 2 ** 32 - 1, 2 ** 32)
+
+
+class TestScalarDraws:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64), chunk=st.integers(1, 5),
+           calls=st.lists(st.sampled_from((None,) + HIGHS), max_size=300))
+    def test_matches_a_twin_generator(self, seed, chunk, calls):
+        """Any mix of doubles and bounded integers, across chunk
+        boundaries, gives numpy's values in numpy's order."""
+        draws = _ScalarDraws(seed, chunk=chunk)
+        rng = np.random.default_rng(seed)
+        for high in calls + [None]:
+            if high is None:
+                assert draws.random() == rng.random()
+            else:
+                assert draws.integers(high) == int(rng.integers(0, high))
+
+    @pytest.mark.parametrize("high", [0, -1, 2 ** 32 + 1])
+    def test_rejects_bounds_outside_32_bits(self, high):
+        with pytest.raises(ValueError):
+            _ScalarDraws(0).integers(high)
+
+
+@st.composite
+def _drift_configs(draw):
+    n_labels = draw(st.integers(2, 7))
+    policy = draw(st.integers(0, n_labels - 2))
+    block = draw(st.integers(1, 12))
+    cfg = dict(
+        n_cases=draw(st.integers(1, 30)), n_labels=n_labels,
+        vocab_size=(n_labels - policy) * block + draw(st.integers(0, 40)),
+        rotation_rate=draw(st.floats(0.0, 4.0)),
+        noise_rate=draw(st.sampled_from((0.0, 0.3))
+                        | st.floats(0.0, 0.999)),
+        seed=draw(st.integers(0, 2 ** 64)),
+        words_per_case=draw(st.integers(1, 25)),
+        topic_words_per_label=block,
+        base_prevalence=draw(st.floats(0.01, 0.99)),
+        policy_labels=policy)
+    try:
+        return DriftCorpusConfig(**cfg)
+    except ConfigError:
+        assume(False)
+
+
+class TestAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=_drift_configs())
+    def test_drift_corpus(self, cfg):
+        assert _cases(generate_drift_corpus(cfg)) \
+            == _cases(reference_drift_corpus(cfg))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_cases=st.integers(1, 25),
+           n_clusters=st.integers(1, 12) | st.sampled_from(HIGHS),
+           vocab_per_cluster=st.integers(1, 60) | st.sampled_from(HIGHS),
+           words_per_case=st.integers(0, 20),
+           noise_rate=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 64))
+    def test_cluster_corpus(self, n_cases, n_clusters, vocab_per_cluster,
+                            words_per_case, noise_rate, seed):
+        args = (n_cases, n_clusters, vocab_per_cluster, words_per_case,
+                noise_rate, seed)
+        corpus, assignments = generate_cluster_corpus(*args)
+        want, want_assignments = reference_cluster_corpus(*args)
+        np.testing.assert_array_equal(assignments, want_assignments)
+        assert _cases(corpus) == _cases(want)
