@@ -187,10 +187,12 @@ def run_ablation(spec: AblationSpec, splits: SplitCorpus,
     call, each with the bits its one-lane call gives.  Reported metrics
     are test-split metrics.
     """
-    rows = []
-    for seed in seeds:
-        enc = train_encoder(splits.train, replace(enc_cfg, seed=seed))
-        store = embed_corpus(splits.corpus, enc)
+
+    def seed_rows(seed: int) -> list[tuple[str, int, MetricsReport]]:
+        # The seed's encoder dies once its store is built, and its store
+        # and models when this returns, before the next seed's encoder.
+        store = embed_corpus(splits.corpus, train_encoder(
+            splits.train, replace(enc_cfg, seed=seed)))
         retrs = tuple(replace(
             retr_cfg,
             k=cell.k if cell.k is not None else retr_cfg.k,
@@ -204,13 +206,17 @@ def run_ablation(spec: AblationSpec, splits: SplitCorpus,
             else train_cfg.lam) for cell in spec.cells)
         trained, _ = train_with_history(splits, store, catalog, retrs,
                                         tcfgs)
+        rows = []
         for cell, retr, params in zip(spec.cells, retrs, trained):
             report = evaluate_split(params, splits, store, catalog,
                                     retr, "test", seed=seed)
             log.info("cell %s seed %d: test micro-F1 %.4f",
                      cell.name, seed, report.micro_f1)
             rows.append((cell.name, seed, report))
-    return AblationResult(rows=tuple(rows))
+        return rows
+
+    return AblationResult(rows=tuple(
+        row for seed in seeds for row in seed_rows(seed)))
 
 
 def train_plain_classifier(x: np.ndarray, y: np.ndarray,

@@ -5,10 +5,13 @@ failed write leaves the previous file, or none, at the path.
 Checkpoints (the encoder, embedding store, index and model) are
 ``.npz`` archives of named arrays plus ``meta``, one canonical-JSON
 record with the ``kind``, the ``format_version`` and the provenance of
-the stage that wrote it.  Every float array must be finite: saving a
-non-finite one is a ``NonFiniteError`` and writes nothing.  Loading a
-checkpoint of another kind or version is a ``ConfigError``; any other
-fault is an ``IoFailureError`` naming the array.
+the stage that wrote it, in the exact bytes of ``np.savez``.  Reading
+and writing one hold no full-size temporary of a contiguous array.
+Every float array must be finite: saving a non-finite one is a
+``NonFiniteError``, and an object array (which ``np.savez`` would
+pickle) a ``TypeError``; either writes nothing.  Loading a checkpoint
+of another kind or version is a ``ConfigError``; any other fault is an
+``IoFailureError`` naming the array.
 """
 
 from __future__ import annotations
@@ -32,9 +35,13 @@ from .errors import ConfigError, IoFailureError, NonFiniteError
 NPZ_READ_ERRORS = (OSError, EOFError, KeyError, ValueError, RuntimeError,
                    SyntaxError, tokenize.TokenError, zipfile.BadZipFile)
 
+# Elements per block of the finiteness check; bytes per checkpoint write.
+_CHECK_BLOCK = 1 << 16
+_WRITE_CHUNK = 1 << 20
+
 # The array kinds a schema names.
 _DTYPE_OK = {"float": lambda a: a.dtype == np.float64,
-             "bits": lambda a: a.dtype == np.uint8 and not (a > 1).any(),
+             "bits": lambda a: a.dtype == np.uint8 and a.max(initial=0) <= 1,
              "text": lambda a: a.dtype.kind == "U"}
 
 
@@ -74,26 +81,41 @@ def save_text(path: str | Path, text: str) -> None:
 def _require_finite(what: str, arr: np.ndarray,
                     error: type[Exception]) -> None:
     """``error`` naming ``what`` and the first non-finite index, if the
-    float array has one."""
-    finite = np.isfinite(arr)
-    if not finite.all():
-        where = np.unravel_index(np.argmin(finite), arr.shape)
-        raise error(f"{what}: non-finite value at index "
-                    f"{tuple(map(int, where))}")
+    float array has one; checked in blocks of its C-order elements."""
+    flat = arr.reshape(-1)  # a view of a C-contiguous array
+    finite = np.empty(min(flat.size, _CHECK_BLOCK), dtype=bool)
+    for start in range(0, flat.size, _CHECK_BLOCK):
+        block = flat[start:start + _CHECK_BLOCK]
+        ok = np.isfinite(block, out=finite[:block.size])
+        if not ok.all():
+            where = np.unravel_index(start + np.argmin(ok), arr.shape)
+            raise error(f"{what}: non-finite value at index "
+                        f"{tuple(map(int, where))}")
 
 
 def save_npz(path: str | Path, kind: str, version: int,
              arrays: dict[str, np.ndarray], meta: dict) -> None:
     """Write the arrays and meta record as one checkpoint; a non-finite
-    float array is a NonFiniteError before any file is opened."""
+    float or object array is an error before any file is opened."""
     for name, arr in arrays.items():
+        what = f"{kind} checkpoint {path}: array {name!r}"
+        if arr.dtype.hasobject:
+            raise TypeError(f"{what} is {arr.dtype}, not raw bytes")
         if arr.dtype.kind == "f":
-            _require_finite(f"{kind} checkpoint {path}: array {name!r}",
-                            arr, NonFiniteError)
+            _require_finite(what, arr, NonFiniteError)
     record = canonical_json({**meta, "kind": kind,
                              "format_version": version}).encode("utf-8")
-    with atomic_write(path) as fh:
-        np.savez(fh, **arrays, meta=np.frombuffer(record, dtype=np.uint8))
+    with atomic_write(path) as fh, zipfile.ZipFile(
+            fh, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+        for name, arr in [*arrays.items(),
+                          ("meta", np.frombuffer(record, dtype=np.uint8))]:
+            header = np.lib.format.header_data_from_array_1_0(arr)
+            order = "F" if header["fortran_order"] else "C"
+            raw = arr.ravel(order).view(np.uint8)
+            with zf.open(name + ".npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(member, header)
+                for start in range(0, raw.size, _WRITE_CHUNK):
+                    member.write(raw[start:start + _WRITE_CHUNK])
 
 
 def load_npz(path: str | Path, kind: str, version: int,

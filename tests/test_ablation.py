@@ -5,10 +5,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+import caseline.ablation
 from caseline.ablation import (
     AblationCell,
     AblationResult,
@@ -195,6 +197,39 @@ class TestRunAblation:
             catalog, [5], enc_cfg, retr_cfg,
             TrainConfig(max_epochs=2, seed=5, lam=0.0))
         assert sweep.rows[0][2] == direct.rows[0][2]
+
+    def test_each_seed_frees_its_encoder_and_store(self, monkeypatch):
+        """A seed's encoder dies once its store is built, and its store
+        before the next seed's encoder trains."""
+        cfg = DriftCorpusConfig(n_cases=120, n_labels=6, vocab_size=600,
+                                topic_words_per_label=30, seed=5)
+        splits = chronological_split(generate_drift_corpus(cfg), 80, 20, 20)
+        refs, alive = [], []
+
+        def probe(fn, when):
+            def wrapper(*args, **kwargs):
+                alive.append((when, [r() is not None for r in refs]))
+                out = fn(*args, **kwargs)
+                if when != "train":
+                    refs.append(weakref.ref(out))
+                return out
+            return wrapper
+        for name, when in (("train_encoder", "encoder"),
+                           ("embed_corpus", "embed"),
+                           ("train_with_history", "train")):
+            monkeypatch.setattr(caseline.ablation, name, probe(
+                getattr(caseline.ablation, name), when))
+        run_ablation(AblationSpec(cells=(AblationCell("full"),)), splits,
+                     synthetic_catalog(cfg.n_labels), [0, 1],
+                     ContrastiveConfig(hash_dim=512, hidden_dim=16,
+                                       out_dim=16, epochs=1,
+                                       learning_rate=1e-4),
+                     RetrievalConfig(k=3, alpha=2.0, val_size=20),
+                     TrainConfig(max_epochs=1))
+        assert alive == [
+            ("encoder", []), ("embed", [True]), ("train", [False, True]),
+            ("encoder", [False, False]), ("embed", [False, False, True]),
+            ("train", [False, False, False, True])]
 
 
 class TestDriftGapExperiment:

@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import functools
 import gc
+import io
 import os
 import re
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import caseline
 from caseline import artifacts
@@ -137,9 +141,102 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["ck"]
 
+    @pytest.mark.parametrize("bad", [
+        np.array([{"a": 1}, None], dtype=object),
+        np.array(["a", "b"], dtype=np.dtypes.StringDType()),
+    ], ids=["object", "stringdtype"])
+    def test_save_refuses_an_array_it_cannot_write_raw(self, tmp_path, bad):
+        """np.savez would pickle these, and load_npz refuses a pickle."""
+        path = tmp_path / "ck"
+        artifacts.save_npz(path, "demo", 3, _arrays(), {})
+        before = path.read_bytes()
+        with pytest.raises(TypeError, match="'names'.*not raw bytes"):
+            artifacts.save_npz(path, "demo", 3,
+                               {**_arrays(), "names": bad}, {})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["ck"]
 
-def _failing_savez(fh, **arrays):
-    fh.write(b"PK\x03\x04 half an archive")
+    @pytest.mark.parametrize("arrays", [
+        {"w1": np.random.default_rng(0).random((7, 5))},
+        {"labels": np.eye(3, 4, dtype=np.uint8)},
+        {"case_ids": np.array(["c-1", "c-22", "\u00e7a"])},
+        {"empty": np.zeros((0, 5))},
+        {"big": np.arange(artifacts._WRITE_CHUNK // 8 * 2 + 3.0)},
+        {"view": np.arange(60.0).reshape(6, 10)[::2, 1:7]},
+        {"fortran": np.asfortranarray(np.arange(12.0).reshape(3, 4))},
+        {"scalar": np.array(2.5)},
+        _arrays(),
+    ], ids=["float", "bits", "text", "empty", "over-one-chunk",
+            "non-contiguous", "fortran", "0-d", "several"])
+    def test_writes_the_bytes_of_np_savez(self, tmp_path, arrays):
+        path = tmp_path / "ck"
+        artifacts.save_npz(path, "demo", 3, arrays, {"note": 1})
+        record = artifacts.canonical_json(
+            {"note": 1, "kind": "demo", "format_version": 3}).encode()
+        expected = io.BytesIO()
+        np.savez(expected, **arrays, meta=np.frombuffer(record, np.uint8))
+        assert path.read_bytes() == expected.getvalue()
+
+    def test_io_holds_no_full_size_temporary(self, tmp_path):
+        arr = np.random.default_rng(0).random((4096, 256))
+        path = tmp_path / "ck"
+        tracemalloc.start()
+        try:
+            artifacts.save_npz(path, "demo", 3, {"w1": arr}, {})
+            _, save_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            artifacts.load_npz(path, "demo", 3,
+                               {"w1": ("float", ("V", "H"))})
+            _, load_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert save_peak < 1e6
+        assert load_peak - before < arr.nbytes + 0.8e6
+
+
+def _first_non_finite(arr):
+    """The parent check: the index of the first False of the full-size
+    ``np.isfinite`` mask, or None."""
+    finite = np.isfinite(arr)
+    if finite.all():
+        return None
+    return tuple(map(int, np.unravel_index(np.argmin(finite), arr.shape)))
+
+
+_BLOCK = artifacts._CHECK_BLOCK
+_SHAPES = [(), (0,), (3, 0), (1,), (_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,),
+           (2, _BLOCK // 2 + 1), (3, 7, _BLOCK // 16 - 1), (2 * _BLOCK + 5,)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=st.sampled_from(_SHAPES),
+       dtype=st.sampled_from([np.float64, np.float32]),
+       layout=st.sampled_from(["C", "F", "strided"]), data=st.data())
+def test_blockwise_check_matches_the_full_array_check(shape, dtype, layout,
+                                                      data):
+    base = np.ones(shape if layout != "strided" else (2, *shape), dtype)
+    arr = {"C": base, "F": np.asfortranarray(base),
+           "strided": base[::2] if base.ndim else base}[layout]
+    if arr.size:
+        edges = [i for b in range(0, arr.size + 1, _BLOCK)
+                 for i in (b - 1, b) if 0 <= i < arr.size]
+        where = st.integers(0, arr.size - 1) | st.sampled_from(edges)
+        for flat, value in data.draw(st.lists(st.tuples(
+                where, st.sampled_from([np.nan, np.inf, -np.inf])),
+                max_size=3)):
+            arr[np.unravel_index(flat, arr.shape)] = value
+    expected = _first_non_finite(arr)
+    if expected is None:
+        artifacts._require_finite("x", arr, NonFiniteError)
+    else:
+        with pytest.raises(NonFiniteError,
+                           match=re.escape(f"index {expected}")):
+            artifacts._require_finite("x", arr, NonFiniteError)
+
+
+def _failing_member_write(member, header):
+    member.write(b"\x93NUMPY half a member")
     raise OSError(28, "No space left on device")
 
 
@@ -152,7 +249,8 @@ class TestAtomicWrite:
             params = init_encoder_params(ContrastiveConfig(
                 hash_dim=64, hidden_dim=4, out_dim=4))
             save_encoder(params, path)
-            monkeypatch.setattr(np, "savez", _failing_savez)
+            monkeypatch.setattr(np.lib.format, "write_array_header_1_0",
+                                _failing_member_write)
             save = functools.partial(save_encoder, params, path)
         else:
             tiny_corpus.save_jsonl(path)
