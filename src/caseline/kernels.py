@@ -52,7 +52,7 @@ def adamw_step(
     grad: np.ndarray,
     m: np.ndarray,
     v: np.ndarray,
-    lr: float,
+    lr: float | np.ndarray,
     beta1: float,
     beta2: float,
     eps: float,
@@ -64,7 +64,9 @@ def adamw_step(
     """One decoupled-weight-decay Adam update, in place on 1-D float64 views.
 
     bias_c1/bias_c2 are the step-dependent corrections 1 - beta^t,
-    precomputed by the caller.  The update is
+    precomputed by the caller.  lr is a float or one float64 rate per
+    element, used in one multiply: an element gets equal bits either
+    way.  The update is
 
         m = beta1 * m + (1 - beta1) * grad
         v = beta2 * v + (1 - beta2) * (grad * grad)

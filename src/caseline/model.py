@@ -18,11 +18,10 @@ that one scalar coordinate, plus the split sizes it was trained under.
 The trainer runs one or more lanes: models that share the data, the
 batch order, every dropout mask and every hyperparameter except
 ``retrieval_on``, ``drift_on``, ``lam``, ``k`` and ``alpha``.  It packs
-the parameters into two groups, the classifier ``[w, b]`` and the drift
-head ``[drift_w1, drift_b1, drift_w2, drift_b2]``, and holds each group
-as one ``(lanes, size)`` float64 buffer, so a batch is one stacked
-forward and backward pass and one ``AdamW`` kernel call per group for
-all lanes, and every lane gets the bits a run of its own would give.
+each lane's six arrays into one row of a ``(lanes, size)`` float64
+buffer with one learning rate per element, so a batch is one stacked
+forward and backward pass and one ``AdamW`` step for all lanes, and
+every lane gets the bits a run of its own would give.
 A lane that stops early stays in the stack and is stepped with the
 others until the last lane stops, but it is no longer validated.
 
@@ -163,23 +162,15 @@ class ModelParams:
                 "drift_w2": self.drift_w2, "drift_b2": self.drift_b2}
 
 
-# The trainer's two parameter groups, each one contiguous buffer of its
-# arrays in this order: the classifier and the drift head.
-_GROUPS = (("w", "b"), ("drift_w1", "drift_b1", "drift_w2", "drift_b2"))
-
-
-def _views(buffers: Sequence[np.ndarray], like: dict[str, np.ndarray]
+def _views(flat: np.ndarray, like: dict[str, np.ndarray]
            ) -> dict[str, np.ndarray]:
-    """Per name of ``_GROUPS``, the view of its group's buffer shaped
-    like ``like[name]``, behind the buffer's leading (lane) axes."""
-    views = {}
-    for flat, names in zip(buffers, _GROUPS):
-        at = 0
-        for n in names:
-            shape = like[n].shape
-            views[n] = flat[..., at:at + like[n].size].reshape(
-                flat.shape[:-1] + shape)
-            at += like[n].size
+    """Per array of ``like``, in order, the next elements of ``flat``'s
+    last axis as a view shaped like it, behind the leading (lane) axes."""
+    views, at = {}, 0
+    for name, arr in like.items():
+        views[name] = flat[..., at:at + arr.size].reshape(
+            flat.shape[:-1] + arr.shape)
+        at += arr.size
     return views
 
 
@@ -318,7 +309,7 @@ def _batch_backward(d_y_final: np.ndarray, d_drift: np.ndarray, cache,
     output (the anchoring penalty); the drift head receives both
     since y_final = y_orig + drift.  The gradients are written into
     ``grads`` (arrays shaped like the parameters, such as the views of
-    the trainer's group gradient buffers) when given, else into new
+    the trainer's gradient buffer) when given, else into new
     arrays, and returned.  A lane stack gives each lane its own
     gradients.
     """
@@ -467,9 +458,9 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
     bits its one-lane run gives.  ``max_epochs`` 0 returns the
     initialization.
 
-    Two AdamW groups (classifier fast, drift head slow), each one
-    ``(lanes, size)`` parameter buffer with a gradient buffer of the
-    same layout, stepped by one AdamW call per batch with one dropout
+    One ``(lanes, size)`` parameter buffer, with a gradient buffer and
+    a learning-rate array of the same layout (classifier fast, drift
+    head slow), stepped by one AdamW call per batch with one dropout
     mask for every lane.  Training and validation evidence is
     retrieved and fused once per distinct retrieval config (zeros for
     lanes with retrieval off); a training query sees training-split
@@ -521,18 +512,15 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
     y_train, y_val = labels_all[train_ranks], labels_all[val_ranks]
 
     like = lanes[0].all_arrays()
-    theta = tuple(
-        np.stack([np.concatenate([p.all_arrays()[n].ravel() for n in names])
-                  for p in lanes])
-        for names in _GROUPS)
-    opt_classifier = AdamW({"classifier": theta[0]},
-                           lr=cfg.classifier_lr, weight_decay=cfg.weight_decay)
-    opt_other = AdamW({"drift_head": theta[1]},
-                      lr=cfg.other_lr, weight_decay=cfg.weight_decay)
+    theta = np.stack([np.concatenate(list(p.all_arrays().values()), axis=None)
+                      for p in lanes])
+    lr = np.full_like(theta, cfg.other_lr)
+    lr[:, :like["w"].size + like["b"].size] = cfg.classifier_lr
+    opt = AdamW({"theta": theta}, lr=lr, weight_decay=cfg.weight_decay)
     lam = np.array([c.lam if c.drift_on else 0.0 for c in cfgs])
     drift_off = np.array([not c.drift_on for c in cfgs])
-    grad_bufs = tuple(np.empty_like(b) for b in theta)
-    params, grads = _views(theta, like), _views(grad_bufs, like)
+    grad = np.empty_like(theta)
+    params, grads = _views(theta, like), _views(grad, like)
     best_f1 = [-1.0] * len(lanes)
     stale = [0] * len(lanes)
     history: dict[str, list] = {"train_loss": [], "val_f1": []}
@@ -564,13 +552,12 @@ def train_with_history(splits: SplitCorpus, store: EmbeddingStore,
             batches += 1
             _batch_backward(d_y_final, d_drift, cache, params, grads)
             grads["drift_b2"][drift_off] = 0.0
-            opt_classifier.step({"classifier": grad_bufs[0]})
-            opt_other.step({"drift_head": grad_bufs[1]})
+            opt.step({"theta": grad})
         losses, f1s = [None] * len(lanes), [None] * len(lanes)
         for lane in [i for i, s in enumerate(stale) if s < cfg.patience]:
             # lane by lane: a stacked (lanes, n_val, dim) input block
             # would raise the peak memory of the run
-            views = _views([b[lane] for b in theta], like)
+            views = _views(theta[lane], like)
             decisions = _decide(views, e_case_val, ev_val[source[lane]],
                                 t_val).decisions
             losses[lane] = float(total[lane] / max(batches, 1))

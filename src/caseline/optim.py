@@ -1,7 +1,9 @@
 """Decoupled-weight-decay Adam over named parameter arrays.
 
 Parameters are updated in place; moment buffers live in the optimizer.
-The per-element update is kernels.adamw_step.
+The per-element update is kernels.adamw_step.  The learning rate is a
+float, or, for one parameter with dense gradients, a float64 array of
+its shape: one rate per element, with the bits of that float rate.
 
 A gradient is either a dense array shaped like its parameter or a row
 gradient: step's rows argument names sorted unique row ids for the
@@ -135,14 +137,18 @@ def _blocks(n: int, run) -> None:
 
 
 class AdamW:
-    def __init__(self, params: dict[str, np.ndarray], lr: float,
-                 weight_decay: float = 0.01):
+    def __init__(self, params: dict[str, np.ndarray],
+                 lr: float | np.ndarray, weight_decay: float = 0.01):
         for name, arr in params.items():
             if arr.dtype != np.float64 or not arr.flags["C_CONTIGUOUS"] \
                     or arr.ndim == 0:
                 raise ValueError(
                     f"parameter {name!r} must be contiguous float64 "
                     "with at least one dimension")
+        if isinstance(lr, np.ndarray) and (lr.dtype != np.float64 or [
+                p.shape for p in params.values()] != [lr.shape]):
+            raise ValueError("a learning-rate array must be float64 and "
+                             "shaped like the optimizer's one parameter")
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
@@ -180,6 +186,8 @@ class AdamW:
         then it holds one value row per id in rows[name] (int64,
         strictly increasing, < len(param)) and is zero elsewhere."""
         rows = rows or {}
+        if rows and isinstance(self.lr, np.ndarray):
+            raise ValueError("row gradients need a float learning rate")
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
@@ -210,12 +218,13 @@ class AdamW:
         """The dense update, block by block.  The kernel is elementwise,
         so blocks give the same bits as one call."""
         p, grad, m, v = p.ravel(), grad.ravel(), m.ravel(), v.ravel()
+        lr = self.lr.ravel() if isinstance(self.lr, np.ndarray) else None
 
         def run(start, end, scratch):
             kernels.adamw_step(
                 p[start:end], grad[start:end], m[start:end], v[start:end],
-                self.lr, BETA1, BETA2, EPS, self.weight_decay, bc1, bc2,
-                scratch)
+                self.lr if lr is None else lr[start:end], BETA1, BETA2, EPS,
+                self.weight_decay, bc1, bc2, scratch)
 
         _blocks(p.size, run)
 

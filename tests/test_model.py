@@ -720,6 +720,23 @@ class TestLanes:
             assert not any(getattr(got[lane], n).any() for n in drift)
         assert any(getattr(got[0], n).any() for n in drift)
 
+    def test_one_optimizer_step_per_batch(self, monkeypatch):
+        """Every lane's six arrays are stepped by one AdamW, once per
+        batch."""
+        splits, store, catalog, cfgs = self._flag_cells()
+        stepped, step = [], AdamW.step
+
+        def recording(opt, *args, **kwargs):
+            stepped.append(opt)
+            return step(opt, *args, **kwargs)
+
+        monkeypatch.setattr(AdamW, "step", recording)
+        _, history = train_with_history(splits, store, catalog,
+                                        (RETR,) * len(cfgs), cfgs)
+        batches = math.ceil(splits.n_train / self.BASE.batch_size)
+        assert len(stepped) == len(history["val_f1"]) * batches
+        assert len(set(map(id, stepped))) == 1
+
     def test_non_finite_loss_is_checked_in_live_lanes_only(self,
                                                            monkeypatch):
         """A stopped lane is stepped on but no longer checked: a NaN loss

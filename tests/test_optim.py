@@ -33,16 +33,17 @@ def _dense_reference(p, m, v, dense_grad, t):
         1.0 - BETA1 ** t, 1.0 - BETA2 ** t)
 
 
-def _formula_step(p, m, v, dense_grad, t):
+def _formula_step(p, m, v, dense_grad, t, lr=HYPER["lr"]):
     """The update as whole-array expressions, each allocating its
-    result: the reference the in-place kernel must equal bit for bit."""
+    result: the reference the in-place kernel must equal bit for bit.
+    ``lr`` is a float or one rate per element of the raveled p."""
     g = dense_grad.ravel()
     p, m, v = p.ravel(), m.ravel(), v.ravel()
     m[:] = BETA1 * m + (1.0 - BETA1) * g
     v[:] = BETA2 * v + (1.0 - BETA2) * (g * g)
-    p -= HYPER["lr"] * ((m / (1.0 - BETA1 ** t))
-                        / (np.sqrt(v / (1.0 - BETA2 ** t)) + EPS)
-                        + HYPER["weight_decay"] * p)
+    p -= lr * ((m / (1.0 - BETA1 ** t))
+               / (np.sqrt(v / (1.0 - BETA2 ** t)) + EPS)
+               + HYPER["weight_decay"] * p)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -424,3 +425,73 @@ def test_dense_gradient_of_wrong_size_rejected():
     with pytest.raises(ValueError):
         opt.step({"w": np.zeros(17)})
 
+
+@settings(max_examples=60, deadline=None)
+@given(lanes=st.integers(1, 4), sizes=st.tuples(st.integers(1, 40),
+                                                st.integers(1, 40)),
+       rates=st.tuples(st.floats(1e-6, 0.5), st.floats(1e-6, 0.5)),
+       n_steps=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_rate_array_equals_one_optimizer_per_segment(lanes, sizes, rates,
+                                                     n_steps, seed):
+    """Each lane's row is two segments that learn at two rates: one
+    optimizer with a per-element rate array gives the bits of two
+    float-rate optimizers, one per segment, at every step."""
+    rng = np.random.default_rng(seed)
+    packed = rng.standard_normal((lanes, sum(sizes)))
+    parts = [np.ascontiguousarray(a)
+             for a in np.split(packed, [sizes[0]], axis=1)]
+    lr = np.empty_like(packed)
+    lr[:, :sizes[0]], lr[:, sizes[0]:] = rates
+    opt = AdamW({"theta": packed}, lr=lr, weight_decay=0.05)
+    segments = [AdamW({"s": part}, lr=rate, weight_decay=0.05)
+                for part, rate in zip(parts, rates)]
+    for _ in range(n_steps):
+        grad = rng.standard_normal(packed.shape)
+        opt.step({"theta": grad})
+        for seg, g in zip(segments, np.split(grad, [sizes[0]], axis=1)):
+            seg.step({"s": g})
+        # (param, m, v) of each segment, joined back into rows
+        want = zip(*([part, *seg.moments("s")]
+                     for part, seg in zip(parts, segments)))
+        for got, pieces in zip([packed, *opt.moments("theta")], want):
+            assert _same_bits(got, np.concatenate(pieces, axis=1))
+
+
+def test_rate_array_on_shared_blocks_equals_formula(rng, monkeypatch,
+                                                    workers):
+    """A rate array on a parameter of several blocks, shared with the
+    pool thread at two workers: each block takes its own slice of the
+    rates."""
+    shape = ((_SPLIT + 3 * _BLOCK) // 64 + 3, 64)
+    submits = _pool_submits(monkeypatch)
+    p = rng.standard_normal(shape)
+    lr = rng.choice([1e-4, 3e-2, 0.2], shape)
+    p_ref, m_ref, v_ref = p.copy(), np.zeros(shape), np.zeros(shape)
+    opt = AdamW({"w": p}, lr=lr, weight_decay=HYPER["weight_decay"])
+    for t in range(1, 4):
+        grad = rng.standard_normal(shape)
+        opt.step({"w": grad})
+        _formula_step(p_ref, m_ref, v_ref, grad, t, lr=lr.ravel())
+        m, v = opt.moments("w")
+        assert _same_bits(p, p_ref), f"param differs at step {t}"
+        assert _same_bits(m, m_ref), f"m differs at step {t}"
+        assert _same_bits(v, v_ref), f"v differs at step {t}"
+    assert len(submits) == 3 * (workers == 2)
+
+
+@pytest.mark.parametrize("params, lr", [
+    ({"w": np.zeros((8, 2))}, np.full((2, 8), 0.1)),       # wrong shape
+    ({"w": np.zeros((8, 2))}, np.full((8, 2), 0.1, dtype=np.float32)),
+    ({"w": np.zeros((8, 2)), "b": np.zeros(2)}, np.full((8, 2), 0.1)),
+])
+def test_rate_array_must_fit_the_one_parameter(params, lr):
+    with pytest.raises(ValueError):
+        AdamW(params, lr=lr)
+
+
+def test_rate_array_refuses_row_gradients():
+    p = np.ones((8, 2))
+    opt = AdamW({"w": p}, lr=np.full((8, 2), 0.1))
+    with pytest.raises(ValueError):
+        opt.step({"w": np.ones((1, 2))}, rows={"w": np.array([3])})
+    assert opt.t == 0 and (p == 1.0).all()
