@@ -24,7 +24,8 @@ import numpy as np
 
 from . import __version__
 from .ablation import AblationSpec, run_ablation
-from .artifacts import canonical_json, load_npz, save_npz, save_text
+from .artifacts import _WRITE_CHUNK, canonical_json, load_npz, save_npz, \
+    save_text
 from .config import RunConfig, load_run_config
 from .corpus import (
     LabelCatalog,
@@ -121,6 +122,15 @@ _INDEX_SCHEMA = {"labels": ("bits", ("N", "L")),
 _INDEX_META = {"store": str, "store_sha256": str}
 
 
+def _file_sha256(path: str | Path) -> str:
+    """The sha256 of a file, read in chunks of _WRITE_CHUNK bytes."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(_WRITE_CHUNK), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def save_index(path: str | Path, store_path: str | Path,
                labels: np.ndarray, catalog: LabelCatalog,
                provenance: dict) -> None:
@@ -132,8 +142,7 @@ def save_index(path: str | Path, store_path: str | Path,
         "label_names": np.array(list(catalog.names), dtype=str),
     }, {**provenance,
         "store": os.path.relpath(store_path, Path(path).parent),
-        "store_sha256": hashlib.sha256(
-            Path(store_path).read_bytes()).hexdigest()})
+        "store_sha256": _file_sha256(store_path)})
 
 
 def load_index(path: str | Path
@@ -144,7 +153,7 @@ def load_index(path: str | Path
                             _INDEX_SCHEMA, _INDEX_META)
     store_path = Path(path).parent / meta["store"]
     try:
-        digest = hashlib.sha256(store_path.read_bytes()).hexdigest()
+        digest = _file_sha256(store_path)
     except OSError as exc:
         raise ConfigError(f"cannot read store {store_path} named by index "
                           f"{path}: {exc}") from None

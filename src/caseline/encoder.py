@@ -194,7 +194,7 @@ def info_nce_loss(view0: np.ndarray, view1: np.ndarray, temperature: float):
         raise DimensionMismatchError(
             f"view shapes differ: {v0.shape} vs {v1.shape}")
     if not (np.all(np.isfinite(v0)) and np.all(np.isfinite(v1))):
-        raise DimensionMismatchError("non-finite values in views")
+        raise NonFiniteError("non-finite values in views")
     n0 = np.linalg.norm(v0, axis=1, keepdims=True)
     n1 = np.linalg.norm(v1, axis=1, keepdims=True)
     if np.any(n0 == 0.0) or np.any(n1 == 0.0):

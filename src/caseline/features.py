@@ -9,9 +9,9 @@ featurize takes one text or a sequence of them and returns one CSR
 SparseBatch, a row per text.  It tokenizes and hashes many texts per
 vectorized numpy pass (runs of token bytes, then uint64 FNV-1a one
 byte position at a time), bit-for-bit equal to tokenize followed by
-the per-token reference kernels.hash_ngrams.  SparseBatch.block() is
-the only code that makes hashed features dense, over the union of the
-given rows' buckets.
+the per-token reference in tests/fnv_reference.py.  SparseBatch.block()
+is the only code that makes hashed features dense, over the union of
+the given rows' buckets.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def _fnv1a(h: np.ndarray, data: np.ndarray, starts: np.ndarray,
 def _hash_ngrams(texts: Sequence[bytes],
                  hash_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Bucket ids of every unigram and bigram of the lowercased UTF-8
-    texts, as kernels.hash_ngrams computes them for tokenize's
+    texts, as tests/fnv_reference.py computes them for tokenize's
     tokens, and the index of the text each came from.  Raises
     EmptyTextError when a text has no token."""
     # " t0 t1 ... ": a non-token byte before and after every text, so

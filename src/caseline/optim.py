@@ -1,9 +1,9 @@
 """Decoupled-weight-decay Adam over named parameter arrays.
 
 Parameters are updated in place; moment buffers live in the optimizer.
-The per-element update is kernels.adamw_step.  The learning rate is a
-float, or, for one parameter with dense gradients, a float64 array of
-its shape: one rate per element, with the bits of that float rate.
+The per-element update is _update.  The learning rate is a float, or,
+for one parameter with dense gradients, a float64 array of its shape:
+one rate per element, with the bits of that float rate.
 
 A gradient is either a dense array shaped like its parameter or a row
 gradient: step's rows argument names sorted unique row ids for the
@@ -48,8 +48,6 @@ import os
 import threading
 
 import numpy as np
-
-from . import kernels
 
 # Elements per block of the update and the decay, which write into
 # scratch that the calling thread allocates once, so no step and no
@@ -134,6 +132,41 @@ def _blocks(n: int, run) -> None:
             second.exception()  # waits for the pool thread
     if not second.cancelled():
         second.result()
+
+
+# Private: layertrace spans public names on one stack all threads share.
+def _update(param: np.ndarray, grad: np.ndarray, m: np.ndarray,
+            v: np.ndarray, lr: float | np.ndarray, weight_decay: float,
+            bias_c1: float, bias_c2: float,
+            scratch: tuple[np.ndarray, np.ndarray]) -> None:
+    """One update in place on 1-D float64 views, op by op in this order
+    into two scratch arrays at least as long as param, so it allocates
+    nothing.  bias_c1/bias_c2 are 1 - BETA1^t and 1 - BETA2^t; lr is a
+    float or one rate per element, used in one multiply either way:
+
+        m = BETA1 * m + (1 - BETA1) * grad
+        v = BETA2 * v + (1 - BETA2) * (grad * grad)
+        param -= lr * ((m / bias_c1) / (sqrt(v / bias_c2) + EPS)
+                       + weight_decay * param)
+    """
+    n = param.size
+    s1, s2 = scratch[0][:n], scratch[1][:n]
+    np.multiply(grad, 1.0 - BETA1, out=s1)
+    np.multiply(m, BETA1, out=m)
+    np.add(m, s1, out=m)
+    np.multiply(grad, grad, out=s1)
+    np.multiply(s1, 1.0 - BETA2, out=s1)
+    np.multiply(v, BETA2, out=v)
+    np.add(v, s1, out=v)
+    np.divide(m, bias_c1, out=s1)
+    np.divide(v, bias_c2, out=s2)
+    np.sqrt(s2, out=s2)
+    np.add(s2, EPS, out=s2)
+    np.divide(s1, s2, out=s1)
+    np.multiply(param, weight_decay, out=s2)
+    np.add(s1, s2, out=s1)
+    np.multiply(s1, lr, out=s1)
+    np.subtract(param, s1, out=param)
 
 
 class AdamW:
@@ -221,10 +254,9 @@ class AdamW:
         lr = self.lr.ravel() if isinstance(self.lr, np.ndarray) else None
 
         def run(start, end, scratch):
-            kernels.adamw_step(
-                p[start:end], grad[start:end], m[start:end], v[start:end],
-                self.lr if lr is None else lr[start:end], BETA1, BETA2, EPS,
-                self.weight_decay, bc1, bc2, scratch)
+            _update(p[start:end], grad[start:end], m[start:end], v[start:end],
+                    self.lr if lr is None else lr[start:end],
+                    self.weight_decay, bc1, bc2, scratch)
 
         _blocks(p.size, run)
 

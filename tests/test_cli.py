@@ -1012,3 +1012,14 @@ def test_cli_imports_nothing_beyond_numpy():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=60, check=True)
     assert json.loads(proc.stdout) == ["caseline", "numpy"]
+
+
+@pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20,
+                                  (5 << 19) + 3])
+def test_store_digest_equals_whole_file_sha256(tmp_path, size):
+    """The store digest, read in 1 MiB chunks, is the sha256 of the
+    whole file, whether it ends inside, at or past a chunk."""
+    path = tmp_path / "store"
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+    assert cli._file_sha256(path) \
+        == hashlib.sha256(path.read_bytes()).hexdigest()

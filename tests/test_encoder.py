@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from caseline import kernels
 from caseline.encoder import (
     ContrastiveConfig,
     _backward,
@@ -29,6 +28,8 @@ from caseline.errors import (
 )
 from caseline.features import featurize
 from caseline.synthetic import generate_cluster_corpus
+
+from adamw_reference import formula_step
 
 SMALL_CFG = ContrastiveConfig(hash_dim=1024, hidden_dim=16, out_dim=8,
                               epochs=2, learning_rate=1e-4,
@@ -86,6 +87,15 @@ class TestInfoNceValues:
         z[0] = 0.0
         with pytest.raises(DimensionMismatchError):
             info_nce_loss(z, v, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_view_rejected(self, rng, bad):
+        v = rng.standard_normal((2, 3))
+        z = v.copy()
+        z[1, 2] = bad
+        for views in ((z, v), (v, z)):
+            with pytest.raises(NonFiniteError, match="non-finite"):
+                info_nce_loss(*views, 1.0)
 
 
 class TestInfoNceGradients:
@@ -258,7 +268,7 @@ class TestBackwardFiniteDifferences:
 def _dense_reference_train(cases, cfg: ContrastiveConfig):
     """The contrastive loop with each batch's w1 block gradient
     scattered into a dense hash_dim x hidden gradient and a dense AdamW
-    update of every parameter (AdamW's beta 0.9/0.999, eps 1e-8)."""
+    update of every parameter through the whole-array formula."""
     feats = featurize([c.text for c in cases], cfg.hash_dim)
     params = init_encoder_params(cfg)
     arrays = params.arrays()
@@ -283,10 +293,8 @@ def _dense_reference_train(cases, cfg: ContrastiveConfig):
             grads["w1"] = w1_grad
             t += 1
             for k, a in arrays.items():
-                kernels.adamw_step(
-                    a.ravel(), grads[k].ravel(), m[k].ravel(), v[k].ravel(),
-                    cfg.learning_rate, 0.9, 0.999, 1e-8, cfg.weight_decay,
-                    1.0 - 0.9 ** t, 1.0 - 0.999 ** t)
+                formula_step(a, m[k], v[k], grads[k], t, cfg.learning_rate,
+                             cfg.weight_decay)
     return params
 
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caseline import kernels
 from caseline.errors import EmptyTextError
 from caseline.features import (
     _PASS_BYTES,
@@ -16,6 +15,8 @@ from caseline.features import (
     ngram_strings,
     tokenize,
 )
+
+from fnv_reference import hash_ngrams
 
 
 def _row(batch, i):
@@ -118,6 +119,42 @@ class TestNgramStrings:
         assert len(f.indices) <= len(set(ngram_strings(text)))
 
 
+def _tokens(rng, n):
+    alphabet = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot",
+                "golf", "hotel", "india", "juliet"]
+    return [alphabet[i] for i in rng.integers(0, len(alphabet), size=n)]
+
+
+class TestHashNgrams:
+    """The per-token FNV-1a reference that featurize must match."""
+
+    def test_empty(self):
+        assert len(hash_ngrams([], 64)) == 0
+
+    def test_single_token_has_no_bigram(self):
+        assert len(hash_ngrams(["solo"], 64)) == 1
+
+    def test_count_is_unigrams_plus_bigrams(self, rng):
+        toks = _tokens(rng, 23)
+        assert len(hash_ngrams(toks, 512)) == 23 + 22
+
+    def test_deterministic(self, rng):
+        toks = _tokens(rng, 50)
+        np.testing.assert_array_equal(hash_ngrams(toks, 512),
+                                      hash_ngrams(toks, 512))
+
+    def test_buckets_in_range(self, rng):
+        for dim in (8, 64, 4096):
+            ids = np.asarray(hash_ngrams(_tokens(rng, 200), dim))
+            assert ids.min() >= 0 and ids.max() < dim
+
+    def test_bigram_ordering_matters(self):
+        ab = np.asarray(hash_ngrams(["aa", "bb"], 1 << 20))
+        ba = np.asarray(hash_ngrams(["bb", "aa"], 1 << 20))
+        assert set(ab[:2]) == set(ba[:2])
+        assert ab[2] != ba[2]
+
+
 def test_collision_audit_default_dim():
     """Frozen collision audit for the default bucket count.
 
@@ -138,7 +175,7 @@ def test_collision_audit_default_dim():
     buckets = set()
     for s in strings:
         toks = s.split("\x1f")
-        ids = np.asarray(kernels.hash_ngrams(toks, DEFAULT_HASH_DIM))
+        ids = np.asarray(hash_ngrams(toks, DEFAULT_HASH_DIM))
         buckets.add(int(ids[-1]))  # last id = the full n-gram's bucket
     assert len(strings) == 4505
     collisions = len(strings) - len(buckets)
@@ -169,7 +206,7 @@ _TOKEN = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789",
 
 def _reference_features(tokens, hash_dim):
     """Indices and weights from the per-token FNV-1a reference."""
-    buckets = kernels.hash_ngrams(tokens, hash_dim)
+    buckets = hash_ngrams(tokens, hash_dim)
     indices, counts = np.unique(buckets, return_counts=True)
     weights = counts.astype(np.float64)
     weights /= np.linalg.norm(weights)

@@ -1,10 +1,11 @@
-"""Row-sparse AdamW against the dense reference update.
+"""AdamW against the whole-array formula of adamw_reference.
 
 A row gradient must give bit-for-bit the parameters and moments that
-kernels.adamw_step gives when fed the same gradient scattered into
-a dense zero array, on both sides of the half-touched switch.  A
-parameter whose blocks two threads share must give the formula's bits
-too, at one worker or two."""
+the formula gives when fed the same gradient scattered into a dense
+zero array, on both sides of the half-touched switch.  A parameter
+whose blocks two threads share must give the formula's bits too, at
+one worker or two.  The in-place update optim._update is pinned to the
+formula on its own."""
 from __future__ import annotations
 
 import json
@@ -20,34 +21,55 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caseline import kernels, optim
-from caseline.optim import _BLOCK, _SPLIT, BETA1, BETA2, EPS, AdamW
+from caseline import optim
+from caseline.optim import _BLOCK, _SPLIT, BETA1, BETA2, AdamW
+
+from adamw_reference import formula_step
 
 HYPER = dict(lr=3e-2, weight_decay=0.05)
 
 
-def _dense_reference(p, m, v, dense_grad, t):
-    kernels.adamw_step(
-        p.ravel(), dense_grad.ravel(), m.ravel(), v.ravel(),
-        HYPER["lr"], BETA1, BETA2, EPS, HYPER["weight_decay"],
-        1.0 - BETA1 ** t, 1.0 - BETA2 ** t)
-
-
 def _formula_step(p, m, v, dense_grad, t, lr=HYPER["lr"]):
-    """The update as whole-array expressions, each allocating its
-    result: the reference the in-place kernel must equal bit for bit.
-    ``lr`` is a float or one rate per element of the raveled p."""
-    g = dense_grad.ravel()
-    p, m, v = p.ravel(), m.ravel(), v.ravel()
-    m[:] = BETA1 * m + (1.0 - BETA1) * g
-    v[:] = BETA2 * v + (1.0 - BETA2) * (g * g)
-    p -= lr * ((m / (1.0 - BETA1 ** t))
-               / (np.sqrt(v / (1.0 - BETA2 ** t)) + EPS)
-               + HYPER["weight_decay"] * p)
+    formula_step(p, m, v, dense_grad, t, lr, HYPER["weight_decay"])
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _update(p, g, m, v, lr, weight_decay, t):
+    """optim._update at step t, with scratch of p's size."""
+    optim._update(p, g, m, v, lr, weight_decay, 1.0 - BETA1 ** t,
+                  1.0 - BETA2 ** t, (np.empty(p.size), np.empty(p.size)))
+
+
+class TestAdamwStep:
+    def test_moves_against_gradient_from_rest(self):
+        p = np.zeros(6)
+        g = np.array([1.0, -1.0, 2.0, -2.0, 0.5, -0.5])
+        _update(p, g, np.zeros(6), np.zeros(6), 0.1, 0.0, 1)
+        assert (np.sign(p) == -np.sign(g)).all()
+
+    def test_weight_decay_shrinks_params(self):
+        p = np.full(3, 10.0)
+        _update(p, np.zeros(3), np.zeros(3), np.zeros(3), 0.1, 0.5, 1)
+        assert (p < 10.0).all() and (p > 9.0).all()
+
+    def test_matches_reference_formula(self, rng):
+        p = rng.standard_normal(8)
+        g = rng.standard_normal(8)
+        m = rng.standard_normal(8) * 0.1
+        v = np.abs(rng.standard_normal(8)) * 0.01
+        p0, m0, v0 = p.copy(), m.copy(), v.copy()
+        _update(p, g, m, v, 1e-3, 0.01, 3)
+        m_ref = 0.9 * m0 + 0.1 * g
+        v_ref = 0.999 * v0 + 0.001 * g * g
+        step = (m_ref / (1 - 0.9 ** 3)) \
+            / (np.sqrt(v_ref / (1 - 0.999 ** 3)) + 1e-8)
+        p_ref = p0 - 1e-3 * (step + 0.01 * p0)
+        np.testing.assert_allclose(m, m_ref, rtol=1e-12)
+        np.testing.assert_allclose(v, v_ref, rtol=1e-12)
+        np.testing.assert_allclose(p, p_ref, rtol=1e-12)
 
 
 @st.composite
@@ -64,7 +86,7 @@ def row_sequences(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(row_sequences())
-def test_row_steps_match_dense_kernel_bitwise(case):
+def test_row_steps_match_dense_formula_bitwise(case):
     n_rows, cols, steps, seed = case
     rng = np.random.default_rng(seed)
     shape = (n_rows, *cols)
@@ -79,7 +101,7 @@ def test_row_steps_match_dense_kernel_bitwise(case):
         dense = np.zeros(shape)
         dense[rows] = values
         opt.step({"w": values}, rows={"w": rows})
-        _dense_reference(p_ref, m_ref, v_ref, dense, t)
+        _formula_step(p_ref, m_ref, v_ref, dense, t)
         assert _same_bits(p, p_ref), f"param differs at step {t}"
         m, v = opt.moments("w")
         assert _same_bits(m, m_ref), f"m differs at step {t}"
@@ -109,7 +131,7 @@ def test_crossing_the_switch_and_dense_gradients_mix(rng):
                 dense[rows[name]] = grad
             else:
                 dense[...] = grad
-            _dense_reference(*ref[name], dense, t)
+            _formula_step(*ref[name], dense, t)
         opt.step(grads, rows=rows)
         for name, (p_ref, m_ref, v_ref) in ref.items():
             assert _same_bits(params[name], p_ref), (name, t)
@@ -141,7 +163,7 @@ def test_parameters_spanning_several_blocks(rng, shares):
             dense = np.zeros(shape)
             dense[rows] = values
             opt.step({"w": values}, rows={"w": rows})
-        _dense_reference(p_ref, m_ref, v_ref, dense, t)
+        _formula_step(p_ref, m_ref, v_ref, dense, t)
         assert _same_bits(p, p_ref), f"param differs at step {t}"
         m, v = opt.moments("w")
         assert _same_bits(m, m_ref), f"m differs at step {t}"
@@ -151,25 +173,21 @@ def test_parameters_spanning_several_blocks(rng, shares):
 @pytest.mark.parametrize("size", [
     1, 7, 1001, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
 def test_in_place_kernel_equals_formula(rng, size):
-    """Dense steps, block by block through the optimizer's scratch, and
-    the kernel called without scratch, on odd sizes and either side of
-    the block size."""
+    """Dense steps, block by block through the optimizer's scratch, on
+    odd sizes and either side of the block size."""
     p = rng.standard_normal(size)
     p[::7] = -0.0
     p_ref, m_ref, v_ref = p.copy(), np.zeros(size), np.zeros(size)
-    p_bare, m_bare, v_bare = p.copy(), np.zeros(size), np.zeros(size)
     opt = AdamW({"w": p}, **HYPER)
     for t in range(1, 5):
         grad = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 3)
         grad[::11] = 0.0
         opt.step({"w": grad})
         _formula_step(p_ref, m_ref, v_ref, grad, t)
-        _dense_reference(p_bare, m_bare, v_bare, grad, t)
-        for got, m, v in ((p, *opt.moments("w")),
-                          (p_bare, m_bare, v_bare)):
-            assert _same_bits(got, p_ref), f"param differs at step {t}"
-            assert _same_bits(m, m_ref), f"m differs at step {t}"
-            assert _same_bits(v, v_ref), f"v differs at step {t}"
+        m, v = opt.moments("w")
+        assert _same_bits(p, p_ref), f"param differs at step {t}"
+        assert _same_bits(m, m_ref), f"m differs at step {t}"
+        assert _same_bits(v, v_ref), f"v differs at step {t}"
 
 
 def test_row_path_equals_formula(rng):
@@ -270,7 +288,7 @@ def test_row_path_split_equals_formula(rng, monkeypatch, workers):
     assert "w" in opt._full
 
 
-def _caller_waits_for_pool(monkeypatch, kernel=kernels.adamw_step):
+def _caller_waits_for_pool(monkeypatch, kernel=optim._update):
     """Route the update kernel through ``kernel``, with each of the
     caller's blocks waiting until the pool thread has begun one, so
     both threads run blocks."""
@@ -283,7 +301,7 @@ def _caller_waits_for_pool(monkeypatch, kernel=kernels.adamw_step):
             raise TimeoutError("the pool thread never ran")
         kernel(*args)
 
-    monkeypatch.setattr(kernels, "adamw_step", waiting)
+    monkeypatch.setattr(optim, "_update", waiting)
 
 
 def test_pool_thread_runs_under_the_callers_error_handling(monkeypatch):
@@ -312,7 +330,7 @@ def test_error_in_one_thread_is_raised_after_both_stop(monkeypatch,
     once the other has run every block left, so nothing writes after
     it returns."""
     monkeypatch.setattr(optim, "_WORKERS", 2)
-    caller, kernel = threading.current_thread(), kernels.adamw_step
+    caller, kernel = threading.current_thread(), optim._update
     blocks = {"caller": 0, "pool": 0}
 
     def failing_kernel(*args):
@@ -391,7 +409,7 @@ def test_moments_held_follow_the_touched_rows(rng):
         dense = np.zeros(shape)
         dense[rows] = values
         opt.step({"w": values}, rows={"w": rows})
-        _dense_reference(p_ref, m_ref, v_ref, dense, t)
+        _formula_step(p_ref, m_ref, v_ref, dense, t)
         switched = 2 * np.count_nonzero(m_ref.any(axis=1)) >= shape[0]
         assert switched == (t == 3)
         held = [a for a in _held_arrays(opt) if a.dtype == np.float64]
