@@ -4,15 +4,30 @@ Candidates are the strictly-earlier cases in chronological rank order
 (later cases are excluded from the pool outright, which is equivalent
 to scoring them at -1 but can never surface one).  Earlier cases are
 scored by cosine similarity damped by the rank distance between query
-and candidate, all of them through decayed_similarity, and the best k
-are returned, with their known label vectors, as a tuple of Evidence
-for the classifier.
+and candidate, all of them by the one decay law of decayed_similarity,
+and the best k are returned, with their known label vectors, as a
+tuple of Evidence for the classifier.
+
+The pool is scanned newest first, one product per window: the first
+window holds about a quarter of ``alpha * val_size`` rows, the next
+reaches back to where the bound below falls under the k-th best score
+so far.  No candidate older than gap g scores above ``|q| *
+store.max_norm / (1 + g / (alpha * val_size))``, raised by a 1e-6
+margin for the rounding of the products.  Once that bound is strictly
+below the k-th best score so far, no older candidate can enter the top
+k or tie with it, and the window is ranked as the whole pool would be.
+Windows start at multiples of 64 rows and the newest holds at least
+two (OpenBLAS groups a product's rows by four from its first row, and
+takes another path for one row), so at one BLAS thread each cosine has
+the bits of one product over the whole pool.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +48,7 @@ __all__ = [
     "retrieve_precedents",
     "debug_table",
 ]
+_ALIGN = 64  # every window of the scan starts at a multiple of this
 
 
 @dataclass(frozen=True)
@@ -85,54 +101,82 @@ def decayed_similarity(cosine: float | np.ndarray,
         raise NegativeGapError(
             f"rank_gap must be non-negative, got {least} "
             "(future case leaked into the candidate pool)")
-    return cosine / (1.0 + rank_gap / (cfg.alpha * cfg.val_size))
+    return cosine / _damping(rank_gap, cfg.alpha, cfg.val_size)
+
+
+def _damping(rank_gap, alpha: float, val_size: int):
+    return 1.0 + rank_gap / (alpha * val_size)
+
+
+@lru_cache(maxsize=8)
+def _damping_row(n: int, alpha: float, val_size: int) -> np.ndarray:
+    """Damping of gaps n .. 1; a pool of p rows takes the last p."""
+    row = _damping(np.arange(n, 0, -1, dtype=np.float64), alpha, val_size)
+    row.flags.writeable = False
+    return row
 
 
 def _scored_pool(query_rank: int, query_embedding: np.ndarray,
                  store: EmbeddingStore, cfg: RetrievalConfig,
-                 candidate_limit: int | None):
-    """Cosines, decayed scores and gaps for every allowed candidate.
-
-    Returns ``(pool_end, cosines, gaps, scores)`` where the arrays
-    cover ranks ``0 .. pool_end-1``.
-    """
+                 candidate_limit: int | None, k: int):
+    """Cosines, decayed scores and gaps of ranks ``lo .. pool_end-1``,
+    the newest candidates, down to where no older one can reach the top
+    ``k``: ``(pool_end, lo, cosines, gaps, scores, kth)``, where ``kth``
+    is their k-th best score (-inf if they are fewer than ``k``)."""
     n = len(store.case_ids)
     if not 0 <= query_rank <= n:
         raise RankOutOfRangeError(
             f"query_rank {query_rank} outside store of {n} rows")
+    if candidate_limit is not None and candidate_limit < 0:
+        raise RankOutOfRangeError(
+            f"candidate_limit {candidate_limit} is negative")
     pool_end = query_rank if candidate_limit is None \
         else min(query_rank, candidate_limit)
     q = np.asarray(query_embedding, dtype=np.float64).reshape(-1)
     if q.shape[0] != store.dim:
         raise StoreMisalignedError(
             f"query dim {q.shape[0]} != store dim {store.dim}")
-    if not np.isfinite(q).all():
+    norm = math.sqrt(q @ q)  # inf or nan if an entry is not finite
+    if not math.isfinite(norm) and not np.isfinite(q).all():
         raise NonFiniteError(
             f"query at rank {query_rank} has a non-finite embedding")
-    cosines = store.matrix[:pool_end] @ q
-    gaps = np.arange(pool_end, 0, -1, dtype=np.float64)
-    return pool_end, cosines, gaps, decayed_similarity(cosines, gaps, cfg)
+    damping = _damping_row(n, cfg.alpha, cfg.val_size)[n - pool_end:]
+    # Below 1e-150 squares may underflow and the norms undercount.
+    reach = norm * store.max_norm * (1 + 1e-6) \
+        if min(norm, store.max_norm) > 1e-150 else np.inf
+    cosines, scores = np.empty(pool_end), np.empty(pool_end)
+    unit = cfg.alpha * cfg.val_size
+    lo, start, kth = pool_end, pool_end - max(2.0, unit / 4), -math.inf
+    while lo > 0:
+        hi, lo = lo, int(max(0, min(start, lo - 1))) // _ALIGN * _ALIGN
+        cosines[lo:hi] = store.matrix[lo:hi] @ q
+        scores[lo:hi] = cosines[lo:hi] / damping[lo:hi]
+        start = 2 * lo - pool_end  # until k are scored, double the scan
+        if 0 < k <= pool_end - lo:
+            kth = float(np.partition(scores[lo:], pool_end - lo - k)[
+                pool_end - lo - k])
+            if not lo or reach / damping[lo - 1] < kth:
+                break
+            # next window: down to where the bound falls below kth
+            start = pool_end - (reach / kth - 1) * unit if kth > 0 else 0
+    gaps = np.arange(pool_end - lo, 0, -1, dtype=np.float64)
+    return pool_end, lo, cosines[lo:], gaps, scores[lo:], kth
 
 
-def _top_k(scores: np.ndarray, gaps: np.ndarray, k: int) -> np.ndarray:
+def _top_k(scores: np.ndarray, gaps: np.ndarray, k: int,
+           kth: float) -> np.ndarray:
     """Positions of the best ``k`` candidates, best first, in the exact
     order of descending score, then ascending gap.  Every candidate of
     one query has a distinct gap, so the order is total.
 
-    A partial partition finds the k-th best score, and only the
+    ``kth`` is the k-th best score (``np.partition``), and only the
     candidates scoring at least that much are sorted.  Ties at the k-th
     score are all kept, so the result equals the first k of a full sort.
     """
-    if k < 1:
-        return np.empty(0, dtype=np.intp)
-    if k < len(scores):
-        kth = scores[np.argpartition(-scores, k - 1)[k - 1]]
-        keep = np.flatnonzero(scores >= kth)
-    else:
-        keep = np.arange(len(scores))
+    keep = np.flatnonzero(scores >= kth)
     # lexsort sorts by the last key first.
     order = np.lexsort((gaps[keep], -scores[keep]))
-    return keep[order[:k]]
+    return keep[order[:max(k, 0)]]
 
 
 def retrieve_precedents(query_rank: int, query_embedding: np.ndarray,
@@ -145,20 +189,22 @@ def retrieve_precedents(query_rank: int, query_embedding: np.ndarray,
 
     ``labels`` holds one label vector per store row, aligned by rank.
     ``candidate_limit``, when given, additionally caps the pool at
-    ranks below that bound.  Ties on score prefer the smaller rank
-    gap.  A non-finite query embedding is a NonFiniteError.
+    ranks below that bound; a negative one is a RankOutOfRangeError.
+    Ties on score prefer the smaller rank gap.  A non-finite query
+    embedding is a NonFiniteError.
     """
     labels = np.asarray(labels)
     if labels.shape[0] != len(store.case_ids):
         raise StoreMisalignedError(
             f"{labels.shape[0]} label rows for {len(store.case_ids)} "
             "store rows")
-    _, _, gaps, scores = _scored_pool(
-        query_rank, query_embedding, store, cfg, candidate_limit)
+    _, lo, _, gaps, scores, kth = _scored_pool(
+        query_rank, query_embedding, store, cfg, candidate_limit, cfg.k)
+    best = _top_k(scores, gaps, cfg.k, kth)
     return tuple(
-        Evidence(case_id=store.case_ids[i], rank=int(i),
-                 score=float(scores[i]), labels=labels[i])
-        for i in _top_k(scores, gaps, cfg.k))
+        Evidence(case_id=store.case_ids[r], rank=r, score=s,
+                 labels=labels[r])
+        for r, s in zip((best + lo).tolist(), scores[best].tolist()))
 
 
 def debug_table(query_rank: int, query_embedding: np.ndarray,
@@ -174,8 +220,8 @@ def debug_table(query_rank: int, query_embedding: np.ndarray,
     of -1, to make the mask itself visible in the dump.
     """
     labels = np.asarray(labels)
-    pool_end, cosines, gaps, scores = _scored_pool(
-        query_rank, query_embedding, store, cfg, None)
+    pool_end, lo, cosines, gaps, scores, kth = _scored_pool(
+        query_rank, query_embedding, store, cfg, None, top)
 
     def label_text(row: np.ndarray) -> str:
         if label_names is not None:
@@ -186,10 +232,10 @@ def debug_table(query_rank: int, query_embedding: np.ndarray,
     out.write(f"query rank {query_rank}: {pool_end} candidate(s)\n")
     out.write(f"{'case_id':<24}{'cosine':>10}{'gap':>8}"
               f"{'score':>10}  labels\n")
-    for i in _top_k(scores, gaps, top):
-        out.write(f"{store.case_ids[i]:<24}{cosines[i]:>10.4f}"
+    for i in _top_k(scores, gaps, top, kth):
+        out.write(f"{store.case_ids[lo + i]:<24}{cosines[i]:>10.4f}"
                   f"{int(gaps[i]):>8}{scores[i]:>10.4f}"
-                  f"  {label_text(labels[i])}\n")
+                  f"  {label_text(labels[lo + i])}\n")
     n = len(store.case_ids)
     q = np.asarray(query_embedding, dtype=np.float64).reshape(-1)
     for i in range(query_rank, min(query_rank + include_future, n)):

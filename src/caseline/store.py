@@ -1,5 +1,8 @@
 """Embedding store: one unit-normalized vector per corpus case, in rank order.
 
+Rows are finite (else NonFiniteError) and read-only; ``max_norm``, the
+largest row norm, bounds the scores of ``caseline.retrieval``'s scan.
+
 On disk a store is a ``store`` checkpoint of ``caseline.artifacts``
 (format version 1): the float64 ``matrix`` of shape (N, D), the
 ``case_ids`` text array of shape (N,), and a meta record holding the
@@ -16,14 +19,15 @@ import numpy as np
 
 from .artifacts import load_npz, save_npz
 from .corpus import Corpus
-from .errors import StoreMisalignedError
+from .errors import NonFiniteError, StoreMisalignedError
 
 _FORMAT_VERSION = 1
 _SCHEMA = {"matrix": ("float", ("N", "D")), "case_ids": ("text", ("N",))}
 
 
 class EmbeddingStore:
-    """Matrix of case embeddings indexed by chronological rank."""
+    """Matrix of case embeddings indexed by chronological rank, read-only
+    (a caller must not write to the array it passed in)."""
 
     def __init__(self, case_ids: Sequence[str], matrix: np.ndarray):
         matrix = np.ascontiguousarray(matrix, dtype=np.float64)
@@ -31,8 +35,16 @@ class EmbeddingStore:
             raise StoreMisalignedError(
                 f"matrix shape {matrix.shape} does not match "
                 f"{len(case_ids)} case ids")
+        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+        if not np.isfinite(norms).all():
+            bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+            if bad.size:  # else a finite row whose norm overflows
+                raise NonFiniteError(f"store row {bad[0]} "
+                                     f"({case_ids[bad[0]]!r}) is not finite")
+        self.max_norm = float(norms.max(initial=0.0))
         self.case_ids = list(case_ids)
-        self.matrix = matrix
+        self.matrix = matrix.view()
+        self.matrix.flags.writeable = False
         self._rank = {cid: i for i, cid in enumerate(self.case_ids)}
         if len(self._rank) != len(self.case_ids):
             raise StoreMisalignedError("duplicate case ids in store")

@@ -1,5 +1,6 @@
 """Precedent retrieval: decay arithmetic, brute-force oracle parity,
-future masking and tie-breaking."""
+future masking, tie-breaking, and the early-stopping window scan
+against one product over the whole pool (``retrieval_reference``)."""
 from __future__ import annotations
 
 import math
@@ -18,11 +19,13 @@ from caseline.errors import (
 from caseline.retrieval import (
     Evidence,
     RetrievalConfig,
+    _scored_pool,
     debug_table,
     decayed_similarity,
     retrieve_precedents,
 )
 from caseline.store import EmbeddingStore
+from retrieval_reference import reference_pool, reference_top
 
 CFG = RetrievalConfig(k=5, alpha=2.0, val_size=100)
 
@@ -294,3 +297,153 @@ class TestDebugTable:
                                                  val_size=CFG.val_size))
         for e in ev:
             assert e.case_id in text
+
+
+# Row kinds of the scan's oracle stores.  "ints" rows hold small
+# integers, so every dot product is exact and duplicated rows tie.
+_ROW_KINDS = ("unit", "scaled", "zero", "ints", "duplicate")
+
+
+@st.composite
+def _scan_case(draw):
+    """A store of at most 8,000 elements, small enough that OpenBLAS
+    never splits a product across threads, a query and a retrieval
+    setting."""
+    n = draw(st.integers(0, 300))
+    d = draw(st.sampled_from([1, 3, 8, 16, 26]))
+    n = min(n, 8000 // d)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(_ROW_KINDS), min_size=1,
+                          max_size=3))
+    matrix = rng.standard_normal((n, d))
+    matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+    kind = rng.integers(0, len(kinds), size=n)
+    for j, name in enumerate(kinds):
+        rows = np.flatnonzero(kind == j)
+        if name == "scaled":
+            matrix[rows] *= rng.uniform(0.05, 20.0, size=(len(rows), 1))
+        elif name == "zero":
+            matrix[rows] = 0.0
+        elif name == "ints":
+            matrix[rows] = rng.integers(-2, 3, size=(len(rows), d))
+        elif name == "duplicate" and n:
+            matrix[rows] = matrix[rng.integers(0, n)]
+    store = EmbeddingStore([f"w{i:03d}" for i in range(n)], matrix)
+    rank = draw(st.integers(0, n))
+    query = draw(st.sampled_from(["row", "negated", "random"]))
+    if query == "random" or n == 0:
+        q = rng.standard_normal(d) * rng.uniform(0.1, 10.0)
+    else:
+        q = store.matrix[min(rank, n - 1)] * (-1.0 if query == "negated"
+                                                else 1.0)
+    cfg = RetrievalConfig(
+        k=draw(st.integers(1, 8)) if draw(st.booleans())
+        else rank + draw(st.integers(0, 3)) or 1,
+        alpha=draw(st.sampled_from([0.01, 0.5, 2.0, 1e18])),
+        val_size=draw(st.sampled_from([1, 10, 300, 3000])))
+    limit = None if draw(st.booleans()) else draw(st.integers(0, rank))
+    return store, rank, q, cfg, limit
+
+
+class TestWindowScan:
+    """The scan returns what one product over the whole pool and one
+    full sort return, bit for bit, and it stops early when it can."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_scan_case())
+    def test_matches_one_product_over_the_pool(self, case):
+        store, rank, q, cfg, limit = case
+        labels = (np.arange(len(store) * 2).reshape(-1, 2) % 3 == 0) * 1.0
+        want = reference_top(rank, q, store, cfg, cfg.k, limit)
+        got = retrieve_precedents(rank, q, store, labels, cfg, limit)
+        assert [(e.rank, e.case_id) for e in got] \
+            == [(r, store.case_ids[r]) for r, *_ in want]
+        assert np.array([e.score for e in got]).tobytes() \
+            == np.array([w[3] for w in want]).tobytes()
+        for e in got:
+            assert e.labels.tobytes() == labels[e.rank].tobytes()
+        if limit is None:
+            lines = debug_table(rank, q, store, labels, cfg,
+                                top=cfg.k).splitlines()[2:]
+            assert lines == [
+                f"{store.case_ids[r]:<24}{cos:>10.4f}{int(gap):>8}"
+                f"{score:>10.4f}  "
+                + "".join(str(int(b)) for b in labels[r])
+                for r, cos, gap, score in want]
+
+    @pytest.mark.parametrize("alpha,val_size", [(2.0, 10), (2.0, 3000)])
+    def test_scores_are_the_decay_law(self, rng, alpha, val_size):
+        store = _random_store(rng, 300, d=8)
+        cfg = RetrievalConfig(k=5, alpha=alpha, val_size=val_size)
+        for q in (299, 200, 130, 64, 2):
+            pool_end, lo, cos, gaps, scores, _ = _scored_pool(
+                q, store.matrix[q], store, cfg, None, cfg.k)
+            assert gaps.tolist() == list(range(pool_end - lo, 0, -1))
+            assert scores.tobytes() \
+                == decayed_similarity(cos, gaps, cfg).tobytes()
+            want_cos, _, want = reference_pool(q, store.matrix[q], store,
+                                               cfg)
+            assert cos.tobytes() == want_cos[lo:].tobytes()
+            assert scores.tobytes() == want[lo:].tobytes()
+
+    def test_strong_decay_stops_early(self, rng):
+        store = _random_store(rng, 1000, d=8)
+        cfg = RetrievalConfig(k=5, alpha=1.0, val_size=10)
+        for q in (999, 700, 400):
+            pool_end, lo, *_ = _scored_pool(q, store.matrix[q], store, cfg,
+                                            None, cfg.k)
+            assert 0 < pool_end - lo <= pool_end // 2, (q, lo)
+
+    def test_rows_whose_squares_underflow(self, rng):
+        """Squares of rows near 1e-170 underflow to 0, and so does the
+        store's largest norm; the scan then reads the whole pool rather
+        than trust it."""
+        store = _random_store(rng, 200, d=8)
+        tiny = EmbeddingStore(store.case_ids, store.matrix * 1e-170)
+        assert tiny.max_norm == 0.0
+        cfg = RetrievalConfig(k=10, alpha=1.0, val_size=200)
+        labels = np.zeros((200, 2))
+        for q in (199, 150, 90):
+            query = store.matrix[q] * 1e150
+            got = retrieve_precedents(q, query, tiny, labels, cfg)
+            want = reference_top(q, query, tiny, cfg, cfg.k)
+            assert [(e.rank, e.score) for e in got] \
+                == [(r, s) for r, _, _, s in want]
+
+    def test_newest_window_is_never_one_row(self, rng):
+        """At a pool one row past a multiple of 64 and a tiny
+        ``alpha * val_size``, a one-row window would score its row
+        through another product path, with other bits."""
+        store = _random_store(rng, 200, d=8)
+        cfg = RetrievalConfig(k=1, alpha=0.01, val_size=1)
+        labels = np.zeros((200, 2))
+        for q in (65, 129, 193):
+            for _ in range(5):
+                query = store.matrix[q - 1] + 0.3 * rng.standard_normal(8)
+                got = retrieve_precedents(q, query, store, labels, cfg)
+                want = reference_top(q, query, store, cfg, cfg.k)
+                assert [(e.rank, e.score) for e in got] \
+                    == [(r, s) for r, _, _, s in want]
+
+    def test_bound_reaches_an_older_near_tie(self):
+        """Rank 63 is the query itself at the largest norm; rank 64,
+        the newest of its window, scores 0.5e-6 below it.  The bound at
+        rank 63, with its 1e-6 margin, must not stop the scan there."""
+        cfg = RetrievalConfig(k=1, alpha=1.0, val_size=100)
+        at64, at63 = (decayed_similarity(1.0, g, cfg) for g in (64, 65))
+        c = (1 - 0.5e-6) * at63 / at64
+        matrix = np.zeros((129, 3))
+        matrix[:, 2] = 1.0
+        matrix[63] = matrix[128] = [1.0, 0.0, 0.0]
+        matrix[64] = [c, math.sqrt(1 - c * c), 0.0]
+        store = EmbeddingStore([f"t{i}" for i in range(129)], matrix)
+        ev = retrieve_precedents(128, matrix[128], store,
+                                 np.zeros((129, 1)), cfg)
+        assert [e.rank for e in ev] == [63]
+
+    def test_negative_candidate_limit_rejected(self, rng):
+        store = _random_store(rng, 20)
+        labels = np.zeros((20, 2))
+        with pytest.raises(RankOutOfRangeError, match="candidate_limit -3"):
+            retrieve_precedents(10, store.matrix[10], store, labels, CFG,
+                                candidate_limit=-3)
