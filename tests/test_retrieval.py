@@ -309,7 +309,8 @@ def _scan_case(draw):
     """A store of at most 8,000 elements, small enough that OpenBLAS
     never splits a product across threads, a query and a retrieval
     setting."""
-    n = draw(st.integers(0, 300))
+    n = draw(st.integers(0, 3)) if draw(st.integers(0, 3)) == 3 \
+        else draw(st.integers(60, 300))
     d = draw(st.sampled_from([1, 3, 8, 16, 26]))
     n = min(n, 8000 // d)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -329,19 +330,21 @@ def _scan_case(draw):
         elif name == "duplicate" and n:
             matrix[rows] = matrix[rng.integers(0, n)]
     store = EmbeddingStore([f"w{i:03d}" for i in range(n)], matrix)
-    rank = draw(st.integers(0, n))
+    rank = n - draw(st.integers(0, n))  # most pools span several windows
     query = draw(st.sampled_from(["row", "negated", "random"]))
     if query == "random" or n == 0:
         q = rng.standard_normal(d) * rng.uniform(0.1, 10.0)
     else:
         q = store.matrix[min(rank, n - 1)] * (-1.0 if query == "negated"
                                                 else 1.0)
+    k = draw(st.integers(1, 8))
+    if draw(st.integers(0, 3)) == 3:  # k at or above the pool size
+        k += rank
     cfg = RetrievalConfig(
-        k=draw(st.integers(1, 8)) if draw(st.booleans())
-        else rank + draw(st.integers(0, 3)) or 1,
-        alpha=draw(st.sampled_from([0.01, 0.5, 2.0, 1e18])),
+        k=k, alpha=draw(st.sampled_from([0.01, 0.5, 2.0, 1e18])),
         val_size=draw(st.sampled_from([1, 10, 300, 3000])))
-    limit = None if draw(st.booleans()) else draw(st.integers(0, rank))
+    limit = None if draw(st.booleans()) \
+        else rank - draw(st.integers(0, rank))
     return store, rank, q, cfg, limit
 
 
